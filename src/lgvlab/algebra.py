@@ -5,6 +5,11 @@ Polynomials are kept in canonical form (no trailing zero coefficients, no
 stored zero terms), which makes structural equality the same thing as
 mathematical equality.
 
+Determinants have one algorithm, the fraction-free integer elimination
+``det_int``.  A polynomial determinant is ``det_int`` evaluated at d + 1
+points, d a bound on its degree, followed by exact interpolation; there is
+no size cap.  ``det_leibniz`` is kept only as an independent test oracle.
+
 All values are immutable once constructed and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
 """
@@ -13,11 +18,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Iterable, Iterator, Mapping
-
-from .guards import GuardExceeded
-
-DET_SIZE_LIMIT = 12
+from typing import Iterable, Mapping
 
 
 def binomial(n: int, k: int) -> int:
@@ -331,42 +332,28 @@ class PolyMatrix:
         return [[p(value) for p in row] for row in self.entries]
 
 
-def det_division_free(matrix: PolyMatrix, *, size_limit: int = DET_SIZE_LIMIT) -> UniPoly:
-    """Exact determinant of a polynomial matrix, computed without division.
+def det_division_free(matrix: PolyMatrix) -> UniPoly:
+    """Exact determinant of a polynomial matrix, by evaluation and interpolation.
 
-    Uses the column-subset dynamic program: f(S) is the determinant of the
-    top-|S| rows restricted to column set S, built up by Laplace expansion
-    along the last of those rows.  Cost is O(2^n * n) polynomial products,
-    which is why matrices are capped at ``size_limit`` (default 12).
+    The determinant has degree at most d, the sum over rows of the largest
+    entry degree (a row of zeros counts 0).  It is evaluated at x = 0..d with
+    ``det_int`` and rebuilt in Newton form, f(x) = sum_k D^k f(0) * C(x, k),
+    where D^k f(0) is the k-th forward difference of those values.  Every
+    division is exact, since k! divides D^k f(0) when f has integer
+    coefficients.  The cost is d + 1 integer determinants, so there is no
+    size cap.
     """
-    n = matrix.n
-    if n > size_limit:
-        raise GuardExceeded("determinant size", n, size_limit)
-    if n == 0:
-        return UniPoly.one()
-    # minors[S] = det of rows 0..popcount(S)-1, columns indicated by bitmask S
-    minors: dict[int, UniPoly] = {0: UniPoly.one()}
-    for size in range(1, n + 1):
-        row = size - 1
-        nxt: dict[int, UniPoly] = {}
-        for mask, minor in minors.items():
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                new_mask = mask | bit
-                # parity of the Laplace cofactor: position of j among the
-                # chosen columns, counted from the high end
-                above = sum(1 for k in range(j + 1, n) if new_mask & (1 << k))
-                term = minor * matrix[row, j]
-                if above % 2:
-                    term = -term
-                if new_mask in nxt:
-                    nxt[new_mask] = nxt[new_mask] + term
-                else:
-                    nxt[new_mask] = term
-        minors = nxt
-    return minors[(1 << n) - 1]
+    d = sum(max([0] + [p.degree() for p in row]) for row in matrix.entries)
+    values = [det_int(matrix.evaluate(x)) for x in range(d + 1)]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    # Horner on the Newton basis: c_0 + x*(c_1 + (x-1)*(c_2 + ...))
+    result = UniPoly.zero()
+    for k in range(d, -1, -1):
+        result = result * UniPoly((-k, 1)) + diffs[k] // math.factorial(k)
+    return result
 
 
 def det_leibniz(matrix: PolyMatrix) -> UniPoly:
@@ -384,7 +371,9 @@ def det_leibniz(matrix: PolyMatrix) -> UniPoly:
 def det_int(rows: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination.
 
-    Used for cheap closed-form counts; has no size cap because it is O(n^3).
+    The one determinant algorithm of the package: closed-form counts call it
+    directly and ``det_division_free`` evaluates polynomial matrices with it.
+    O(n^3) exact operations, so there is no size cap.
     """
     n = len(rows)
     if n == 0:

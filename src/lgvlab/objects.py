@@ -186,12 +186,33 @@ class PlanePartition:
 
     @classmethod
     def from_json(cls, data: dict) -> "PlanePartition":
-        if not isinstance(data, dict):
-            raise ValueError("plane partition JSON must be an object")
-        for field in ("shape", "max", "rows"):
-            if field not in data:
-                raise ValueError(f"plane partition JSON missing field {field!r}")
-        return cls(Partition(data["shape"]), int(data["max"]), data["rows"])
+        shape, bound, rows = _filling_fields(data, "plane partition", "max")
+        return cls(shape, bound, rows)
+
+
+def _filling_fields(data, kind: str, bound_field: str):
+    """Shape, bound and rows of a filling's JSON object, type-checked.
+
+    Every number must be a JSON integer (floats and booleans are refused
+    rather than truncated), and rows must be a list of lists.
+    """
+    def is_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} JSON must be an object")
+    for field in ("shape", bound_field, "rows"):
+        if field not in data:
+            raise ValueError(f"{kind} JSON missing field {field!r}")
+    shape, bound, rows = data["shape"], data[bound_field], data["rows"]
+    if not isinstance(shape, list) or not all(map(is_int, shape)):
+        raise ValueError(f"{kind} JSON: shape must be a list of integers")
+    if not is_int(bound):
+        raise ValueError(f"{kind} JSON: {bound_field} must be an integer")
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(map(is_int, row)) for row in rows):
+        raise ValueError(f"{kind} JSON: rows must be a list of lists of integers")
+    return Partition(shape), bound, rows
 
 
 def enumerate_plane_partitions(
@@ -353,12 +374,8 @@ class Tableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "Tableau":
-        if not isinstance(data, dict):
-            raise ValueError("tableau JSON must be an object")
-        for field in ("shape", "vars", "rows"):
-            if field not in data:
-                raise ValueError(f"tableau JSON missing field {field!r}")
-        return cls(Partition(data["shape"]), int(data["vars"]), data["rows"])
+        shape, varcount, rows = _filling_fields(data, "tableau", "vars")
+        return cls(shape, varcount, rows)
 
 
 def enumerate_tableaux(shape: Partition, varcount: int) -> Iterator[Tableau]:

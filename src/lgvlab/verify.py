@@ -77,8 +77,8 @@ def verify_theorem1(shape, bound: int, guard_limit: int | None = None) -> dict:
                {"zeros": zeros.to_json(), "maxes": maxes.to_json()}),
         _check("zeros-matches-determinant", zeros == det,
                {"zeros": zeros.to_json(), "determinant": det.to_json()}),
-        _check("determinant-at-one-counts-all", det(1) == total,
-               {"determinant_at_one": det(1), "count": total}),
+        _check("determinant-at-one-counts-all", det(1) == zeros(1),
+               {"determinant_at_one": det(1), "enumerated": zeros(1)}),
     ]
     results = {
         "zeros": zeros.to_json(),
@@ -126,9 +126,9 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
     for family in ni:
         try:
             tail_swap(family)
-            rejects_witness = {"family": family.to_json()}
         except ValueError:
-            pass
+            continue
+        rejects_witness = {"family": family.to_json()}
         break
 
     sijection = lgv_sijection(endpoints, guard_limit)

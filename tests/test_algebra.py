@@ -14,8 +14,11 @@ from lgvlab.algebra import (
     path_count_matrix_entry,
     perm_sign,
 )
-from lgvlab.guards import GuardExceeded
-from lgvlab.objects import Partition
+from lgvlab.objects import (
+    Partition,
+    count_plane_partitions,
+    genfun_by_enumeration,
+)
 
 
 # --- binomials -----------------------------------------------------------
@@ -150,26 +153,32 @@ def test_det_antisymmetry_under_row_swap():
 
 
 @settings(max_examples=60)
-@given(st.integers(min_value=0, max_value=4), st.data())
+@given(st.integers(min_value=0, max_value=6), st.data())
 def test_det_division_free_matches_leibniz(n, data):
+    # entries of degree up to 3, some rows forced to zero: the degree bound
+    # the interpolation relies on must hold for mixed and empty rows
+    zero_rows = data.draw(st.sets(
+        st.integers(min_value=0, max_value=max(n - 1, 0))))
     entries = [
         [
-            UniPoly(data.draw(st.lists(
+            UniPoly([] if i in zero_rows else data.draw(st.lists(
                 st.integers(min_value=-4, max_value=4),
-                min_size=0, max_size=3)))
+                min_size=0, max_size=4)))
             for _ in range(n)
         ]
-        for _ in range(n)
+        for i in range(n)
     ]
     m = PolyMatrix(entries)
     assert det_division_free(m) == det_leibniz(m)
 
 
-def test_det_size_guard():
-    n = 13
-    big = PolyMatrix([[UniPoly.one()] * n for _ in range(n)])
-    with pytest.raises(GuardExceeded):
-        det_division_free(big)
+def test_det_beyond_twelve_rows_matches_enumeration():
+    for parts in [(1,) * 13, (3, 2) + (1,) * 12]:
+        shape = Partition(parts)
+        det = det_division_free(lgv_matrix(shape, 1))
+        assert det == genfun_by_enumeration(shape, 1, "zeros")
+        assert det == genfun_by_enumeration(shape, 1, "maxes")
+        assert det(1) == count_plane_partitions(shape, 1)
 
 
 def test_det_int_matches_leibniz_on_integer_matrices():

@@ -111,6 +111,26 @@ def test_bijection_invalid_object_is_input_error(capsys, monkeypatch):
     assert "weakly decreasing" in err
 
 
+@pytest.mark.parametrize("document", [
+    {"shape": [1], "max": 1, "rows": 5},
+    {"shape": [1], "max": 1, "rows": [0]},
+    {"shape": [1], "max": None, "rows": [[0]]},
+    {"shape": [1], "max": "1", "rows": [[0]]},
+    {"shape": [1], "max": True, "rows": [[0]]},
+    {"shape": [1], "max": 1, "rows": [[0.5]]},
+    {"shape": [1.5], "max": 1, "rows": [[0]]},
+    {"shape": 1, "max": 1, "rows": [[0]]},
+], ids=["rows-not-list", "row-not-list", "max-null", "max-string",
+        "max-bool", "entry-float", "part-float", "shape-not-list"])
+def test_bijection_malformed_fields_are_input_errors(capsys, monkeypatch,
+                                                     document):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
+    code, _, err = run(capsys, "bijection")
+    assert code == 2
+    assert "error" in err
+    assert "Traceback" not in err
+
+
 def test_schur_outputs_polynomial(capsys):
     code, out, err = run(capsys, "schur", "--shape", "2", "--vars", "2")
     assert code == 0
@@ -150,6 +170,19 @@ def test_sweep(capsys):
     report = json.loads(out)
     assert report["results"] == {"instances": 21, "failures": 0}
     assert "21 instances" in err
+
+
+def test_genfun_det_has_no_row_cap(capsys):
+    code, out, _ = run(capsys, "genfun", "--shape", ",".join(["1"] * 13),
+                       "--max", "1")
+    assert code == 0
+    assert json.loads(out)["coeffs"] == ["1"] * 14
+
+
+def test_sweep_reaches_thirteen_rows(capsys):
+    code, out, _ = run(capsys, "sweep", "--max-size", "13", "--max-bound", "0")
+    assert code == 0
+    assert json.loads(out)["results"] == {"instances": 373, "failures": 0}
 
 
 def test_guard_limit_flag(capsys):

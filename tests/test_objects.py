@@ -177,6 +177,17 @@ def test_tableau_json_roundtrip():
     assert Tableau.from_json(data) == t
 
 
+@pytest.mark.parametrize("data", [
+    {"shape": [1], "vars": 2, "rows": 5},
+    {"shape": [1], "vars": 2, "rows": [[1.7]]},
+    {"shape": [1], "vars": "2", "rows": [[1]]},
+    {"shape": [True], "vars": 2, "rows": [[1]]},
+], ids=["rows-not-list", "entry-float", "vars-string", "part-bool"])
+def test_tableau_from_json_refuses_non_integers(data):
+    with pytest.raises(ValueError):
+        Tableau.from_json(data)
+
+
 def test_enumerate_tableaux_counts():
     assert sum(1 for _ in enumerate_tableaux(Partition([2, 1]), 3)) == 8
     assert count_tableaux(Partition([2, 1]), 3) == 8

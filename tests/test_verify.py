@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from lgvlab import verify
+from lgvlab.algebra import UniPoly
 from lgvlab.guards import GuardExceeded
 from lgvlab.objects import Partition
+from lgvlab.paths import is_nonintersecting
 from lgvlab.verify import (
     report_passed,
     sweep,
@@ -50,6 +53,45 @@ def test_verify_lgv_passes_and_counts():
     names = [c["name"] for c in report["checks"]]
     assert "tail-swap-involution" in names
     assert "sijection-bijective" in names
+
+
+def _check_named(report, name):
+    return next(c for c in report["checks"] if c["name"] == name)
+
+
+def test_verify_theorem1_checks_determinant_at_one_against_enumeration(
+        monkeypatch):
+    real = verify.genfun_by_enumeration
+
+    def miscounting(shape, bound, statistic, guard_limit=None):
+        return real(shape, bound, statistic, guard_limit) + UniPoly([1])
+
+    monkeypatch.setattr("lgvlab.verify.genfun_by_enumeration", miscounting)
+    report = verify_theorem1((1, 1), 1)
+    check = _check_named(report, "determinant-at-one-counts-all")
+    assert not check["passed"]
+    assert check["witness"] == {"determinant_at_one": 3, "enumerated": 4}
+    assert report["results"]["count"] == 3
+
+
+def test_verify_lgv_tail_swap_rejection_covers_every_family(monkeypatch):
+    # a tail swap that rejects only the first non-intersecting family must
+    # be caught: the check has to try all of them
+    real = verify.tail_swap
+    disjoint = []
+
+    def lenient(family):
+        if is_nonintersecting(family):
+            disjoint.append(family)
+            if len(disjoint) > 1:
+                return family, None
+        return real(family)
+
+    monkeypatch.setattr("lgvlab.verify.tail_swap", lenient)
+    report = verify_lgv((1, 1), 1)
+    check = _check_named(report, "tail-swap-rejects-disjoint")
+    assert not check["passed"]
+    assert check["witness"] == {"family": disjoint[1].to_json()}
 
 
 def test_verify_lgv_guard_propagates():
