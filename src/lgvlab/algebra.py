@@ -17,6 +17,7 @@ function of its inputs, so everything here is safe to use concurrently.
 from __future__ import annotations
 
 import math
+import re
 from itertools import permutations
 from typing import Iterable, Mapping
 
@@ -31,6 +32,20 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _is_int(value) -> bool:
+    """True for a genuine integer: JSON floats and booleans do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_coefficient(value, where: str) -> int:
+    """A coefficient read from JSON: an integer or a decimal string."""
+    if _is_int(value) or (isinstance(value, str)
+                          and re.fullmatch(r"-?[0-9]+", value)):
+        return int(value)
+    raise ValueError(f"{where}: coefficient {value!r} is not an integer "
+                     "or a decimal string")
 
 
 class UniPoly:
@@ -151,9 +166,10 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "UniPoly":
-        if not isinstance(data, dict) or "coeffs" not in data:
-            raise ValueError("polynomial JSON must be an object with a 'coeffs' field")
-        return cls(int(c) for c in data["coeffs"])
+        if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
+            raise ValueError("polynomial JSON must be an object with a 'coeffs' list")
+        return cls(_json_coefficient(c, f"coeffs[{k}]")
+                   for k, c in enumerate(data["coeffs"]))
 
 
 def _coerce_uni(value) -> UniPoly:
@@ -288,14 +304,19 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":
-        if not isinstance(data, dict) or "vars" not in data or "terms" not in data:
-            raise ValueError("multivariate polynomial JSON needs 'vars' and 'terms'")
+        if (not isinstance(data, dict) or not _is_int(data.get("vars"))
+                or not isinstance(data.get("terms"), list)):
+            raise ValueError("multivariate polynomial JSON needs an integer "
+                             "'vars' and a 'terms' list")
         terms = {}
         for i, term in enumerate(data["terms"]):
-            if "exp" not in term or "coef" not in term:
+            if not isinstance(term, dict) or "exp" not in term or "coef" not in term:
                 raise ValueError(f"terms[{i}]: needs 'exp' and 'coef'")
-            terms[tuple(term["exp"])] = int(term["coef"])
-        return cls(int(data["vars"]), terms)
+            exp = term["exp"]
+            if not isinstance(exp, list) or not all(map(_is_int, exp)):
+                raise ValueError(f"terms[{i}]: exp must be a list of integers")
+            terms[tuple(exp)] = _json_coefficient(term["coef"], f"terms[{i}]")
+        return cls(data["vars"], terms)
 
 
 class PolyMatrix:

@@ -18,9 +18,12 @@ All objects are immutable and hashable.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
+from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .algebra import MultiPoly, UniPoly, binomial, det_int
+from .algebra import MultiPoly, UniPoly, binomial, det_int, _is_int
 from .guards import check_guard
 
 
@@ -171,11 +174,11 @@ class PlanePartition:
 
     def zero_rows(self) -> int:
         """Number of rows containing the entry 0 (i.e. whose last entry is 0)."""
-        return sum(1 for row in self.rows if row and row[-1] == 0)
+        return _zero_rows(self.rows)
 
     def max_rows(self) -> int:
         """Number of rows containing the bound (i.e. whose first entry equals it)."""
-        return sum(1 for row in self.rows if row and row[0] == self.bound)
+        return _max_rows(self.rows, self.bound)
 
     def to_json(self) -> dict:
         return {
@@ -196,23 +199,69 @@ def _filling_fields(data, kind: str, bound_field: str):
     Every number must be a JSON integer (floats and booleans are refused
     rather than truncated), and rows must be a list of lists.
     """
-    def is_int(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool)
-
     if not isinstance(data, dict):
         raise ValueError(f"{kind} JSON must be an object")
     for field in ("shape", bound_field, "rows"):
         if field not in data:
             raise ValueError(f"{kind} JSON missing field {field!r}")
     shape, bound, rows = data["shape"], data[bound_field], data["rows"]
-    if not isinstance(shape, list) or not all(map(is_int, shape)):
+    if not isinstance(shape, list) or not all(map(_is_int, shape)):
         raise ValueError(f"{kind} JSON: shape must be a list of integers")
-    if not is_int(bound):
+    if not _is_int(bound):
         raise ValueError(f"{kind} JSON: {bound_field} must be an integer")
     if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(map(is_int, row)) for row in rows):
+            isinstance(row, list) and all(map(_is_int, row)) for row in rows):
         raise ValueError(f"{kind} JSON: rows must be a list of lists of integers")
     return Partition(shape), bound, rows
+
+
+def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
+    """Yield every filling of the shape as a tuple of row tuples.
+
+    A row is a multiset of ``values`` listed in their order, so it is weakly
+    monotone, and each entry must satisfy ``column_ok(above, entry)``.  Order
+    is lexicographic on the row-major sequence, in the order of ``values``.
+    One combinations iterator per row sits on an explicit stack, so no
+    recursion limit bounds the shape.
+    """
+    parts = shape.parts
+    if not parts:
+        yield ()
+        return
+    rows: list[tuple[int, ...]] = []
+    stack = [combinations_with_replacement(values, parts[0])]
+    while stack:
+        above = rows[-1] if rows else ()
+        for row in stack[-1]:
+            if all(map(column_ok, above, row)):
+                break
+        else:
+            stack.pop()
+            if rows:
+                rows.pop()
+            continue
+        rows.append(row)
+        if len(rows) == len(parts):
+            yield tuple(rows)
+            rows.pop()
+        else:
+            stack.append(combinations_with_replacement(values, parts[len(rows)]))
+
+
+def _zero_rows(rows) -> int:
+    """Rows containing 0: a weakly decreasing row contains 0 iff it ends in 0."""
+    return sum(row[-1] == 0 for row in rows)
+
+
+def _max_rows(rows, bound: int) -> int:
+    """Rows containing the bound, i.e. starting with it."""
+    return sum(row[0] == bound for row in rows)
+
+
+def _plane_partition_rows(shape: Partition, bound: int) -> Iterator[tuple]:
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    return _fillings(shape, range(bound, -1, -1), operator.ge)
 
 
 def enumerate_plane_partitions(
@@ -224,28 +273,9 @@ def enumerate_plane_partitions(
     The stream is exhaustive and duplicate-free; the all-zeros filling is
     always the final element.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    cells = [(i, k) for i, p in enumerate(shape) for k in range(p)]
-    rows = [[0] * p for p in shape]
-
-    def fill(pos: int) -> Iterator[PlanePartition]:
-        if pos == len(cells):
-            yield PlanePartition(shape, bound, rows)
-            return
-        i, k = cells[pos]
-        top = bound
-        if k > 0:
-            top = min(top, rows[i][k - 1])
-        if i > 0:
-            top = min(top, rows[i - 1][k])
-        for value in range(top, -1, -1):
-            rows[i][k] = value
-            yield from fill(pos + 1)
-        rows[i][k] = 0
-
-    yield from fill(0)
+    for rows in _plane_partition_rows(shape, bound):
+        yield PlanePartition(shape, bound, rows)
 
 
 def count_plane_partitions(shape: Partition, bound: int) -> int:
@@ -285,16 +315,9 @@ def genfun_by_enumeration(
         count_plane_partitions(shape, bound),
         guard_limit,
     )
-    tally: dict[int, int] = {}
-    for pp in enumerate_plane_partitions(shape, bound):
-        k = pp.zero_rows() if statistic == "zeros" else pp.max_rows()
-        tally[k] = tally.get(k, 0) + 1
-    if not tally:
-        return UniPoly.zero()
-    coeffs = [0] * (max(tally) + 1)
-    for k, c in tally.items():
-        coeffs[k] = c
-    return UniPoly(coeffs)
+    stat = _zero_rows if statistic == "zeros" else lambda rows: _max_rows(rows, bound)
+    tally = Counter(map(stat, _plane_partition_rows(shape, bound)))
+    return UniPoly(tally[k] for k in range(max(tally, default=-1) + 1))
 
 
 class Tableau:
@@ -359,11 +382,7 @@ class Tableau:
 
     def weight(self) -> tuple[int, ...]:
         """Content vector: component t counts entries equal to t+1."""
-        counts = [0] * self.varcount
-        for row in self.rows:
-            for e in row:
-                counts[e - 1] += 1
-        return tuple(counts)
+        return _weight(self.rows, self.varcount)
 
     def to_json(self) -> dict:
         return {
@@ -378,36 +397,32 @@ class Tableau:
         return cls(shape, varcount, rows)
 
 
+def _weight(rows, varcount: int) -> tuple[int, ...]:
+    """Content vector of a tableau's rows: component t counts entries t+1."""
+    counts = [0] * varcount
+    for row in rows:
+        for e in row:
+            counts[e - 1] += 1
+    return tuple(counts)
+
+
+def _tableau_rows(shape: Partition, varcount: int) -> Iterator[tuple]:
+    if varcount < 1:
+        raise ValueError("varcount must be at least 1")
+    if len(shape) > varcount:
+        return iter(())
+    return _fillings(shape, range(1, varcount + 1), operator.lt)
+
+
 def enumerate_tableaux(shape: Partition, varcount: int) -> Iterator[Tableau]:
     """Yield every semistandard tableau of the shape with entries <= varcount.
 
     Order is lexicographic on the row-major entry sequence, smallest first.
     The stream is empty exactly when the shape has more rows than varcount.
     """
-    if varcount < 1:
-        raise ValueError("varcount must be at least 1")
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    if len(shape) > varcount:
-        return
-    cells = [(i, k) for i, p in enumerate(shape) for k in range(p)]
-    rows = [[0] * p for p in shape]
-
-    def fill(pos: int) -> Iterator[Tableau]:
-        if pos == len(cells):
-            yield Tableau(shape, varcount, rows)
-            return
-        i, k = cells[pos]
-        low = 1
-        if k > 0:
-            low = max(low, rows[i][k - 1])
-        if i > 0:
-            low = max(low, rows[i - 1][k] + 1)
-        for value in range(low, varcount + 1):
-            rows[i][k] = value
-            yield from fill(pos + 1)
-        rows[i][k] = 0
-
-    yield from fill(0)
+    for rows in _tableau_rows(shape, varcount):
+        yield Tableau(shape, varcount, rows)
 
 
 def count_tableaux(shape: Partition, varcount: int) -> int:
@@ -442,8 +457,5 @@ def schur_by_enumeration(
         count_tableaux(shape, varcount),
         guard_limit,
     )
-    terms: dict[tuple[int, ...], int] = {}
-    for t in enumerate_tableaux(shape, varcount):
-        w = t.weight()
-        terms[w] = terms.get(w, 0) + 1
-    return MultiPoly(varcount, terms)
+    return MultiPoly(varcount, Counter(
+        _weight(rows, varcount) for rows in _tableau_rows(shape, varcount)))

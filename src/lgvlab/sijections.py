@@ -130,13 +130,7 @@ class _InverseSijection(Sijection):
     def __init__(self, base: Sijection):
         self._base = base
         super().__init__(f"inverse({base.name})", base.target, base.source,
-                         self._fwd, self._bwd)
-
-    def _fwd(self, tagged: Tagged) -> Tagged:
-        return _flip(self._base.backward(_flip(tagged)))
-
-    def _bwd(self, tagged: Tagged) -> Tagged:
-        return _flip(self._base.forward(_flip(tagged)))
+                         None, None)
 
     def forward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
         _check_domain(tagged, ((SOURCE, 1), (TARGET, -1)), self.name)
@@ -189,67 +183,32 @@ class _ComposedSijection(Sijection):
 
     def forward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
         _check_domain(tagged, ((SOURCE, 1), (TARGET, -1)), self.name)
-        side, sign, payload = tagged
-        if side == SOURCE:
-            current = self.phi.forward((SOURCE, 1, payload), trace)
-            from_left = True
-        else:
-            current = self.psi.forward((TARGET, -1, payload), trace)
-            from_left = False
+        # phi borders the source and psi the target; an element escapes
+        # when the map just applied sends it out of its own outer side.
+        outer = tagged[0]
+        current = (self.phi if outer == SOURCE else self.psi).forward(
+            tagged, trace)
         visited = set()
-        while True:
-            cside, csign, cpayload = current
-            if from_left:
-                if cside == SOURCE:          # escaped out of S-
-                    return current
-                landing = (csign, cpayload)  # in the middle, via phi
-            else:
-                if cside == TARGET:          # escaped out of U+
-                    return (TARGET, csign, cpayload)
-                landing = (csign, cpayload)  # in the middle, via psi
-            if landing in visited:
+        while current[0] != outer:
+            _, csign, cpayload = current
+            if (csign, cpayload) in visited:
                 raise SijectionError(
                     f"{self.name}: ping-pong revisited middle element "
                     f"{cpayload!r} with sign {_SIGN_CHAR[csign]}")
-            visited.add(landing)
+            visited.add((csign, cpayload))
             if csign == 1:
+                outer = TARGET
                 current = self.psi.forward((SOURCE, 1, cpayload), trace)
-                from_left = False
             else:
+                outer = SOURCE
                 current = self.phi.forward((TARGET, -1, cpayload), trace)
-                from_left = True
+        return current
 
     def backward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
+        # backward is the forward ping-pong of the inverse composite, read
+        # with source and target exchanged.
         _check_domain(tagged, ((SOURCE, -1), (TARGET, 1)), self.name)
-        side, sign, payload = tagged
-        if side == TARGET:
-            current = self.psi.backward((TARGET, 1, payload), trace)
-            from_right = True
-        else:
-            current = self.phi.backward((SOURCE, -1, payload), trace)
-            from_right = False
-        visited = set()
-        while True:
-            cside, csign, cpayload = current
-            if from_right:
-                if cside == TARGET:          # escaped out of U-
-                    return (TARGET, csign, cpayload)
-                landing = (csign, cpayload)
-            else:
-                if cside == SOURCE:          # escaped out of S+
-                    return current
-                landing = (csign, cpayload)
-            if landing in visited:
-                raise SijectionError(
-                    f"{self.name}: ping-pong revisited middle element "
-                    f"{cpayload!r} with sign {_SIGN_CHAR[csign]}")
-            visited.add(landing)
-            if csign == 1:
-                current = self.phi.backward((TARGET, 1, cpayload), trace)
-                from_right = False
-            else:
-                current = self.psi.backward((SOURCE, -1, cpayload), trace)
-                from_right = True
+        return _flip(self.inverse().forward(_flip(tagged), trace))
 
     def inverse(self) -> Sijection:
         return _ComposedSijection(self.psi.inverse(), self.phi.inverse())

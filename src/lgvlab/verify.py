@@ -25,6 +25,7 @@ from .objects import (
     count_plane_partitions,
     count_tableaux,
     enumerate_partitions,
+    enumerate_plane_partitions,
     enumerate_tableaux,
     genfun_by_enumeration,
     schur_by_enumeration,
@@ -172,7 +173,6 @@ def verify_bijection(shape, bound: int, guard_limit: int | None = None) -> dict:
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    from .objects import enumerate_plane_partitions
 
     pps = list(enumerate_plane_partitions(shape, bound))
     images = []

@@ -72,6 +72,21 @@ def test_unipoly_json_roundtrip():
         UniPoly.from_json({"var": "x"})
 
 
+@pytest.mark.parametrize("data", [
+    {"coeffs": [1.9, True]},
+    {"coeffs": [1, 2.0]},
+    {"coeffs": [False]},
+    {"coeffs": ["1.5"]},
+    {"coeffs": [" 2"]},
+    {"coeffs": [None]},
+    {"coeffs": "12"},
+], ids=["float-and-bool", "integral-float", "bool", "fraction-string",
+        "padded-string", "null", "coeffs-not-list"])
+def test_unipoly_from_json_refuses_non_integers(data):
+    with pytest.raises(ValueError):
+        UniPoly.from_json(data)
+
+
 small_polys = st.lists(
     st.integers(min_value=-9, max_value=9), min_size=0, max_size=5
 ).map(UniPoly)
@@ -122,6 +137,24 @@ def test_multipoly_json_sorted_lexicographically():
     assert data["vars"] == 2
     assert [t["exp"] for t in data["terms"]] == [[0, 2], [1, 1], [2, 0]]
     assert MultiPoly.from_json(data) == p
+
+
+@pytest.mark.parametrize("data", [
+    {"vars": 1, "terms": 5},
+    {"vars": 1.5, "terms": [{"exp": [True], "coef": 2.7}]},
+    {"vars": "1", "terms": []},
+    {"vars": True, "terms": []},
+    {"vars": 1, "terms": [{"exp": [1.0], "coef": "2"}]},
+    {"vars": 1, "terms": [{"exp": [1], "coef": 2.7}]},
+    {"vars": 1, "terms": [{"exp": [1], "coef": True}]},
+    {"vars": 1, "terms": [{"exp": 1, "coef": "2"}]},
+    {"vars": 1, "terms": [7]},
+], ids=["terms-not-list", "float-vars-bool-exp-float-coef", "string-vars",
+        "bool-vars", "float-exp", "float-coef", "bool-coef", "exp-not-list",
+        "term-not-object"])
+def test_multipoly_from_json_refuses_non_integers(data):
+    with pytest.raises(ValueError):
+        MultiPoly.from_json(data)
 
 
 # --- determinants ---------------------------------------------------------

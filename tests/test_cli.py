@@ -179,6 +179,16 @@ def test_genfun_det_has_no_row_cap(capsys):
     assert json.loads(out)["coeffs"] == ["1"] * 14
 
 
+def test_brute_route_on_a_1500_cell_row(capsys):
+    code, out, _ = run(capsys, "genfun", "--shape", "1500", "--max", "1",
+                       "--method", "brute-zeros")
+    assert code == 0
+    assert json.loads(out)["coeffs"] == ["1", "1500"]
+    code, out, _ = run(capsys, "verify-theorem1", "--shape", "1500", "--max", "1")
+    assert code == 0
+    assert all(check["passed"] for check in json.loads(out)["checks"])
+
+
 def test_sweep_reaches_thirteen_rows(capsys):
     code, out, _ = run(capsys, "sweep", "--max-size", "13", "--max-bound", "0")
     assert code == 0

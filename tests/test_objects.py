@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +141,56 @@ def test_genfun_guard():
         genfun_by_enumeration(Partition([2, 1]), 2, "zeros", guard_limit=5)
     assert info.value.projected == 14
     assert info.value.limit == 5
+
+
+def test_deep_shapes_enumerate_without_recursion():
+    # one object each, but thousands of cells: the enumerator must not
+    # recurse once per cell
+    row = Partition([1500])
+    for statistic in ("zeros", "maxes"):
+        assert genfun_by_enumeration(row, 1, statistic) == UniPoly((1, 1500))
+    assert len(list(enumerate_tableaux(Partition([1200]), 1))) == 1
+    assert len(list(enumerate_plane_partitions(Partition([1] * 1200), 0))) == 1
+
+
+def oracle_fillings(shape, make, alphabet):
+    """Every filling the validating constructor accepts, by brute product."""
+    found = []
+    for entries in product(alphabet, repeat=shape.size()):
+        it = iter(entries)
+        rows = [[next(it) for _ in range(p)] for p in shape]
+        try:
+            found.append(make(rows))
+        except ValueError:
+            continue
+    return found
+
+
+def row_major(filling):
+    return [e for row in filling.rows for e in row]
+
+
+def test_enumeration_orders_match_brute_oracle():
+    for shape in enumerate_partitions(5):
+        for bound in range(4):
+            expected = sorted(
+                oracle_fillings(shape, lambda rows: PlanePartition(shape, bound, rows),
+                                range(bound + 1)),
+                key=row_major, reverse=True)
+            assert list(enumerate_plane_partitions(shape, bound)) == expected
+            for statistic, stat in (("zeros", PlanePartition.zero_rows),
+                                    ("maxes", PlanePartition.max_rows)):
+                tally = Counter(map(stat, expected))
+                assert genfun_by_enumeration(shape, bound, statistic) == UniPoly(
+                    tally[k] for k in range(max(tally) + 1))
+        for varcount in range(1, 5):
+            expected = sorted(
+                oracle_fillings(shape, lambda rows: Tableau(shape, varcount, rows),
+                                range(1, varcount + 1)),
+                key=row_major)
+            assert list(enumerate_tableaux(shape, varcount)) == expected
+            assert schur_by_enumeration(shape, varcount).terms == Counter(
+                t.weight() for t in expected)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 import pytest
 
+from lgvlab.bijections import weight_permutation_sijection, zero_to_max_sijection
 from lgvlab.sijections import (
     SOURCE,
     TARGET,
@@ -146,6 +147,36 @@ def test_nonterminating_composition_detected():
     chained = compose(phi, psi)
     with pytest.raises(SijectionError, match="revisited"):
         chained.forward((TARGET, -1, "u0"))
+
+
+def test_nonterminating_backward_detected():
+    # the same trap met on the way back: u0 leaves psi backward for x,
+    # phi sends x to q and psi sends q to x again
+    t = signed("t", ("x",), ("q",))
+    u = plain("u", "u0")
+    empty = plain("empty")
+    phi = from_dict("phi", empty, t, {(TARGET, -1, "q"): (TARGET, 1, "x")})
+    psi = Sijection("psi", t, u, {}.__getitem__, {
+        (TARGET, 1, "u0"): (SOURCE, 1, "x"),
+        (SOURCE, -1, "q"): (SOURCE, 1, "x"),
+    }.__getitem__)
+    chained = compose(phi, psi)
+    with pytest.raises(SijectionError, match="revisited"):
+        chained.backward((TARGET, 1, "u0"))
+
+
+@pytest.mark.parametrize("sij", [
+    zero_to_max_sijection((3, 2, 1), 2),
+    weight_permutation_sijection((2, 1), 3, (3, 1, 2)),
+], ids=["zero-to-max", "weight-permutation"])
+def test_backward_retraces_forward(sij):
+    for x in sij.source.plus():
+        ahead, back = [], []
+        y = sij.forward((SOURCE, 1, x), ahead)
+        assert sij.backward(y, back) == (SOURCE, 1, x)
+        # the backward itinerary visits the same landings in reverse,
+        # ending on x itself
+        assert back == ahead[-2::-1] + [(1, x)]
 
 
 def test_check_sijection_reports_violations():
