@@ -11,14 +11,11 @@ plane partitions (exchanging the zero-row and max-row statistics) and on
 tableaux (permuting the weight).
 """
 
-from .guards import check_guard
 from .objects import PlanePartition, Tableau
 from .paths import (
     Endpoints,
     Path,
     SignedPathFamily,
-    count_families,
-    count_ni_families,
     enumerate_families,
     enumerate_ni_families,
     is_nonintersecting,
@@ -128,19 +125,16 @@ def nonintersecting_set(endpoints: Endpoints,
     """The non-intersecting families as a signed set with empty minus part."""
     return SignedSet(
         "nonintersecting families",
-        lambda: enumerate_ni_families(endpoints, guard_limit),
+        lambda: ((f, 1) for f in enumerate_ni_families(endpoints, guard_limit)),
     )
 
 
 def signed_family_set(endpoints: Endpoints,
                       guard_limit: int | None = None) -> SignedSet:
-    """All families, split by the sign of their permutation."""
+    """All families, each signed by its permutation, in one pass."""
     return SignedSet(
         "signed families",
-        lambda: (f for f in enumerate_families(endpoints, guard_limit)
-                 if f.sign == 1),
-        lambda: (f for f in enumerate_families(endpoints, guard_limit)
-                 if f.sign == -1),
+        lambda: ((f, f.sign) for f in enumerate_families(endpoints, guard_limit)),
     )
 
 
@@ -234,6 +228,28 @@ def step_permutation_sijection(endpoints: Endpoints, positions,
         lambda f: permute_steps(f, inverse))
 
 
+def _conjugate(endpoints: Endpoints, middle: Sijection,
+               guard_limit: int | None) -> Sijection:
+    """``middle`` on the signed families, conjugated by the LGV sijection
+    into a sijection on the non-intersecting families."""
+    lgv = lgv_sijection(endpoints, guard_limit)
+    return compose_all(lgv, middle, lgv.inverse())
+
+
+def _apply(sij: Sijection, obj, family: SignedPathFamily, decode,
+           with_trace: bool):
+    """Send ``family``, the encoding of ``obj``, forward through ``sij`` and
+    decode the image; with ``with_trace`` also return the JSON itinerary."""
+    if not with_trace:
+        _, _, image = sij.forward((SOURCE, 1, family))
+        return decode(image)
+    image, steps = evaluate_with_trace(sij, family)
+    result = decode(image)
+    trace = {"input": obj.to_json(), "steps": trace_to_json(steps),
+             "output": result.to_json()}
+    return result, trace
+
+
 def zero_to_max_sijection(shape, bound: int,
                           guard_limit: int | None = None) -> Sijection:
     """The conjugated word reversal on non-intersecting families.
@@ -244,9 +260,8 @@ def zero_to_max_sijection(shape, bound: int,
     and first-step-east statistics.
     """
     endpoints = plane_partition_endpoints(shape, bound)
-    lgv = lgv_sijection(endpoints, guard_limit)
-    return compose_all(lgv, reversal_sijection(endpoints, guard_limit),
-                       lgv.inverse())
+    return _conjugate(endpoints, reversal_sijection(endpoints, guard_limit),
+                      guard_limit)
 
 
 def zero_to_max_map(pp: PlanePartition, with_trace: bool = False,
@@ -259,18 +274,9 @@ def zero_to_max_map(pp: PlanePartition, with_trace: bool = False,
     sijection.
     """
     sij = zero_to_max_sijection(pp.shape, pp.bound, guard_limit)
-    family = pp_encode(pp)
-    if not with_trace:
-        _, _, image = sij.forward((SOURCE, 1, family))
-        return pp_decode(image, pp.shape, pp.bound)
-    image, steps = evaluate_with_trace(sij, family)
-    result = pp_decode(image, pp.shape, pp.bound)
-    trace = {
-        "input": pp.to_json(),
-        "steps": trace_to_json(steps),
-        "output": result.to_json(),
-    }
-    return result, trace
+    return _apply(sij, pp, pp_encode(pp),
+                  lambda image: pp_decode(image, pp.shape, pp.bound),
+                  with_trace)
 
 
 def variable_positions(perm) -> tuple[int, ...]:
@@ -291,10 +297,8 @@ def weight_permutation_sijection(shape, varcount: int, perm,
     """Conjugate the step permutation by the LGV sijection (tableau model)."""
     endpoints = tableau_endpoints(shape, varcount)
     positions = variable_positions(perm)
-    lgv = lgv_sijection(endpoints, guard_limit)
-    return compose_all(
-        lgv, step_permutation_sijection(endpoints, positions, guard_limit),
-        lgv.inverse())
+    middle = step_permutation_sijection(endpoints, positions, guard_limit)
+    return _conjugate(endpoints, middle, guard_limit)
 
 
 def weight_permutation_map(tableau: Tableau, perm, with_trace: bool = False,
@@ -307,15 +311,7 @@ def weight_permutation_map(tableau: Tableau, perm, with_trace: bool = False,
     """
     sij = weight_permutation_sijection(tableau.shape, tableau.varcount, perm,
                                        guard_limit)
-    family = ssyt_encode(tableau)
-    if not with_trace:
-        _, _, image = sij.forward((SOURCE, 1, family))
-        return ssyt_decode(image, tableau.shape, tableau.varcount)
-    image, steps = evaluate_with_trace(sij, family)
-    result = ssyt_decode(image, tableau.shape, tableau.varcount)
-    trace = {
-        "input": tableau.to_json(),
-        "steps": trace_to_json(steps),
-        "output": result.to_json(),
-    }
-    return result, trace
+    return _apply(
+        sij, tableau, ssyt_encode(tableau),
+        lambda image: ssyt_decode(image, tableau.shape, tableau.varcount),
+        with_trace)

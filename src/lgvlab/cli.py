@@ -49,14 +49,18 @@ def _poly_text(poly) -> str:
     return text[text.index("(") + 1:-1]
 
 
-def _report(report: dict) -> int:
-    """Emit a verification report and translate it to an exit code."""
-    _emit(report)
+def _say_checks(report: dict) -> None:
     for check in report["checks"]:
         if check["passed"]:
             _say(f"PASS {check['name']}")
         else:
             _say(f"FAIL {check['name']} :: {json.dumps(check['witness'])}")
+
+
+def _report(report: dict) -> int:
+    """Emit a verification report and translate it to an exit code."""
+    _emit(report)
+    _say_checks(report)
     ok = report_passed(report)
     _say(f"{'ok' if ok else 'FAILED'} "
          f"({sum(c['passed'] for c in report['checks'])}/"
@@ -106,6 +110,9 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_schur(args) -> int:
+    if args.perm is not None and len(args.perm) != args.vars:
+        raise ValueError(
+            f"--perm has {len(args.perm)} entries, expected {args.vars}")
     poly = schur_by_enumeration(args.shape, args.vars, args.guard_limit)
     _emit(poly.to_json())
     label = ",".join(str(p) for p in args.shape.parts) or "empty"
@@ -113,15 +120,8 @@ def _cmd_schur(args) -> int:
          f"{len(poly.terms)} monomials")
     if args.perm is None:
         return 0
-    if len(args.perm) != args.vars:
-        raise ValueError(
-            f"--perm has {len(args.perm)} entries, expected {args.vars}")
     report = verify_schur(args.shape, args.vars, args.perm, args.guard_limit)
-    for check in report["checks"]:
-        if check["passed"]:
-            _say(f"PASS {check['name']}")
-        else:
-            _say(f"FAIL {check['name']} :: {json.dumps(check['witness'])}")
+    _say_checks(report)
     return 0 if report_passed(report) else 1
 
 

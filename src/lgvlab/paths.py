@@ -25,10 +25,11 @@ with an east step, and contains m exactly when its path starts with one.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+import math
+from itertools import combinations, product
 from typing import Iterator
 
-from .algebra import binomial, perm_sign
+from .algebra import binomial, det_int, perm_sign
 from .guards import check_guard
 from .objects import Partition, PlanePartition, Tableau
 
@@ -267,6 +268,17 @@ def pp_encode(pp: PlanePartition) -> SignedPathFamily:
     return SignedPathFamily(endpoints, range(len(paths)), paths)
 
 
+def _check_decodable(family: SignedPathFamily, expected: Endpoints, instance: str):
+    """The decoders' preconditions: the ``expected`` endpoints of the
+    ``instance``, the identity permutation, and vertex-disjointness."""
+    if family.endpoints != expected:
+        raise ValueError(f"family endpoints do not match the {instance} instance")
+    if not family.is_identity():
+        raise ValueError(f"family permutation {family.sigma} is not the identity")
+    if not is_nonintersecting(family):
+        raise ValueError("family is intersecting; only disjoint families decode")
+
+
 def pp_decode(
     family: SignedPathFamily, shape: Partition, bound: int
 ) -> PlanePartition:
@@ -276,13 +288,7 @@ def pp_decode(
     (shape, bound), and vertex-disjointness; raises ValueError otherwise.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    expected = plane_partition_endpoints(shape, bound)
-    if family.endpoints != expected:
-        raise ValueError("family endpoints do not match the (shape, bound) instance")
-    if not family.is_identity():
-        raise ValueError(f"family permutation {family.sigma} is not the identity")
-    if not is_nonintersecting(family):
-        raise ValueError("family is intersecting; only disjoint families decode")
+    _check_decodable(family, plane_partition_endpoints(shape, bound), "(shape, bound)")
     rows = []
     for path in family.paths:
         souths = 0
@@ -319,13 +325,7 @@ def ssyt_decode(
     """Invert ssyt_encode; same preconditions as pp_decode, plus every path
     must have exactly ``varcount`` steps."""
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    expected = tableau_endpoints(shape, varcount)
-    if family.endpoints != expected:
-        raise ValueError("family endpoints do not match the (shape, varcount) instance")
-    if not family.is_identity():
-        raise ValueError(f"family permutation {family.sigma} is not the identity")
-    if not is_nonintersecting(family):
-        raise ValueError("family is intersecting; only disjoint families decode")
+    _check_decodable(family, tableau_endpoints(shape, varcount), "(shape, varcount)")
     columns = []
     for j, path in enumerate(family.paths):
         if len(path.word) != varcount:
@@ -412,16 +412,22 @@ def enumerate_connection_paths(a: Point, b: Point) -> Iterator[Path]:
         yield Path(a, word)
 
 
+def _connection_counts(endpoints: Endpoints) -> list[list[int]]:
+    """The matrix of path counts from a_i to b_j."""
+    n = endpoints.n
+    return [
+        [count_connection_paths(endpoints.a[i], endpoints.b[j]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def count_families(endpoints: Endpoints) -> int:
     """Total number of signed families over all permutations: the permanent
     of the connection-count matrix (Ryser's formula)."""
     n = endpoints.n
     if n == 0:
         return 1
-    m = [
-        [count_connection_paths(endpoints.a[i], endpoints.b[j]) for j in range(n)]
-        for i in range(n)
-    ]
+    m = _connection_counts(endpoints)
     total = 0
     for mask in range(1, 1 << n):
         bits = bin(mask).count("1")
@@ -441,15 +447,31 @@ def count_families(endpoints: Endpoints) -> int:
 def count_ni_families(endpoints: Endpoints) -> int:
     """Number of non-intersecting families: the determinant of the
     connection-count matrix."""
-    from .algebra import det_int
+    return det_int(_connection_counts(endpoints))
 
-    n = endpoints.n
-    return det_int(
-        [
-            [count_connection_paths(endpoints.a[i], endpoints.b[j]) for j in range(n)]
-            for i in range(n)
+
+def _reachable_permutations(counts, prefix=()) -> Iterator[tuple[int, ...]]:
+    """Yield the permutations sigma extending ``prefix`` with every
+    counts[i][sigma[i]] nonzero, in itertools.permutations order: a
+    depth-first walk over ascending columns that prunes dead branches."""
+    if len(prefix) == len(counts):
+        yield prefix
+        return
+    for j, count in enumerate(counts[len(prefix)]):
+        if count and j not in prefix:
+            yield from _reachable_permutations(counts, prefix + (j,))
+
+
+def _families(endpoints: Endpoints, sigmas) -> Iterator[SignedPathFamily]:
+    """Yield the families over each permutation in ``sigmas`` in turn, the
+    per-connection path streams in lexicographic product order."""
+    for sigma in sigmas:
+        streams = [
+            list(enumerate_connection_paths(a, endpoints.b[s]))
+            for a, s in zip(endpoints.a, sigma)
         ]
-    )
+        for paths in product(*streams):
+            yield SignedPathFamily(endpoints, sigma, paths)
 
 
 def enumerate_families(
@@ -459,39 +481,21 @@ def enumerate_families(
 
     Iterates permutations in itertools order and, within a permutation,
     the per-connection path streams in lexicographic product order.
-    Unreachable connections contribute no families for that permutation.
+    Permutations with an unreachable connection contribute no families
+    and are never visited.
     """
     check_guard("path families", count_families(endpoints), guard_limit)
-    n = endpoints.n
-    for sigma in permutations(range(n)):
-        streams = [
-            list(enumerate_connection_paths(endpoints.a[i], endpoints.b[sigma[i]]))
-            for i in range(n)
-        ]
-        if any(not s for s in streams):
-            continue
-        for paths in product(*streams):
-            yield SignedPathFamily(endpoints, sigma, paths)
+    counts = _connection_counts(endpoints)
+    yield from _families(endpoints, _reachable_permutations(counts))
 
 
 def enumerate_identity_families(
     endpoints: Endpoints, guard_limit: int | None = None
 ) -> Iterator[SignedPathFamily]:
     """Yield the families whose permutation is the identity."""
-    n = endpoints.n
-    projected = 1
-    for i in range(n):
-        projected *= count_connection_paths(endpoints.a[i], endpoints.b[i])
+    projected = math.prod(map(count_connection_paths, endpoints.a, endpoints.b))
     check_guard("identity path families", projected, guard_limit)
-    identity = tuple(range(n))
-    streams = [
-        list(enumerate_connection_paths(endpoints.a[i], endpoints.b[i]))
-        for i in range(n)
-    ]
-    if any(not s for s in streams):
-        return
-    for paths in product(*streams):
-        yield SignedPathFamily(endpoints, identity, paths)
+    yield from _families(endpoints, [tuple(range(endpoints.n))])
 
 
 def enumerate_ni_families(

@@ -33,26 +33,23 @@ class SijectionError(Exception):
 
 
 class SignedSet:
-    """A finite signed set, given by generators for its two parts."""
+    """A finite signed set, given by one generator of (payload, sign) pairs."""
 
-    def __init__(self, name: str, plus: Callable[[], Iterable],
-                 minus: Optional[Callable[[], Iterable]] = None):
+    def __init__(self, name: str,
+                 elements: Callable[[], Iterable[tuple[object, int]]]):
         self.name = name
-        self._plus = plus
-        self._minus = minus if minus is not None else tuple
-
-    def plus(self) -> Iterator:
-        return iter(self._plus())
-
-    def minus(self) -> Iterator:
-        return iter(self._minus())
+        self._elements = elements
 
     def elements(self) -> Iterator[tuple[object, int]]:
-        """Yield (payload, sign) pairs, positive part first."""
-        for x in self.plus():
-            yield x, 1
-        for x in self.minus():
-            yield x, -1
+        """Yield (payload, sign) pairs in stream order; positive and negative
+        elements may interleave."""
+        return iter(self._elements())
+
+    def plus(self) -> Iterator:
+        return (x for x, sign in self.elements() if sign == 1)
+
+    def minus(self) -> Iterator:
+        return (x for x, sign in self.elements() if sign == -1)
 
     def signed_size(self) -> int:
         return sum(sign for _, sign in self.elements())
@@ -261,6 +258,17 @@ def trace_to_json(steps: list[Tagged], serialize: Callable = None) -> list[dict]
             for label, sign, payload in steps]
 
 
+def _sides(sij: Sijection) -> tuple[list[Tagged], list[Tagged]]:
+    """The domain S+ |_| T- and the codomain S- |_| T+ of ``sij`` as tagged
+    lists, each ordered source first; each signed set is walked once."""
+    domain, codomain = [], []
+    for side, signed_set in ((SOURCE, sij.source), (TARGET, sij.target)):
+        for payload, sign in signed_set.elements():
+            into = domain if (side == SOURCE) == (sign == 1) else codomain
+            into.append((side, sign, payload))
+    return domain, codomain
+
+
 def check_sijection(sij: Sijection, max_problems: int = 5) -> list[str]:
     """Exhaustively verify that ``sij`` is a genuine sijection.
 
@@ -269,45 +277,37 @@ def check_sijection(sij: Sijection, max_problems: int = 5) -> list[str]:
     witnesses), empty when everything holds.
     """
     problems: list[str] = []
-
-    def note(msg):
-        if len(problems) < max_problems:
-            problems.append(msg)
-
-    domain = [(SOURCE, 1, p) for p in sij.source.plus()]
-    domain += [(TARGET, -1, p) for p in sij.target.minus()]
-    codomain = [(SOURCE, -1, p) for p in sij.source.minus()]
-    codomain += [(TARGET, 1, p) for p in sij.target.plus()]
+    domain, codomain = _sides(sij)
     codomain_set = set(codomain)
     if len(codomain_set) != len(codomain):
-        note("codomain contains repeated elements")
+        problems.append("codomain contains repeated elements")
 
     seen: dict = {}
     for x in domain:
         try:
             y = sij.forward(x)
         except SijectionError as exc:
-            note(f"forward failed on {x!r}: {exc}")
+            problems.append(f"forward failed on {x!r}: {exc}")
             continue
         if y not in codomain_set:
-            note(f"forward({x!r}) = {y!r} lies outside S- |_| T+")
+            problems.append(f"forward({x!r}) = {y!r} lies outside S- |_| T+")
             continue
         if y in seen:
-            note(f"forward is not injective: {seen[y]!r} and {x!r} "
-                 f"both map to {y!r}")
+            problems.append(f"forward is not injective: {seen[y]!r} and {x!r} "
+                            f"both map to {y!r}")
             continue
         seen[y] = x
         try:
             back = sij.backward(y)
         except SijectionError as exc:
-            note(f"backward failed on {y!r}: {exc}")
+            problems.append(f"backward failed on {y!r}: {exc}")
             continue
         if back != x:
-            note(f"backward(forward({x!r})) = {back!r} != {x!r}")
+            problems.append(f"backward(forward({x!r})) = {back!r} != {x!r}")
     for y in codomain:
         if y not in seen:
-            note(f"forward is not surjective: {y!r} has no preimage")
-    return problems
+            problems.append(f"forward is not surjective: {y!r} has no preimage")
+    return problems[:max_problems]
 
 
 def check_compatibility(sij: Sijection, source_stat: Callable,
@@ -321,26 +321,19 @@ def check_compatibility(sij: Sijection, source_stat: Callable,
     """
     problems: list[str] = []
 
-    def note(msg):
-        if len(problems) < max_problems:
-            problems.append(msg)
-
     def stat(tagged: Tagged) -> int:
         side, _, payload = tagged
         return source_stat(payload) if side == SOURCE else target_stat(payload)
 
-    domain = [(SOURCE, 1, p) for p in sij.source.plus()]
-    domain += [(TARGET, -1, p) for p in sij.target.minus()]
+    domain, codomain = _sides(sij)
     for x in domain:
         y = sij.forward(x)
         if stat(x) != stat(y):
-            note(f"statistic changes along forward: {x!r} has {stat(x)} "
-                 f"but {y!r} has {stat(y)}")
-    codomain = [(SOURCE, -1, p) for p in sij.source.minus()]
-    codomain += [(TARGET, 1, p) for p in sij.target.plus()]
+            problems.append(f"statistic changes along forward: {x!r} has "
+                            f"{stat(x)} but {y!r} has {stat(y)}")
     for y in codomain:
         x = sij.backward(y)
         if stat(x) != stat(y):
-            note(f"statistic changes along backward: {y!r} has {stat(y)} "
-                 f"but {x!r} has {stat(x)}")
-    return problems
+            problems.append(f"statistic changes along backward: {y!r} has "
+                            f"{stat(y)} but {x!r} has {stat(x)}")
+    return problems[:max_problems]

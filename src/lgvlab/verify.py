@@ -103,15 +103,15 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     endpoints = plane_partition_endpoints(shape, bound)
     families = list(enumerate_families(endpoints, guard_limit))
-    ni = [f for f in families if is_nonintersecting(f)]
+    ni, crossing = [], []
+    for family in families:
+        (ni if is_nonintersecting(family) else crossing).append(family)
     signed_sum = sum(f.sign for f in families)
     det_count = count_ni_families(endpoints)
     perm_count = count_families(endpoints)
 
     involution_witness = None
-    for family in families:
-        if is_nonintersecting(family):
-            continue
+    for family in crossing:
         swapped, cert = tail_swap(family)
         again, cert_back = tail_swap(swapped)
         if (again != family or cert_back != cert
@@ -272,6 +272,8 @@ def sweep(max_size: int, max_bound: int,
     Runs every shape of size at most ``max_size`` against every bound up
     to ``max_bound`` and records one check per instance.
     """
+    if max_bound < 0:
+        raise ValueError("max_bound must be nonnegative")
     started = time.perf_counter()
     checks = []
     instances = 0

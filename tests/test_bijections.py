@@ -1,5 +1,6 @@
 import pytest
 
+import lgvlab.bijections
 from lgvlab.bijections import (
     SwapCertificate,
     lgv_sijection,
@@ -124,6 +125,25 @@ def test_lgv_sijection_compatibility_both_statistics():
                                last_step_east_count) == []
     assert check_compatibility(sij, first_step_east_count,
                                first_step_east_count) == []
+
+
+def test_checkers_enumerate_the_signed_families_once(monkeypatch):
+    # the signed family set yields both signs from one stream, and each
+    # checker walks it once
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_families(*args, **kwargs)
+
+    monkeypatch.setattr(lgvlab.bijections, "enumerate_families", counting)
+    ep = plane_partition_endpoints(Partition([2, 1]), 2)
+    assert check_sijection(lgv_sijection(ep)) == []
+    assert len(calls) == 1
+    for stat in (last_step_east_count, first_step_east_count):
+        calls.clear()
+        assert check_compatibility(lgv_sijection(ep), stat, stat) == []
+        assert len(calls) == 1
 
 
 # --- word-level symmetries -------------------------------------------------

@@ -65,6 +65,14 @@ def test_verify_lgv_report(capsys):
         "families": 5, "nonintersecting": 3, "signed_sum": 3}
 
 
+def test_verify_lgv_on_a_twelve_row_column(capsys):
+    code, out, _ = run(capsys, "verify-lgv", "--shape", ",".join(["1"] * 12),
+                       "--max", "0")
+    assert code == 0
+    assert json.loads(out)["results"] == {
+        "families": 1, "nonintersecting": 1, "signed_sum": 1}
+
+
 def test_bijection_from_file(tmp_path, capsys):
     source = tmp_path / "pp.json"
     source.write_text(json.dumps(
@@ -152,10 +160,11 @@ def test_schur_with_perm_verifies(capsys):
 
 
 def test_schur_perm_length_mismatch(capsys):
-    code, _, err = run(capsys, "schur", "--shape", "2", "--vars", "3",
-                       "--perm", "2,1")
+    code, out, err = run(capsys, "schur", "--shape", "2", "--vars", "3",
+                         "--perm", "2,1")
     assert code == 2
     assert "expected 3" in err
+    assert out == ""
 
 
 def test_schur_rejects_non_permutation():
@@ -170,6 +179,13 @@ def test_sweep(capsys):
     report = json.loads(out)
     assert report["results"] == {"instances": 21, "failures": 0}
     assert "21 instances" in err
+
+
+def test_sweep_rejects_negative_bound(capsys):
+    code, out, err = run(capsys, "sweep", "--max-size", "3", "--max-bound", "-1")
+    assert code == 2
+    assert out == ""
+    assert "max_bound must be nonnegative" in err
 
 
 def test_genfun_det_has_no_row_cap(capsys):

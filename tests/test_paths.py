@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from lgvlab.objects import (
     PlanePartition,
     Tableau,
     count_tableaux,
+    enumerate_partitions,
     enumerate_plane_partitions,
     enumerate_tableaux,
 )
@@ -160,6 +163,37 @@ def test_ni_stream_matches_filtered_full_stream():
     identity = list(enumerate_identity_families(ep))
     assert all(f.is_identity() for f in identity)
     assert direct <= set(identity)
+
+
+def _families_by_brute_force(ep):
+    """Every permutation in itertools order, each with the product of its
+    connection path streams; unreachable connections give empty streams."""
+    return [
+        SignedPathFamily(ep, sigma, paths)
+        for sigma in permutations(range(ep.n))
+        for paths in product(*(
+            list(enumerate_connection_paths(ep.a[i], ep.b[sigma[i]]))
+            for i in range(ep.n)))
+    ]
+
+
+def test_enumerate_families_order_matches_brute_force():
+    instances = [plane_partition_endpoints(shape, bound)
+                 for shape in enumerate_partitions(5) for bound in range(3)]
+    instances += [tableau_endpoints(shape, varcount)
+                  for shape in enumerate_partitions(4)
+                  for varcount in range(1, 4)]
+    for ep in instances:
+        assert list(enumerate_families(ep)) == _families_by_brute_force(ep)
+
+
+def test_enumerate_families_skips_unreachable_permutations():
+    # on a 12-row column with bound 0 only the identity connects every start
+    # to its end; walking all 12! permutations would take hours
+    ep = plane_partition_endpoints(Partition([1] * 12), 0)
+    families = list(enumerate_families(ep))
+    assert len(families) == count_families(ep) == 1
+    assert families[0].is_identity()
 
 
 def test_enumerate_families_guard():

@@ -19,11 +19,12 @@ from lgvlab.sijections import (
 
 def plain(name, *elements):
     """A signed set with the given positive part and no negative part."""
-    return SignedSet(name, lambda: elements)
+    return SignedSet(name, lambda: ((x, 1) for x in elements))
 
 
 def signed(name, plus, minus):
-    return SignedSet(name, lambda: plus, lambda: minus)
+    return SignedSet(name, lambda: [(x, 1) for x in plus]
+                     + [(x, -1) for x in minus])
 
 
 def from_dict(name, source, target, mapping):
@@ -44,6 +45,13 @@ def test_signed_set_sizes():
     assert s.size() == 4
     assert s.signed_size() == 2
     assert list(s.elements()) == [(1, 1), (2, 1), (3, 1), ("a", -1)]
+
+
+def test_signed_set_parts_filter_one_stream():
+    s = SignedSet("s", lambda: [(1, 1), ("a", -1), (2, 1)])
+    assert list(s.elements()) == [(1, 1), ("a", -1), (2, 1)]
+    assert list(s.plus()) == [1, 2]
+    assert list(s.minus()) == ["a"]
 
 
 def test_from_bijection_roundtrip_and_check():
