@@ -14,8 +14,8 @@ tableaux (permuting the weight).
 from .objects import PlanePartition, Tableau
 from .paths import (
     Endpoints,
-    Path,
     SignedPathFamily,
+    _path,
     enumerate_families,
     enumerate_ni_families,
     is_nonintersecting,
@@ -80,15 +80,6 @@ class SwapCertificate:
         return cls(tuple(data["point"]), (i - 1, j - 1))
 
 
-def _meeting_points(family: SignedPathFamily) -> dict:
-    """Map each point visited by at least two paths to their indices."""
-    seen: dict = {}
-    for idx, path in enumerate(family.paths):
-        for pt in path.points():
-            seen.setdefault(pt, []).append(idx)
-    return {pt: idxs for pt, idxs in seen.items() if len(idxs) >= 2}
-
-
 def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertificate]:
     """Swap the tails of two intersecting paths at a canonical point.
 
@@ -102,18 +93,32 @@ def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertifica
     Returns the swapped family together with the certificate; raises
     ValueError on a non-intersecting family.
     """
-    meetings = _meeting_points(family)
-    if not meetings:
+    paths = family.paths
+    sets = [path._point_set() for path in paths]
+    # The canonical point is the smallest point a path shares with an
+    # earlier one, and the first path to share it is the second smallest
+    # index through it: one pass over the paths, linear in their length.
+    best = None
+    seen = set()
+    for j, points in enumerate(sets):
+        common = points & seen
+        if common:
+            low = min(common)
+            if best is None or low < best[0]:
+                best = (low, j)
+        seen |= points
+    if best is None:
         raise ValueError("tail swap is undefined on a non-intersecting family")
-    point = min(meetings)
-    i, j = sorted(meetings[point])[:2]
-    cut_i = family.paths[i].points().index(point)
-    cut_j = family.paths[j].points().index(point)
-    word_i = family.paths[i].word
-    word_j = family.paths[j].word
-    new_paths = list(family.paths)
-    new_paths[i] = Path(family.paths[i].start, word_i[:cut_i] + word_j[cut_j:])
-    new_paths[j] = Path(family.paths[j].start, word_j[:cut_j] + word_i[cut_i:])
+    point, j = best
+    i = next(k for k in range(j) if point in sets[k])
+    # A south-east path reaches (x, y) after (x - x0) + (y0 - y) steps.
+    cut_i = point[0] - paths[i].start[0] + paths[i].start[1] - point[1]
+    cut_j = point[0] - paths[j].start[0] + paths[j].start[1] - point[1]
+    word_i = paths[i].word
+    word_j = paths[j].word
+    new_paths = list(paths)
+    new_paths[i] = _path(paths[i].start, word_i[:cut_i] + word_j[cut_j:])
+    new_paths[j] = _path(paths[j].start, word_j[:cut_j] + word_i[cut_i:])
     new_sigma = list(family.sigma)
     new_sigma[i], new_sigma[j] = new_sigma[j], new_sigma[i]
     swapped = SignedPathFamily(family.endpoints, new_sigma, new_paths)
@@ -179,7 +184,7 @@ def reverse_paths(family: SignedPathFamily) -> SignedPathFamily:
     return SignedPathFamily(
         family.endpoints,
         family.sigma,
-        [Path(p.start, p.word[::-1]) for p in family.paths],
+        [_path(p.start, p.word[::-1]) for p in family.paths],
     )
 
 
@@ -206,7 +211,7 @@ def permute_steps(family: SignedPathFamily, positions) -> SignedPathFamily:
         letters = [""] * n
         for t, ch in enumerate(path.word):
             letters[positions[t]] = ch
-        new_paths.append(Path(path.start, "".join(letters)))
+        new_paths.append(_path(path.start, "".join(letters)))
     return SignedPathFamily(family.endpoints, family.sigma, new_paths)
 
 

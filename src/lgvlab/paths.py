@@ -26,10 +26,12 @@ with an east step, and contains m exactly when its path starts with one.
 from __future__ import annotations
 
 import math
+import operator
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .algebra import binomial, det_int, perm_sign
+from .algebra import _is_int, binomial, det_int, perm_sign
 from .guards import check_guard
 from .objects import Partition, PlanePartition, Tableau
 
@@ -37,25 +39,33 @@ Point = tuple[int, int]
 
 
 class Path:
-    """Monotone south-east lattice path: a start point and a word over {E, S}."""
+    """Monotone south-east lattice path: a start point and a word over {E, S}.
 
-    __slots__ = ("start", "word")
+    ``end`` is computed once, when the path is built, and stored.  The set
+    of visited points is computed on first use and cached (``_point_set``);
+    ``points()`` still builds the ordered tuple on every call.
+    """
+
+    __slots__ = ("start", "word", "end", "_points")
 
     def __init__(self, start: Point, word: str):
         start = (int(start[0]), int(start[1]))
-        for i, ch in enumerate(word):
-            if ch not in "ES":
-                raise ValueError(f"word[{i}]: invalid step {ch!r}, expected 'E' or 'S'")
+        if not isinstance(word, str):
+            raise ValueError(f"word {word!r} is not a string")
+        if word.strip("ES"):
+            for i, ch in enumerate(word):
+                if ch not in "ES":
+                    raise ValueError(
+                        f"word[{i}]: invalid step {ch!r}, expected 'E' or 'S'")
+        east = word.count("E")
+        end = (start[0] + east, start[1] - (len(word) - east))
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "word", word)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "_points", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Path is immutable")
-
-    @property
-    def end(self) -> Point:
-        x, y = self.start
-        return (x + self.word.count("E"), y - self.word.count("S"))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -71,6 +81,12 @@ class Path:
                 y -= 1
             pts.append((x, y))
         return tuple(pts)
+
+    def _point_set(self) -> frozenset:
+        """The visited points as a frozenset, built once per path."""
+        if self._points is None:
+            object.__setattr__(self, "_points", frozenset(self.points()))
+        return self._points
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Path):
@@ -91,9 +107,19 @@ class Path:
         if not isinstance(data, dict) or "start" not in data or "word" not in data:
             raise ValueError("path JSON needs 'start' and 'word'")
         start = data["start"]
-        if len(start) != 2:
-            raise ValueError(f"start {start} is not a point")
+        if (not isinstance(start, (list, tuple)) or len(start) != 2
+                or not all(map(_is_int, start))):
+            raise ValueError(f"start {start!r} is not a point with integer coordinates")
         return cls((start[0], start[1]), data["word"])
+
+
+# Paths are immutable, so the transforms share one instance per (start,
+# word): each distinct path is validated, and its point set built, once.
+# A ping-pong orbit of a few hundred hops touches a few hundred distinct
+# paths, so the bound keeps whole orbits while capping the memory held
+# (each entry holds a point set as long as its word).
+_PATH_CACHE_SIZE = 4096
+_path = lru_cache(maxsize=_PATH_CACHE_SIZE)(Path)
 
 
 class Endpoints:
@@ -163,10 +189,11 @@ class SignedPathFamily:
     """Paths p_1..p_n with p_i running from a_i to b_{sigma(i)}.
 
     ``sigma`` is stored 0-based; the sign of the family is the sign of sigma
-    and is computed, never stored.
+    and is computed, never stored.  The hash is computed on first use and
+    cached.
     """
 
-    __slots__ = ("endpoints", "sigma", "paths")
+    __slots__ = ("endpoints", "sigma", "paths", "_hash")
 
     def __init__(self, endpoints: Endpoints, sigma, paths):
         sigma = tuple(int(s) for s in sigma)
@@ -188,6 +215,7 @@ class SignedPathFamily:
         object.__setattr__(self, "endpoints", endpoints)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedPathFamily is immutable")
@@ -213,7 +241,10 @@ class SignedPathFamily:
         )
 
     def __hash__(self) -> int:
-        return hash((self.endpoints, self.sigma, self.paths))
+        if self._hash is None:
+            object.__setattr__(
+                self, "_hash", hash((self.endpoints, self.sigma, self.paths)))
+        return self._hash
 
     def __repr__(self) -> str:
         words = [p.word for p in self.paths]
@@ -229,8 +260,13 @@ class SignedPathFamily:
     def from_json(cls, data: dict, endpoints: Endpoints) -> "SignedPathFamily":
         if not isinstance(data, dict) or "sigma" not in data or "paths" not in data:
             raise ValueError("family JSON needs 'sigma' and 'paths'")
-        sigma = [s - 1 for s in data["sigma"]]
-        paths = [Path.from_json(p) for p in data["paths"]]
+        sigma, paths = data["sigma"], data["paths"]
+        if not isinstance(sigma, (list, tuple)) or not all(map(_is_int, sigma)):
+            raise ValueError(f"sigma {sigma!r} is not a list of integers")
+        if not isinstance(paths, (list, tuple)):
+            raise ValueError(f"paths {paths!r} is not a list")
+        sigma = [s - 1 for s in sigma]
+        paths = [Path.from_json(p) for p in paths]
         return cls(endpoints, sigma, paths)
 
 
@@ -238,10 +274,10 @@ def is_nonintersecting(family: SignedPathFamily) -> bool:
     """True when no lattice point lies on two distinct paths of the family."""
     seen: set[Point] = set()
     for path in family.paths:
-        for pt in path.points():
-            if pt in seen:
-                return False
-            seen.add(pt)
+        points = path._point_set()
+        if not seen.isdisjoint(points):
+            return False
+        seen |= points
     return True
 
 
@@ -423,24 +459,26 @@ def _connection_counts(endpoints: Endpoints) -> list[list[int]]:
 
 def count_families(endpoints: Endpoints) -> int:
     """Total number of signed families over all permutations: the permanent
-    of the connection-count matrix (Ryser's formula)."""
+    of the connection-count matrix (Ryser's formula).
+
+    The column subsets are visited in Gray-code order, so each step adds or
+    removes one column from the n row sums: O(2^n n) in all.
+    """
     n = endpoints.n
     if n == 0:
         return 1
-    m = _connection_counts(endpoints)
+    columns = list(zip(*_connection_counts(endpoints)))
+    sums = [0] * n
+    subset = 0
     total = 0
-    for mask in range(1, 1 << n):
-        bits = bin(mask).count("1")
-        prod = 1
-        for i in range(n):
-            s = 0
-            for j in range(n):
-                if mask & (1 << j):
-                    s += m[i][j]
-            prod *= s
-            if prod == 0:
-                break
-        total += (-1) ** (n - bits) * prod
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        subset ^= 1 << j
+        step = operator.add if subset >> j & 1 else operator.sub
+        sums = list(map(step, sums, columns[j]))
+        if 0 not in sums:
+            term = math.prod(sums)
+            total += -term if (n - subset.bit_count()) & 1 else term
     return total
 
 

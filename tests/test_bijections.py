@@ -18,6 +18,7 @@ from lgvlab.objects import (
     Partition,
     PlanePartition,
     Tableau,
+    enumerate_partitions,
     enumerate_plane_partitions,
     enumerate_tableaux,
 )
@@ -102,6 +103,65 @@ def test_tail_swap_preserves_step_statistics():
         swapped, _ = tail_swap(family)
         assert last_step_east_count(swapped) == last_step_east_count(family)
         assert first_step_east_count(swapped) == first_step_east_count(family)
+
+
+def _oracle_tail_swap(family):
+    """The dict-based tail swap: map every point to the paths through it,
+    take the smallest shared point and its two smallest path indices, and
+    cut both words at that point's position in the path."""
+    seen = {}
+    for idx, path in enumerate(family.paths):
+        for pt in path.points():
+            seen.setdefault(pt, []).append(idx)
+    meetings = {pt: idxs for pt, idxs in seen.items() if len(idxs) >= 2}
+    point = min(meetings)
+    i, j = sorted(meetings[point])[:2]
+    cut_i = family.paths[i].points().index(point)
+    cut_j = family.paths[j].points().index(point)
+    word_i, word_j = family.paths[i].word, family.paths[j].word
+    paths = list(family.paths)
+    paths[i] = Path(paths[i].start, word_i[:cut_i] + word_j[cut_j:])
+    paths[j] = Path(paths[j].start, word_j[:cut_j] + word_i[cut_i:])
+    sigma = list(family.sigma)
+    sigma[i], sigma[j] = sigma[j], sigma[i]
+    return SignedPathFamily(family.endpoints, sigma, paths), point, (i, j)
+
+
+def _oracle_is_nonintersecting(family):
+    """The point-by-point scan: no point is visited twice."""
+    seen = set()
+    for path in family.paths:
+        for pt in path.points():
+            if pt in seen:
+                return False
+            seen.add(pt)
+    return True
+
+
+def test_tail_swap_and_disjointness_match_the_dict_oracle():
+    # every family of every plane-partition instance with at most 6 cells
+    # and m <= 2, and of every tableau instance with at most 4 cells and
+    # n <= 3; the 6-cell instances hold the families where three paths
+    # meet at the canonical point, so the pair choice is tested too
+    instances = [plane_partition_endpoints(shape, bound)
+                 for shape in enumerate_partitions(6) for bound in range(3)]
+    instances += [tableau_endpoints(shape, varcount)
+                  for shape in enumerate_partitions(4)
+                  for varcount in range(1, 4)]
+    crossing = triple = 0
+    for ep in instances:
+        for family in enumerate_families(ep):
+            disjoint = _oracle_is_nonintersecting(family)
+            assert is_nonintersecting(family) == disjoint
+            if disjoint:
+                continue
+            crossing += 1
+            swapped, cert = tail_swap(family)
+            expected, point, pair = _oracle_tail_swap(family)
+            assert cert.point == point and cert.paths == pair
+            assert swapped == expected
+            triple += sum(point in p.points() for p in family.paths) > 2
+    assert crossing > 8000 and triple > 0
 
 
 # --- the LGV sijection ---------------------------------------------------------
@@ -224,6 +284,18 @@ def test_zero_to_max_trace_is_the_eight_step_orbit():
         ("middle", "+", ("ES", "SE")),
         ("target", "+", ("ES", "SE")),
     ]
+
+
+def test_zero_to_max_hop_counts_are_pinned():
+    # the ping-pong itinerary lengths are a behavioural invariant: over the
+    # first 200 elements of PP((4,4,4); 4) the traces hold 9280 steps (9080
+    # hops) and the longest holds 216 (215 hops)
+    pps = enumerate_plane_partitions(Partition([4, 4, 4]), 4)
+    lengths = [len(zero_to_max_map(pp, with_trace=True)[1]["steps"])
+               for _, pp in zip(range(200), pps)]
+    assert len(lengths) == 200
+    assert sum(lengths) == 9280
+    assert max(lengths) == 216
 
 
 @pytest.mark.parametrize("parts,bound", [((1, 1), 1), ((2, 1), 2), ((2, 2), 2)])

@@ -1,3 +1,5 @@
+import math
+import random
 from itertools import permutations, product
 
 import pytest
@@ -14,10 +16,12 @@ from lgvlab.objects import (
     enumerate_plane_partitions,
     enumerate_tableaux,
 )
+import lgvlab.paths
 from lgvlab.paths import (
     Endpoints,
     Path,
     SignedPathFamily,
+    _path,
     count_connection_paths,
     count_families,
     count_ni_families,
@@ -61,6 +65,66 @@ def test_path_end_matches_step_counts(start, word):
     p = Path(start, word)
     assert p.end == (start[0] + word.count("E"), start[1] - word.count("S"))
     assert len(p.points()) == len(word) + 1
+
+
+def test_path_word_validation():
+    with pytest.raises(ValueError, match=r"word\[2\]: invalid step 'N'"):
+        Path((0, 0), "ESNE")
+    with pytest.raises(ValueError, match="string"):
+        Path((0, 0), ["E", "S"])
+
+
+def test_path_caches_end_and_point_set():
+    p = Path((2, -3), "SSEES")
+    assert p.end == (4, -6)
+    assert p._point_set() == frozenset(p.points())
+    assert p._point_set() is p._point_set()
+    with pytest.raises(AttributeError):
+        p.end = (0, 0)
+
+
+def test_interned_paths_equal_fresh_paths_and_stay_immutable():
+    p = _path((-1, -1), "ESE")
+    assert p == Path((-1, -1), "ESE") and type(p) is Path
+    assert p.end == (1, -2)
+    assert _path((-1, -1), "ESE") is p
+    with pytest.raises(AttributeError):
+        p.word = "SEE"
+    with pytest.raises(ValueError):
+        _path((0, 0), "EN")
+
+
+@pytest.mark.parametrize("data", [
+    {"start": [0.7, 0], "word": "ES"},
+    {"start": [0, 1.0], "word": "ES"},
+    {"start": [True, 0], "word": "ES"},
+    {"start": ["0", 0], "word": "ES"},
+    {"start": 5, "word": "ES"},
+    {"start": [0, 0, 0], "word": "ES"},
+    {"start": [0, 0], "word": ["E", "S"]},
+    {"start": [0, 0], "word": None},
+], ids=["float", "float-y", "bool", "string", "not-a-list", "three-coords",
+        "word-list", "word-null"])
+def test_path_from_json_rejects_malformed(data):
+    with pytest.raises(ValueError):
+        Path.from_json(data)
+
+
+@pytest.mark.parametrize("sigma", [[True, 2], [1.0, 2], [1, "2"], "12", 12],
+                         ids=["bool", "float", "string-entry", "string", "int"])
+def test_family_from_json_rejects_malformed_sigma(sigma):
+    ep = plane_partition_endpoints(Partition([1, 1]), 1)
+    data = {"sigma": sigma,
+            "paths": [{"start": [-1, -1], "word": "ES"},
+                      {"start": [-2, -2], "word": "SE"}]}
+    with pytest.raises(ValueError):
+        SignedPathFamily.from_json(data, ep)
+
+
+def test_family_from_json_rejects_malformed_paths():
+    ep = plane_partition_endpoints(Partition([1, 1]), 1)
+    with pytest.raises(ValueError):
+        SignedPathFamily.from_json({"sigma": [1, 2], "paths": 5}, ep)
 
 
 # --- endpoint configurations --------------------------------------------------
@@ -138,6 +202,22 @@ def test_family_counts_frozen():
         ni_list = [f for f in families if is_nonintersecting(f)]
         assert len(ni_list) == count_ni_families(ep) == ni
         assert sum(f.sign for f in families) == ni
+
+
+def test_ryser_permanent_matches_permutation_sum(monkeypatch):
+    # the Gray-code Ryser walk against the plain permutation sum, on random
+    # matrices with many zeros (the early exit) and large entries
+    rng = random.Random(5)
+    for _ in range(240):
+        n = rng.randint(1, 7)
+        matrix = [[rng.choice([0, 0, 1, 2, 3, 7, 10**6]) for _ in range(n)]
+                  for _ in range(n)]
+        monkeypatch.setattr(lgvlab.paths, "_connection_counts",
+                            lambda endpoints: matrix)
+        ep = Endpoints([(0, 0)] * n, [(0, 0)] * n)
+        expected = sum(math.prod(matrix[i][s[i]] for i in range(n))
+                       for s in permutations(range(n)))
+        assert count_families(ep) == expected
 
 
 def test_nonintersecting_families_have_identity_permutation():
