@@ -152,15 +152,27 @@ def lgv_sijection(endpoints: Endpoints,
     is the cancellation at the heart of the determinant evaluation: the
     signed count of all families equals the plain count of the
     non-intersecting ones.
+
+    Each family is swapped at most once per sijection: the images are kept
+    by input family, and both directions (and the inverse) share them.  The
+    reverse entry is never filled in from the involution, so backward still
+    computes its own swap and a checker can catch a swap that is not one.
     """
     source = nonintersecting_set(endpoints, guard_limit)
     target = signed_family_set(endpoints, guard_limit)
+    swaps = {}
+
+    def swap(family):
+        image = swaps.get(family)
+        if image is None:
+            image = swaps[family] = tail_swap(family)[0]
+        return image
 
     def forward(tagged):
         side, sign, family = tagged
         if side == SOURCE:
             return (TARGET, 1, family)
-        return (TARGET, 1, tail_swap(family)[0])
+        return (TARGET, 1, swap(family))
 
     def backward(tagged):
         side, sign, family = tagged
@@ -169,7 +181,7 @@ def lgv_sijection(endpoints: Endpoints,
                 "the non-intersecting side has no negative part")
         if is_nonintersecting(family):
             return (SOURCE, 1, family)
-        return (TARGET, -1, tail_swap(family)[0])
+        return (TARGET, -1, swap(family))
 
     return Sijection("lgv", source, target, forward, backward)
 

@@ -12,7 +12,7 @@ import sys
 
 from .algebra import det_division_free, lgv_matrix
 from .bijections import zero_to_max_map
-from .guards import GuardExceeded
+from .guards import GuardExceeded, resolve_guard_limit
 from .objects import Partition, PlanePartition, genfun_by_enumeration, schur_by_enumeration
 from .verify import report_passed, sweep, verify_lgv, verify_schur, verify_theorem1
 
@@ -224,6 +224,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a bad limit is refused even by the routes that enumerate nothing
+        resolve_guard_limit(args.guard_limit)
         return args.func(args)
     except GuardExceeded as exc:
         _say(f"guard: {exc}")

@@ -34,17 +34,21 @@ def resolve_guard_limit(guard_limit: int | None = None) -> int:
     """Return the effective guard limit.
 
     Explicit argument wins, then the LGVLAB_GUARD_LIMIT environment variable,
-    then the built-in default.
+    then the built-in default.  A negative limit would refuse even a single
+    object, so it raises ValueError; 0 is allowed.
     """
-    if guard_limit is not None:
-        return guard_limit
-    env = os.environ.get(ENV_VAR)
-    if env is not None:
+    name = "guard limit"
+    if guard_limit is None:
+        env = os.environ.get(ENV_VAR)
+        if env is None:
+            return DEFAULT_GUARD_LIMIT
         try:
-            return int(env)
+            guard_limit, name = int(env), ENV_VAR
         except ValueError as exc:
             raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_GUARD_LIMIT
+    if guard_limit < 0:
+        raise ValueError(f"{name} must be nonnegative, got {guard_limit}")
+    return guard_limit
 
 
 def check_guard(what: str, projected: int, guard_limit: int | None = None) -> None:

@@ -33,17 +33,32 @@ class SijectionError(Exception):
 
 
 class SignedSet:
-    """A finite signed set, given by one generator of (payload, sign) pairs."""
+    """A finite signed set, given by one generator of (payload, sign) pairs.
+
+    The first walk that runs to the end keeps the pairs, and every later
+    walk replays them, so the generator runs once.  A walk that raises or
+    stops early keeps nothing.
+    """
 
     def __init__(self, name: str,
                  elements: Callable[[], Iterable[tuple[object, int]]]):
         self.name = name
         self._elements = elements
+        self._stream: Optional[list] = None
 
     def elements(self) -> Iterator[tuple[object, int]]:
         """Yield (payload, sign) pairs in stream order; positive and negative
         elements may interleave."""
-        return iter(self._elements())
+        if self._stream is not None:
+            return iter(self._stream)
+        return self._walk()
+
+    def _walk(self) -> Iterator[tuple[object, int]]:
+        stream = []
+        for pair in self._elements():
+            stream.append(pair)
+            yield pair
+        self._stream = stream
 
     def plus(self) -> Iterator:
         return (x for x, sign in self.elements() if sign == 1)

@@ -33,7 +33,6 @@ from .objects import (
 from .paths import (
     count_families,
     count_ni_families,
-    enumerate_families,
     first_step_east_count,
     is_nonintersecting,
     last_step_east_count,
@@ -102,7 +101,10 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     endpoints = plane_partition_endpoints(shape, bound)
-    families = list(enumerate_families(endpoints, guard_limit))
+    # The sijection's signed set keeps its stream, so this walk is the only
+    # one: the checkers below replay it.
+    sijection = lgv_sijection(endpoints, guard_limit)
+    families = [family for family, _ in sijection.target.elements()]
     ni, crossing = [], []
     for family in families:
         (ni if is_nonintersecting(family) else crossing).append(family)
@@ -110,10 +112,13 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
     det_count = count_ni_families(endpoints)
     perm_count = count_families(endpoints)
 
+    # Each crossing family is swapped once: a correct swap's image is
+    # another crossing family, whose own swap is then already at hand.
+    swaps = {family: tail_swap(family) for family in crossing}
     involution_witness = None
     for family in crossing:
-        swapped, cert = tail_swap(family)
-        again, cert_back = tail_swap(swapped)
+        swapped, cert = swaps[family]
+        again, cert_back = swaps.get(swapped) or tail_swap(swapped)
         if (again != family or cert_back != cert
                 or swapped.sign != -family.sign):
             involution_witness = {
@@ -132,7 +137,6 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
         rejects_witness = {"family": family.to_json()}
         break
 
-    sijection = lgv_sijection(endpoints, guard_limit)
     bijective = check_sijection(sijection)
     compat_last = check_compatibility(
         sijection, last_step_east_count, last_step_east_count)

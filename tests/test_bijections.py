@@ -206,6 +206,23 @@ def test_checkers_enumerate_the_signed_families_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_lgv_sijection_check_catches_a_swap_that_does_not_undo_itself(
+        monkeypatch):
+    # the swap stays right on negative families but is wrong on positive
+    # crossing ones, so only backward(forward(x)) can see it; a memo that
+    # recorded forward's swap as backward's answer would hide it
+    real = lgvlab.bijections.tail_swap
+
+    def one_sided(family):
+        swapped, cert = real(family)
+        return (swapped if family.sign == -1 else family), cert
+
+    monkeypatch.setattr(lgvlab.bijections, "tail_swap", one_sided)
+    ep = plane_partition_endpoints(Partition([2, 1]), 2)
+    problems = check_sijection(lgv_sijection(ep))
+    assert any(p.startswith("backward(forward(") for p in problems)
+
+
 # --- word-level symmetries -------------------------------------------------
 
 def test_reverse_paths_involution_and_statistic_swap():

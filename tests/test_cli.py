@@ -231,3 +231,35 @@ def test_guard_flag_overrides_env(capsys, monkeypatch):
     code, _, _ = run(capsys, "genfun", "--shape", "2,1", "--max", "2",
                      "--method", "brute-zeros", "--guard-limit", "1000")
     assert code == 0
+
+
+@pytest.mark.parametrize("method", ["brute-zeros", "det"])
+@pytest.mark.parametrize("limit", ["-1", "-100"])
+def test_negative_guard_limit_flag_is_usage_error(capsys, limit, method):
+    code, out, err = run(capsys, "genfun", "--shape", "", "--max", "0",
+                         "--method", method, "--guard-limit", limit)
+    assert code == 2
+    assert out == ""
+    assert f"guard limit must be nonnegative, got {limit}" in err
+
+
+def test_negative_guard_limit_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LGVLAB_GUARD_LIMIT", "-1")
+    code, out, err = run(capsys, "genfun", "--shape", "", "--max", "0",
+                         "--method", "brute-zeros")
+    assert code == 2
+    assert out == ""
+    assert "LGVLAB_GUARD_LIMIT must be nonnegative, got -1" in err
+    code, out, _ = run(capsys, "verify-lgv", "--shape", "1", "--max", "1")
+    assert (code, out) == (2, "")
+
+
+def test_zero_guard_limit_stays_valid(capsys, monkeypatch):
+    monkeypatch.setenv("LGVLAB_GUARD_LIMIT", "0")
+    code, _, err = run(capsys, "genfun", "--shape", "", "--max", "0",
+                       "--method", "brute-zeros")
+    assert code == 1
+    assert "exceeds guard limit 0" in err
+    code, _, _ = run(capsys, "genfun", "--shape", "", "--max", "0",
+                       "--method", "det", "--guard-limit", "0")
+    assert code == 0

@@ -1,6 +1,7 @@
 import pytest
 
 from lgvlab.bijections import weight_permutation_sijection, zero_to_max_sijection
+from lgvlab.guards import GuardExceeded
 from lgvlab.sijections import (
     SOURCE,
     TARGET,
@@ -52,6 +53,43 @@ def test_signed_set_parts_filter_one_stream():
     assert list(s.elements()) == [(1, 1), ("a", -1), (2, 1)]
     assert list(s.plus()) == [1, 2]
     assert list(s.minus()) == ["a"]
+
+
+def test_signed_set_runs_its_generator_once():
+    runs = []
+
+    def stream():
+        runs.append(1)
+        yield from [(1, 1), ("a", -1), (2, 1)]
+
+    s = SignedSet("s", stream)
+    assert list(s.elements()) == [(1, 1), ("a", -1), (2, 1)]
+    assert list(s.plus()) == [1, 2]
+    assert list(s.minus()) == ["a"]
+    assert s.size() == 3 and s.signed_size() == 1
+    assert list(s.elements()) == [(1, 1), ("a", -1), (2, 1)]
+    assert len(runs) == 1
+
+
+def test_signed_set_keeps_no_walk_that_raised_or_stopped_early():
+    runs, failing = [], [True]
+
+    def stream():
+        runs.append(1)
+        yield (1, 1)
+        if failing:
+            raise GuardExceeded("stream", 2, 1)
+        yield (2, -1)
+
+    s = SignedSet("s", stream)
+    for _ in range(2):
+        with pytest.raises(GuardExceeded):
+            s.size()
+    failing.clear()
+    assert next(s.elements()) == (1, 1)
+    assert list(s.elements()) == [(1, 1), (2, -1)]
+    assert list(s.minus()) == [2]
+    assert len(runs) == 4
 
 
 def test_from_bijection_roundtrip_and_check():

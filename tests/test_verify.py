@@ -1,7 +1,10 @@
+import collections
 import json
 
 import pytest
 
+import lgvlab.bijections
+import lgvlab.paths
 from lgvlab import verify
 from lgvlab.algebra import UniPoly
 from lgvlab.guards import GuardExceeded
@@ -92,6 +95,50 @@ def test_verify_lgv_tail_swap_rejection_covers_every_family(monkeypatch):
     check = _check_named(report, "tail-swap-rejects-disjoint")
     assert not check["passed"]
     assert check["witness"] == {"family": disjoint[1].to_json()}
+
+
+def test_verify_lgv_walks_the_families_once(monkeypatch):
+    # one family walk; the Ryser permanent at most twice (the walk's guard
+    # and the report); each crossing family swapped at most twice (the
+    # involution check and the sijection) and each non-intersecting family
+    # offered to the swap once, by the rejection check
+    calls = collections.Counter()
+    swapped, rejected = collections.Counter(), collections.Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    def counting_swap(family):
+        try:
+            result = real_swap(family)
+        except ValueError:
+            rejected[family] += 1
+            raise
+        swapped[family] += 1
+        return result
+
+    real_swap = lgvlab.bijections.tail_swap
+    monkeypatch.setattr(lgvlab.bijections, "enumerate_families", counting(
+        "enumerate_families", lgvlab.bijections.enumerate_families))
+    count = counting("count_families", lgvlab.paths.count_families)
+    monkeypatch.setattr(lgvlab.paths, "count_families", count)
+    monkeypatch.setattr(verify, "count_families", count)
+    monkeypatch.setattr(lgvlab.bijections, "tail_swap", counting_swap)
+    monkeypatch.setattr(verify, "tail_swap", counting_swap)
+    report = verify_lgv((3, 3, 2), 2)
+    assert report_passed(report)
+    results = report["results"]
+    crossing = results["families"] - results["nonintersecting"]
+    assert (results["families"], crossing) == (1175, 1020)
+    assert calls["enumerate_families"] == 1
+    assert calls["count_families"] <= 2
+    assert sum(swapped.values()) <= 2 * crossing
+    assert max(swapped.values()) <= 2
+    assert sum(rejected.values()) == results["nonintersecting"]
+    assert set(rejected).isdisjoint(swapped)
 
 
 def test_verify_lgv_guard_propagates():
