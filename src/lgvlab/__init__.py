@@ -15,10 +15,8 @@ from .algebra import (
     binomial,
     det_division_free,
     det_int,
-    det_leibniz,
     lgv_matrix,
     path_count_matrix_entry,
-    perm_sign,
 )
 from .bijections import (
     SwapCertificate,
@@ -90,8 +88,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultiPoly", "PolyMatrix", "UniPoly", "binomial", "det_division_free",
-    "det_int", "det_leibniz", "lgv_matrix", "path_count_matrix_entry",
-    "perm_sign",
+    "det_int", "lgv_matrix", "path_count_matrix_entry",
     "SwapCertificate", "lgv_sijection", "permute_steps",
     "reversal_sijection", "reverse_paths", "step_permutation_sijection",
     "tail_swap", "weight_permutation_map", "weight_permutation_sijection",

@@ -1,14 +1,16 @@
-"""Exact polynomial arithmetic over the integers.
+"""Exact integer polynomials and the binomial determinant.
 
 Coefficients are plain Python ints, so every value is exact at any magnitude.
-Polynomials are kept in canonical form (no trailing zero coefficients, no
+Polynomials are canonical-form values (no trailing zero coefficients, no
 stored zero terms), which makes structural equality the same thing as
-mathematical equality.
+mathematical equality.  They support evaluation, equality, JSON and, for
+``MultiPoly``, a permutation of the variables; there is no ring arithmetic,
+since no route of the package adds or multiplies polynomials.
 
 Determinants have one algorithm, the fraction-free integer elimination
 ``det_int``.  A polynomial determinant is ``det_int`` evaluated at d + 1
 points, d a bound on its degree, followed by exact interpolation; there is
-no size cap.  ``det_leibniz`` is kept only as an independent test oracle.
+no size cap.
 
 All values are immutable once constructed and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import permutations
 from typing import Iterable, Mapping
 
 
@@ -66,77 +67,17 @@ class UniPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, coef: int, power: int) -> "UniPoly":
-        return cls((0,) * power + (coef,))
-
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = UniPoly((other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __add__(self, other) -> "UniPoly":
-        other = _coerce_uni(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "UniPoly":
-        return self + (-_coerce_uni(other))
-
-    def __rsub__(self, other) -> "UniPoly":
-        return _coerce_uni(other) + (-self)
-
-    def __mul__(self, other) -> "UniPoly":
-        other = _coerce_uni(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return UniPoly(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, value: int) -> int:
         """Evaluate at an integer point (Horner)."""
@@ -172,14 +113,6 @@ class UniPoly:
                    for k, c in enumerate(data["coeffs"]))
 
 
-def _coerce_uni(value) -> UniPoly:
-    if isinstance(value, UniPoly):
-        return value
-    if isinstance(value, int):
-        return UniPoly((value,))
-    raise TypeError(f"cannot combine UniPoly with {type(value).__name__}")
-
-
 class MultiPoly:
     """Polynomial in n variables with integer coefficients.
 
@@ -212,25 +145,8 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {})
-
-    @classmethod
-    def monomial(cls, exp: tuple[int, ...], coef: int = 1) -> "MultiPoly":
-        return cls(len(exp), {tuple(exp): coef})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, exp: tuple[int, ...]) -> int:
         return self.terms.get(tuple(exp), 0)
-
-    def _check_compatible(self, other: "MultiPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(
-                f"variable count mismatch: {self.nvars} vs {other.nvars}"
-            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -239,32 +155,6 @@ class MultiPoly:
 
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            out[exp] = out.get(exp, 0) + coef
-        return MultiPoly(self.nvars, out)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, int):
-            return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, 0) + c1 * c2
-        return MultiPoly(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def permute_variables(self, perm: tuple[int, ...]) -> "MultiPoly":
         """Apply x_i -> x_{perm(i)}: exponent slot i moves to slot perm[i] (0-based)."""
@@ -325,7 +215,7 @@ class PolyMatrix:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries: Iterable[Iterable[UniPoly]]):
-        rows = tuple(tuple(_coerce_uni(e) for e in row) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -339,11 +229,6 @@ class PolyMatrix:
     def __getitem__(self, key: tuple[int, int]) -> UniPoly:
         i, j = key
         return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.entries == other.entries
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.entries!r})"
@@ -370,23 +255,13 @@ def det_division_free(matrix: PolyMatrix) -> UniPoly:
     while values:
         diffs.append(values[0])
         values = [b - a for a, b in zip(values, values[1:])]
-    # Horner on the Newton basis: c_0 + x*(c_1 + (x-1)*(c_2 + ...))
-    result = UniPoly.zero()
+    # Horner on the Newton basis, c_0 + x*(c_1 + (x-1)*(c_2 + ...)), on a
+    # coefficient list: each step multiplies by (x - k) and adds c_k
+    coeffs = []
     for k in range(d, -1, -1):
-        result = result * UniPoly((-k, 1)) + diffs[k] // math.factorial(k)
-    return result
-
-
-def det_leibniz(matrix: PolyMatrix) -> UniPoly:
-    """Determinant by direct Leibniz sum; independent cross-check for small n."""
-    n = matrix.n
-    total = UniPoly.zero()
-    for perm in permutations(range(n)):
-        prod = UniPoly.one()
-        for i, j in enumerate(perm):
-            prod = prod * matrix[i, j]
-        total = total + (prod if perm_sign(perm) > 0 else -prod)
-    return total
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += diffs[k] // math.factorial(k)
+    return UniPoly(coeffs)
 
 
 def det_int(rows: list[list[int]]) -> int:

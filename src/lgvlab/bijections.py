@@ -74,11 +74,6 @@ class SwapCertificate:
             "paths": [self.paths[0] + 1, self.paths[1] + 1],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SwapCertificate":
-        i, j = data["paths"]
-        return cls(tuple(data["point"]), (i - 1, j - 1))
-
 
 def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertificate]:
     """Swap the tails of two intersecting paths at a canonical point.

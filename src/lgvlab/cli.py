@@ -26,7 +26,7 @@ def _shape(text: str) -> Partition:
 
 def _perm(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(v) for v in text.split(",") if v.strip() != "")
+        values = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad permutation {text!r}")
     if sorted(values) != list(range(1, len(values) + 1)):

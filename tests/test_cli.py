@@ -1,9 +1,12 @@
 import io
 import json
+import sys
 
 import pytest
 
+from lgvlab.bijections import zero_to_max_map
 from lgvlab.cli import main
+from lgvlab.objects import Partition, enumerate_plane_partitions
 
 
 def run(capsys, *argv):
@@ -168,9 +171,11 @@ def test_schur_perm_length_mismatch(capsys):
 
 
 def test_schur_rejects_non_permutation():
-    with pytest.raises(SystemExit) as info:
-        main(["schur", "--shape", "2", "--vars", "2", "--perm", "1,1"])
-    assert info.value.code == 2
+    # an empty token is not an integer either, wherever it sits
+    for perm in ("1,1", "1,,2", "2,1,"):
+        with pytest.raises(SystemExit) as info:
+            main(["schur", "--shape", "2,1", "--vars", "2", "--perm", perm])
+        assert info.value.code == 2
 
 
 def test_sweep(capsys):
@@ -263,3 +268,39 @@ def test_zero_guard_limit_stays_valid(capsys, monkeypatch):
     code, _, _ = run(capsys, "genfun", "--shape", "", "--max", "0",
                        "--method", "det", "--guard-limit", "0")
     assert code == 0
+
+
+def _forbid(monkeypatch, *names):
+    """Make each named function raise in every lgvlab module that holds it."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an independent route consulted another one")
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "lgvlab" or module_name.startswith("lgvlab."):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+
+
+def test_brute_routes_never_call_a_determinant(capsys, monkeypatch):
+    document = json.dumps({"shape": [2, 1], "max": 2, "rows": [[2, 1], [0]]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    _, expected_image, _ = run(capsys, "bijection")
+    _forbid(monkeypatch, "det_division_free", "lgv_matrix")
+    for method in ("brute-zeros", "brute-maxes"):
+        code, out, _ = run(capsys, "genfun", "--shape", "2,1", "--max", "2",
+                           "--method", method)
+        assert code == 0
+        assert json.loads(out) == {"var": "x", "coeffs": ["5", "6", "3"]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    code, out, _ = run(capsys, "bijection")
+    assert code == 0
+    assert out == expected_image
+
+
+def test_bijection_never_consults_a_generating_function(monkeypatch):
+    _forbid(monkeypatch, "genfun_by_enumeration")
+    pps = list(enumerate_plane_partitions(Partition([2, 1]), 2))
+    images = [zero_to_max_map(pp) for pp in pps]
+    assert [image.max_rows() for image in images] == [
+        pp.zero_rows() for pp in pps]
+    assert len(set(images)) == len(pps) == 14

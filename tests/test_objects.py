@@ -127,7 +127,7 @@ def test_genfun_statistic_argument():
 
 def test_genfun_empty_shape_is_one():
     for statistic in ("zeros", "maxes"):
-        assert genfun_by_enumeration(Partition([]), 2, statistic) == UniPoly.one()
+        assert genfun_by_enumeration(Partition([]), 2, statistic) == UniPoly([1])
 
 
 def test_genfun_bound_zero():

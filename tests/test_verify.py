@@ -67,7 +67,8 @@ def test_verify_theorem1_checks_determinant_at_one_against_enumeration(
     real = verify.genfun_by_enumeration
 
     def miscounting(shape, bound, statistic, guard_limit=None):
-        return real(shape, bound, statistic, guard_limit) + UniPoly([1])
+        poly = real(shape, bound, statistic, guard_limit)
+        return UniPoly((poly.coeffs[0] + 1,) + poly.coeffs[1:])
 
     monkeypatch.setattr("lgvlab.verify.genfun_by_enumeration", miscounting)
     report = verify_theorem1((1, 1), 1)
