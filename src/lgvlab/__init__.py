@@ -42,6 +42,7 @@ from .objects import (
     enumerate_plane_partitions,
     enumerate_tableaux,
     genfun_by_enumeration,
+    refined_genfuns_by_enumeration,
     schur_by_enumeration,
 )
 from .paths import (
@@ -96,7 +97,8 @@ __all__ = [
     "DEFAULT_GUARD_LIMIT", "GuardExceeded", "resolve_guard_limit",
     "Partition", "PlanePartition", "Tableau", "count_plane_partitions",
     "count_tableaux", "enumerate_partitions", "enumerate_plane_partitions",
-    "enumerate_tableaux", "genfun_by_enumeration", "schur_by_enumeration",
+    "enumerate_tableaux", "genfun_by_enumeration",
+    "refined_genfuns_by_enumeration", "schur_by_enumeration",
     "Endpoints", "Path", "SignedPathFamily", "count_families",
     "count_ni_families", "east_step_labels", "enumerate_families",
     "enumerate_ni_families", "first_step_east_count", "is_nonintersecting",

@@ -7,6 +7,7 @@ disagreement or an exceeded enumeration guard, 2 on bad usage or input.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -145,7 +146,9 @@ def _add_guard(parser) -> None:
         help="cap on enumeration sizes (default: LGVLAB_GUARD_LIMIT or 10^7)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lgvlab",
         description="Refined enumeration of bounded plane partitions via "

@@ -216,36 +216,66 @@ def _filling_fields(data, kind: str, bound_field: str):
 
 
 def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
-    """Yield every filling of the shape as a tuple of row tuples.
+    """Yield every filling of the shape, grouped by all rows but the last.
 
     A row is a multiset of ``values`` listed in their order, so it is weakly
-    monotone, and each entry must satisfy ``column_ok(above, entry)``.  Order
-    is lexicographic on the row-major sequence, in the order of ``values``.
-    One combinations iterator per row sits on an explicit stack, so no
-    recursion limit bounds the shape.
+    monotone, and each entry must satisfy ``column_ok(above, entry)``.  Each
+    group is ``(prefix, last_rows)``: ``prefix`` is a tuple of the first
+    len(shape) - 1 rows and ``last_rows`` the rows allowed beneath it, so the
+    group's fillings are ``prefix + (row,)`` for each row in turn.  Expanding
+    the groups in order is lexicographic on the row-major sequence, in the
+    order of ``values``.
+
+    The rows allowed beneath a given row are computed once per walk and
+    shared by every group and prefix that needs them.  The first row is a
+    plain stream, so a one-row shape builds no list.  One iterator per row
+    sits on an explicit stack, so no recursion limit bounds the shape.  The
+    empty shape yields no group: its one filling, (), has no last row.
     """
     parts = shape.parts
     if not parts:
-        yield ()
         return
+    first = combinations_with_replacement(values, parts[0])
+    last = len(parts) - 1
+    if not last:
+        yield (), first
+        return
+    allowed: dict[tuple, list[tuple[int, ...]]] = {}
+
+    def beneath(above: tuple, length: int) -> list[tuple[int, ...]]:
+        key = above[:length]
+        found = allowed.get(key)
+        if found is None:
+            found = allowed[key] = [
+                row for row in combinations_with_replacement(values, length)
+                if all(map(column_ok, key, row))]
+        return found
+
     rows: list[tuple[int, ...]] = []
-    stack = [combinations_with_replacement(values, parts[0])]
+    stack = [first]
     while stack:
-        above = rows[-1] if rows else ()
-        for row in stack[-1]:
-            if all(map(column_ok, above, row)):
-                break
-        else:
+        row = next(stack[-1], None)
+        if row is None:
             stack.pop()
             if rows:
                 rows.pop()
             continue
         rows.append(row)
-        if len(rows) == len(parts):
-            yield tuple(rows)
+        if len(rows) == last:
+            yield tuple(rows), beneath(row, parts[last])
             rows.pop()
         else:
-            stack.append(combinations_with_replacement(values, parts[len(rows)]))
+            stack.append(iter(beneath(row, parts[len(rows)])))
+
+
+def _expand(shape: Partition, groups) -> Iterator[tuple]:
+    """The fillings of the shape's ``_fillings`` groups in order, as tuples
+    of row tuples; the empty shape's one filling, (), comes from no group."""
+    if not shape.parts:
+        yield ()
+    for prefix, last_rows in groups:
+        for row in last_rows:
+            yield prefix + (row,)
 
 
 def _zero_rows(rows) -> int:
@@ -258,7 +288,7 @@ def _max_rows(rows, bound: int) -> int:
     return sum(row[0] == bound for row in rows)
 
 
-def _plane_partition_rows(shape: Partition, bound: int) -> Iterator[tuple]:
+def _plane_partition_groups(shape: Partition, bound: int) -> Iterator[tuple]:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     return _fillings(shape, range(bound, -1, -1), operator.ge)
@@ -274,7 +304,7 @@ def enumerate_plane_partitions(
     always the final element.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    for rows in _plane_partition_rows(shape, bound):
+    for rows in _expand(shape, _plane_partition_groups(shape, bound)):
         yield PlanePartition(shape, bound, rows)
 
 
@@ -295,6 +325,39 @@ def count_plane_partitions(shape: Partition, bound: int) -> int:
     )
 
 
+def _guard_plane_partitions(shape: Partition, bound: int,
+                            guard_limit: int | None) -> int:
+    """Refuse PP(shape; bound) if it exceeds the guard; return its count."""
+    count = count_plane_partitions(shape, bound)
+    check_guard(f"PP({list(shape.parts)}; {bound})", count, guard_limit)
+    return count
+
+
+def refined_genfuns_by_enumeration(
+    shape: Partition, bound: int, guard_limit: int | None = None
+) -> tuple[UniPoly, UniPoly]:
+    """Both refined generating functions of PP(shape; bound) from one walk.
+
+    Returns ``(zeros, maxes)``: the coefficient of x**k in ``zeros`` counts
+    the plane partitions with k rows containing 0, in ``maxes`` those with
+    k rows containing the bound.  Every plane partition is visited and
+    counted on its own; a group's prefix is counted once, and each last row
+    adds its own two tests.
+    """
+    shape = shape if isinstance(shape, Partition) else Partition(shape)
+    _guard_plane_partitions(shape, bound, guard_limit)
+    zeros = [0] * (len(shape) + 1)
+    maxes = [0] * (len(shape) + 1)
+    if not shape.parts:
+        zeros[0] = maxes[0] = 1
+    for prefix, last_rows in _plane_partition_groups(shape, bound):
+        z, x = _zero_rows(prefix), _max_rows(prefix, bound)
+        for row in last_rows:
+            zeros[z + (row[-1] == 0)] += 1
+            maxes[x + (row[0] == bound)] += 1
+    return UniPoly(zeros), UniPoly(maxes)
+
+
 def genfun_by_enumeration(
     shape: Partition,
     bound: int,
@@ -305,19 +368,13 @@ def genfun_by_enumeration(
 
     ``statistic`` is "zeros" (rows containing 0) or "maxes" (rows containing
     the bound).  The coefficient of x**k counts the plane partitions whose
-    statistic equals k; the value at x = 1 is the total count.
+    statistic equals k; the value at x = 1 is the total count.  This is one
+    half of ``refined_genfuns_by_enumeration``.
     """
     if statistic not in ("zeros", "maxes"):
         raise ValueError(f"unknown statistic {statistic!r}; use 'zeros' or 'maxes'")
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    check_guard(
-        f"PP({list(shape.parts)}; {bound})",
-        count_plane_partitions(shape, bound),
-        guard_limit,
-    )
-    stat = _zero_rows if statistic == "zeros" else lambda rows: _max_rows(rows, bound)
-    tally = Counter(map(stat, _plane_partition_rows(shape, bound)))
-    return UniPoly(tally[k] for k in range(max(tally, default=-1) + 1))
+    zeros, maxes = refined_genfuns_by_enumeration(shape, bound, guard_limit)
+    return zeros if statistic == "zeros" else maxes
 
 
 class Tableau:
@@ -406,7 +463,7 @@ def _weight(rows, varcount: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _tableau_rows(shape: Partition, varcount: int) -> Iterator[tuple]:
+def _tableau_groups(shape: Partition, varcount: int) -> Iterator[tuple]:
     if varcount < 1:
         raise ValueError("varcount must be at least 1")
     if len(shape) > varcount:
@@ -421,7 +478,7 @@ def enumerate_tableaux(shape: Partition, varcount: int) -> Iterator[Tableau]:
     The stream is empty exactly when the shape has more rows than varcount.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    for rows in _tableau_rows(shape, varcount):
+    for rows in _expand(shape, _tableau_groups(shape, varcount)):
         yield Tableau(shape, varcount, rows)
 
 
@@ -443,6 +500,14 @@ def count_tableaux(shape: Partition, varcount: int) -> int:
     )
 
 
+def _guard_tableaux(shape: Partition, varcount: int,
+                    guard_limit: int | None) -> int:
+    """Refuse SSYT(shape; varcount) if it exceeds the guard; return its count."""
+    count = count_tableaux(shape, varcount)
+    check_guard(f"SSYT({list(shape.parts)}; {varcount})", count, guard_limit)
+    return count
+
+
 def schur_by_enumeration(
     shape: Partition, varcount: int, guard_limit: int | None = None
 ) -> MultiPoly:
@@ -452,10 +517,7 @@ def schur_by_enumeration(
     shape with entries at most varcount.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    check_guard(
-        f"SSYT({list(shape.parts)}; {varcount})",
-        count_tableaux(shape, varcount),
-        guard_limit,
-    )
+    _guard_tableaux(shape, varcount, guard_limit)
     return MultiPoly(varcount, Counter(
-        _weight(rows, varcount) for rows in _tableau_rows(shape, varcount)))
+        _weight(rows, varcount)
+        for rows in _expand(shape, _tableau_groups(shape, varcount))))

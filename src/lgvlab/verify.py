@@ -12,8 +12,9 @@ data to reproduce the discrepancy.
 """
 
 import time
+from collections import Counter
 
-from .algebra import det_division_free, lgv_matrix
+from .algebra import MultiPoly, det_division_free, lgv_matrix
 from .bijections import (
     lgv_sijection,
     tail_swap,
@@ -22,13 +23,13 @@ from .bijections import (
 )
 from .objects import (
     Partition,
+    _guard_plane_partitions,
+    _guard_tableaux,
     count_plane_partitions,
-    count_tableaux,
     enumerate_partitions,
     enumerate_plane_partitions,
     enumerate_tableaux,
-    genfun_by_enumeration,
-    schur_by_enumeration,
+    refined_genfuns_by_enumeration,
 )
 from .paths import (
     count_families,
@@ -68,8 +69,7 @@ def verify_theorem1(shape, bound: int, guard_limit: int | None = None) -> dict:
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    zeros = genfun_by_enumeration(shape, bound, "zeros", guard_limit)
-    maxes = genfun_by_enumeration(shape, bound, "maxes", guard_limit)
+    zeros, maxes = refined_genfuns_by_enumeration(shape, bound, guard_limit)
     det = det_division_free(lgv_matrix(shape, bound))
     total = count_plane_partitions(shape, bound)
     checks = [
@@ -177,7 +177,7 @@ def verify_bijection(shape, bound: int, guard_limit: int | None = None) -> dict:
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-
+    _guard_plane_partitions(shape, bound, guard_limit)
     pps = list(enumerate_plane_partitions(shape, bound))
     images = []
     crossing_witness = None
@@ -215,9 +215,9 @@ def verify_schur(shape, varcount: int, perm=None,
         perm = tuple(range(varcount, 0, -1))
     else:
         perm = tuple(int(v) for v in perm)
-    poly = schur_by_enumeration(shape, varcount, guard_limit)
+    det_count = _guard_tableaux(shape, varcount, guard_limit)
     tableaux = list(enumerate_tableaux(shape, varcount))
-    det_count = count_tableaux(shape, varcount)
+    poly = MultiPoly(varcount, Counter(t.weight() for t in tableaux))
 
     symmetry_witness = None
     for k in range(varcount - 1):
@@ -284,8 +284,8 @@ def sweep(max_size: int, max_bound: int,
     for shape in enumerate_partitions(max_size):
         for bound in range(max_bound + 1):
             instances += 1
-            zeros = genfun_by_enumeration(shape, bound, "zeros", guard_limit)
-            maxes = genfun_by_enumeration(shape, bound, "maxes", guard_limit)
+            zeros, maxes = refined_genfuns_by_enumeration(
+                shape, bound, guard_limit)
             det = det_division_free(lgv_matrix(shape, bound))
             ok = zeros == maxes == det
             label = ",".join(str(p) for p in shape.parts) or "empty"

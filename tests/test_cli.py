@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from lgvlab.bijections import zero_to_max_map
-from lgvlab.cli import main
+from lgvlab.cli import build_parser, main
 from lgvlab.objects import Partition, enumerate_plane_partitions
 
 
@@ -42,6 +42,31 @@ def test_genfun_rejects_bad_shape(capsys):
     with pytest.raises(SystemExit) as info:
         main(["genfun", "--shape", "1,2", "--max", "1"])
     assert info.value.code == 2
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; a usage error must leave
+    # nothing behind that changes a later call
+    good = ["genfun", "--shape", "2,1", "--max", "2", "--method", "brute-zeros"]
+    bad = ["genfun", "--shape", "1,2", "--max", "1"]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in (good, bad, good):
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    build_parser.cache_clear()
+    cached = [outcome(argv) for argv in (good, bad, good)]
+    assert build_parser.cache_info().misses == 1
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 2, 0]
 
 
 def test_missing_subcommand_is_usage_error():
@@ -298,7 +323,8 @@ def test_brute_routes_never_call_a_determinant(capsys, monkeypatch):
 
 
 def test_bijection_never_consults_a_generating_function(monkeypatch):
-    _forbid(monkeypatch, "genfun_by_enumeration")
+    _forbid(monkeypatch, "genfun_by_enumeration",
+            "refined_genfuns_by_enumeration")
     pps = list(enumerate_plane_partitions(Partition([2, 1]), 2))
     images = [zero_to_max_map(pp) for pp in pps]
     assert [image.max_rows() for image in images] == [

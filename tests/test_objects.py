@@ -1,5 +1,6 @@
+import operator
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from lgvlab.objects import (
     enumerate_plane_partitions,
     enumerate_tableaux,
     genfun_by_enumeration,
+    refined_genfuns_by_enumeration,
     schur_by_enumeration,
 )
 
@@ -191,6 +193,74 @@ def test_enumeration_orders_match_brute_oracle():
             assert list(enumerate_tableaux(shape, varcount)) == expected
             assert schur_by_enumeration(shape, varcount).terms == Counter(
                 t.weight() for t in expected)
+
+
+def seed_fillings(shape, values, column_ok):
+    """Every filling of the shape as a tuple of row tuples, one at a time.
+
+    The slow oracle of the grouped walker: one combinations iterator per
+    row on an explicit stack, each candidate row tested against the row
+    above under every prefix.  Order is lexicographic on the row-major
+    sequence, in the order of ``values``.
+    """
+    parts = shape.parts
+    if not parts:
+        yield ()
+        return
+    rows = []
+    stack = [combinations_with_replacement(values, parts[0])]
+    while stack:
+        above = rows[-1] if rows else ()
+        for row in stack[-1]:
+            if all(map(column_ok, above, row)):
+                break
+        else:
+            stack.pop()
+            if rows:
+                rows.pop()
+            continue
+        rows.append(row)
+        if len(rows) == len(parts):
+            yield tuple(rows)
+            rows.pop()
+        else:
+            stack.append(combinations_with_replacement(values, parts[len(rows)]))
+
+
+def tally(stats):
+    counts = Counter(stats)
+    return UniPoly(counts[k] for k in range(max(counts) + 1))
+
+
+def assert_plane_partitions_match_seed(shape, bound):
+    expected = list(seed_fillings(shape, range(bound, -1, -1), operator.ge))
+    assert [pp.rows for pp in enumerate_plane_partitions(shape, bound)] == expected
+    zeros = tally(sum(row[-1] == 0 for row in rows) for rows in expected)
+    maxes = tally(sum(row[0] == bound for row in rows) for rows in expected)
+    assert refined_genfuns_by_enumeration(shape, bound) == (zeros, maxes)
+    assert genfun_by_enumeration(shape, bound, "zeros") == zeros
+    assert genfun_by_enumeration(shape, bound, "maxes") == maxes
+
+
+def test_grouped_walker_matches_seed_walker():
+    for shape in enumerate_partitions(9):
+        for bound in range(5):
+            assert_plane_partitions_match_seed(shape, bound)
+        for varcount in range(1, 5):
+            expected = [] if len(shape) > varcount else [
+                Tableau(shape, varcount, rows) for rows in seed_fillings(
+                    shape, range(1, varcount + 1), operator.lt)]
+            assert list(enumerate_tableaux(shape, varcount)) == expected
+            assert schur_by_enumeration(shape, varcount).terms == Counter(
+                t.weight() for t in expected)
+
+
+@pytest.mark.parametrize("parts, bound", [
+    ((1,) * 10, 2), ((3,) * 5, 3), ((5, 4, 3, 2, 1), 2)])
+def test_grouped_walker_matches_seed_walker_on_tall_shapes(parts, bound):
+    # five or more rows: the rows allowed beneath a row are reused from
+    # one level of the walk to the next
+    assert_plane_partitions_match_seed(Partition(parts), bound)
 
 
 @settings(max_examples=25, deadline=None)

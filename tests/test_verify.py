@@ -4,11 +4,17 @@ import json
 import pytest
 
 import lgvlab.bijections
+import lgvlab.objects
 import lgvlab.paths
 from lgvlab import verify
 from lgvlab.algebra import UniPoly
 from lgvlab.guards import GuardExceeded
-from lgvlab.objects import Partition
+from lgvlab.objects import (
+    Partition,
+    count_tableaux,
+    enumerate_partitions,
+    schur_by_enumeration,
+)
 from lgvlab.paths import is_nonintersecting
 from lgvlab.verify import (
     report_passed,
@@ -64,13 +70,14 @@ def _check_named(report, name):
 
 def test_verify_theorem1_checks_determinant_at_one_against_enumeration(
         monkeypatch):
-    real = verify.genfun_by_enumeration
+    real = verify.refined_genfuns_by_enumeration
 
-    def miscounting(shape, bound, statistic, guard_limit=None):
-        poly = real(shape, bound, statistic, guard_limit)
-        return UniPoly((poly.coeffs[0] + 1,) + poly.coeffs[1:])
+    def miscounting(shape, bound, guard_limit=None):
+        return tuple(UniPoly((poly.coeffs[0] + 1,) + poly.coeffs[1:])
+                     for poly in real(shape, bound, guard_limit))
 
-    monkeypatch.setattr("lgvlab.verify.genfun_by_enumeration", miscounting)
+    monkeypatch.setattr("lgvlab.verify.refined_genfuns_by_enumeration",
+                        miscounting)
     report = verify_theorem1((1, 1), 1)
     check = _check_named(report, "determinant-at-one-counts-all")
     assert not check["passed"]
@@ -147,11 +154,80 @@ def test_verify_lgv_guard_propagates():
         verify_lgv(Partition([2, 1]), 2, guard_limit=3)
 
 
+def count_walks(monkeypatch):
+    """Count the fillings walks, keyed by (shape, alphabet)."""
+    walks = collections.Counter()
+    real = lgvlab.objects._fillings
+
+    def counting(shape, values, column_ok):
+        walks[shape.parts, values] += 1
+        return real(shape, values, column_ok)
+
+    monkeypatch.setattr(lgvlab.objects, "_fillings", counting)
+    return walks
+
+
+def test_verify_theorem1_walks_the_plane_partitions_once(monkeypatch):
+    walks = count_walks(monkeypatch)
+    assert report_passed(verify_theorem1((3, 2, 1), 2))
+    assert walks == {((3, 2, 1), range(2, -1, -1)): 1}
+
+
+def test_sweep_walks_each_instance_once(monkeypatch):
+    walks = count_walks(monkeypatch)
+    report = sweep(4, 2)
+    assert report_passed(report)
+    assert report["results"]["instances"] == len(walks) == 36
+    assert set(walks.values()) == {1}
+    assert set(walks) == {(shape.parts, range(bound, -1, -1))
+                          for shape in enumerate_partitions(4)
+                          for bound in range(3)}
+
+
 def test_verify_bijection_passes():
     report = verify_bijection(Partition([2, 1]), 2)
     assert_report_shape(report)
     assert report_passed(report)
     assert report["results"]["objects"] == 14
+
+
+def test_verify_bijection_guards_its_own_enumeration(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerated before the guard")
+
+    monkeypatch.setattr(verify, "enumerate_plane_partitions", forbidden)
+    with pytest.raises(GuardExceeded) as info:
+        verify_bijection(Partition([3, 3]), 3, guard_limit=10)
+    assert (info.value.what, info.value.projected, info.value.limit) == (
+        "PP([3, 3]; 3)", 175, 10)
+
+
+def test_verify_schur_walks_the_tableaux_once(monkeypatch):
+    walks = count_walks(monkeypatch)
+    shape = Partition([3, 2, 1])
+    report = verify_schur(shape, 4, perm=(2, 1, 4, 3))
+    assert walks == {((3, 2, 1), range(1, 5)): 1}
+    assert_report_shape(report)
+    assert report_passed(report)
+    assert report["results"] == {
+        "schur": schur_by_enumeration(shape, 4).to_json(),
+        "tableaux": count_tableaux(shape, 4),
+        "perm": [2, 1, 4, 3],
+    }
+    assert [c["name"] for c in report["checks"]] == [
+        "tableau-count-matches-determinant",
+        "symmetric-under-adjacent-transpositions",
+        "invariant-under-permutation", "weight-map-is-bijection",
+        "weight-map-permutes-weight"]
+
+
+def test_verify_schur_guard_comes_before_the_walk(monkeypatch):
+    walks = count_walks(monkeypatch)
+    with pytest.raises(GuardExceeded) as info:
+        verify_schur(Partition([3, 2, 1]), 4, guard_limit=20)
+    assert (info.value.what, info.value.projected, info.value.limit) == (
+        "SSYT([3, 2, 1]; 4)", 64, 20)
+    assert not walks
 
 
 def test_verify_schur_passes():
