@@ -221,16 +221,27 @@ def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
     A row is a multiset of ``values`` listed in their order, so it is weakly
     monotone, and each entry must satisfy ``column_ok(above, entry)``.  Each
     group is ``(prefix, last_rows)``: ``prefix`` is a tuple of the first
-    len(shape) - 1 rows and ``last_rows`` the rows allowed beneath it, so the
-    group's fillings are ``prefix + (row,)`` for each row in turn.  Expanding
-    the groups in order is lexicographic on the row-major sequence, in the
-    order of ``values``.
+    len(shape) - 1 rows and ``last_rows`` an iterable of the rows allowed
+    beneath it, so the group's fillings are ``prefix + (row,)`` for each row
+    in turn.  Expanding the groups in order is lexicographic on the
+    row-major sequence, in the order of ``values``.
 
-    The rows allowed beneath a given row are computed once per walk and
-    shared by every group and prefix that needs them.  The first row is a
-    plain stream, so a one-row shape builds no list.  One iterator per row
-    sits on an explicit stack, so no recursion limit bounds the shape.  The
-    empty shape yields no group: its one filling, (), has no last row.
+    The rows allowed beneath a row depend only on that row cut to the
+    length of the row below, so they are computed once per cut and shared:
+
+    * beneath the first row, a lexicographic stream, the first rows with
+      one cut come one after another, so only the current run's list is
+      kept; if the second row is as long as the first, no cut comes back
+      and each first row gets a lazy filter, so memory stays that of one
+      stack of rows, as on a wide two-row shape;
+    * beneath any later row, a cut comes back under many prefixes, so its
+      rows are kept for the walk, as a list of references into the one
+      list of candidate rows of that length.
+
+    The first row is a plain stream, so a one-row shape builds no list.  One
+    iterator per row sits on an explicit stack, so no recursion limit bounds
+    the shape.  The empty shape yields no group: its one filling, (), has no
+    last row.
     """
     parts = shape.parts
     if not parts:
@@ -240,15 +251,35 @@ def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
     if not last:
         yield (), first
         return
+
+    def fits(above: tuple, rows) -> list[tuple[int, ...]]:
+        return [row for row in rows if all(map(column_ok, above, row))]
+
+    run_cut, run = None, []
+
+    def beneath_first(above: tuple):
+        nonlocal run_cut, run
+        if parts[1] == parts[0]:
+            return (row for row in combinations_with_replacement(values, parts[1])
+                    if all(map(column_ok, above, row)))
+        cut = above[:parts[1]]
+        if cut != run_cut:
+            run_cut = cut
+            run = fits(cut, combinations_with_replacement(values, parts[1]))
+        return run
+
+    candidates: dict[int, list[tuple[int, ...]]] = {}
     allowed: dict[tuple, list[tuple[int, ...]]] = {}
 
     def beneath(above: tuple, length: int) -> list[tuple[int, ...]]:
-        key = above[:length]
-        found = allowed.get(key)
+        cut = above[:length]
+        found = allowed.get(cut)
         if found is None:
-            found = allowed[key] = [
-                row for row in combinations_with_replacement(values, length)
-                if all(map(column_ok, key, row))]
+            pool = candidates.get(length)
+            if pool is None:
+                pool = candidates[length] = list(
+                    combinations_with_replacement(values, length))
+            found = allowed[cut] = fits(cut, pool)
         return found
 
     rows: list[tuple[int, ...]] = []
@@ -261,11 +292,14 @@ def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
                 rows.pop()
             continue
         rows.append(row)
-        if len(rows) == last:
-            yield tuple(rows), beneath(row, parts[last])
+        level = len(rows)
+        below = (beneath_first(row) if level == 1
+                 else beneath(row, parts[level]))
+        if level == last:
+            yield tuple(rows), below
             rows.pop()
         else:
-            stack.append(iter(beneath(row, parts[len(rows)])))
+            stack.append(iter(below))
 
 
 def _expand(shape: Partition, groups) -> Iterator[tuple]:

@@ -1,4 +1,6 @@
 import operator
+import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
@@ -261,6 +263,34 @@ def test_grouped_walker_matches_seed_walker_on_tall_shapes(parts, bound):
     # five or more rows: the rows allowed beneath a row are reused from
     # one level of the walk to the next
     assert_plane_partitions_match_seed(Partition(parts), bound)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes traced while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_two_row_walk_keeps_no_row_per_object():
+    # Beneath an uncut first row no cut comes back, so no row is kept;
+    # beneath a cut first row only the current run is.  Keeping the rows
+    # allowed beneath every first row would hold one row per object: about
+    # 6 MB on (22, 22), m=2, with 27.6k objects.  Rows are longer than 20
+    # entries, so CPython's tuple free lists, which hold freed tuples of at
+    # most 20 entries and count as traced, stay out of the peak.
+    refined_genfuns_by_enumeration(Partition([2, 2]), 1)  # warm up untraced
+    equal = traced_peak(
+        lambda: refined_genfuns_by_enumeration(Partition([22, 22]), 2))
+    assert equal < 16_384
+    rows = list(combinations_with_replacement(range(3), 21))
+    one_run = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+    cut = traced_peak(
+        lambda: refined_genfuns_by_enumeration(Partition([22, 21]), 2))
+    assert cut < 2 * one_run + 16_384
 
 
 @settings(max_examples=25, deadline=None)
