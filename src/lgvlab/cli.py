@@ -114,14 +114,20 @@ def _cmd_schur(args) -> int:
     if args.perm is not None and len(args.perm) != args.vars:
         raise ValueError(
             f"--perm has {len(args.perm)} entries, expected {args.vars}")
-    poly = schur_by_enumeration(args.shape, args.vars, args.guard_limit)
-    _emit(poly.to_json())
+    if args.perm is None:
+        poly = schur_by_enumeration(args.shape, args.vars,
+                                    args.guard_limit).to_json()
+    else:
+        # the report's polynomial comes from its own walk of the tableaux
+        report = verify_schur(args.shape, args.vars, args.perm,
+                              args.guard_limit)
+        poly = report["results"]["schur"]
+    _emit(poly)
     label = ",".join(str(p) for p in args.shape.parts) or "empty"
     _say(f"schur shape=({label}) vars={args.vars}: "
-         f"{len(poly.terms)} monomials")
+         f"{len(poly['terms'])} monomials")
     if args.perm is None:
         return 0
-    report = verify_schur(args.shape, args.vars, args.perm, args.guard_limit)
     _say_checks(report)
     return 0 if report_passed(report) else 1
 

@@ -1,9 +1,9 @@
-"""Partitions, bounded plane partitions, and semistandard Young tableaux.
+"""Partitions, and plane partitions and tableaux: one filling, two rules.
 
-A plane partition of shape lambda bounded by m is a filling of the Young
-diagram of lambda with integers in [0, m] that weakly decreases along rows
-and down columns.  Zero is a genuine entry here: "row contains 0" means the
-value 0 appears in the row, not that the row is short.
+A plane partition bounded by m has entries in [0, m], weakly decreasing
+along rows and down columns; a semistandard tableau in n variables has
+entries in [1, n], weakly increasing along rows and strictly down columns.
+Zero is a genuine entry: a row contains 0 when the value 0 appears in it.
 
 Enumeration orders are fixed and documented so that golden-file tests are
 byte-stable:
@@ -116,61 +116,107 @@ def enumerate_partitions(max_size: int) -> Iterator[Partition]:
             yield Partition(parts)
 
 
-class PlanePartition:
-    """Filling of a Young diagram with entries in [0, bound], weakly decreasing
-    along rows and down columns."""
+class _Filling:
+    """A filling of a Young diagram under its kind's rule; immutable,
+    hashable, and equal only to fillings of the same kind.
 
-    __slots__ = ("shape", "bound", "rows")
+    Each kind declares its rule once, for the constructor and the walker:
+    ``_values(bound)``, the alphabet in row order (empty exactly when the
+    bound is invalid); ``_column_ok(above, entry)``, the column test;
+    ``_kind`` and ``_bound_field`` for its JSON; and its refusal texts.
+    """
+
+    __slots__ = ("shape", "_bound", "rows")
 
     def __init__(self, shape: Partition, bound: int, rows):
-        if not isinstance(shape, Partition):
-            shape = Partition(shape)
-        if bound < 0:
-            raise ValueError(f"bound {bound} is negative")
+        shape = shape if isinstance(shape, Partition) else Partition(shape)
+        values = self._values(bound)
+        if not values:
+            raise ValueError(self._bad_bound.format(bound))
         rows = tuple(tuple(int(e) for e in row) for row in rows)
         if len(rows) != len(shape):
             raise ValueError(f"expected {len(shape)} rows, got {len(rows)}")
+        low, high = sorted((values[0], values[-1]))
+        # a row follows the alphabet's order: no step goes against its step
+        step, column_ok = values.step, self._column_ok
         for i, row in enumerate(rows):
             if len(row) != shape[i]:
                 raise ValueError(
                     f"rows[{i}]: expected {shape[i]} entries, got {len(row)}"
                 )
             for k, e in enumerate(row):
-                if not 0 <= e <= bound:
-                    raise ValueError(
-                        f"rows[{i}][{k}]: entry {e} outside [0, {bound}]"
-                    )
-                if k > 0 and row[k - 1] < e:
-                    raise ValueError(
-                        f"rows[{i}][{k}]: row not weakly decreasing "
-                        f"({row[k - 1]} < {e})"
-                    )
-                if i > 0 and k < shape[i - 1] and rows[i - 1][k] < e:
-                    raise ValueError(
-                        f"rows[{i}][{k}]: column not weakly decreasing "
-                        f"({rows[i - 1][k]} < {e})"
-                    )
+                if not low <= e <= high:
+                    problem = f"entry {e} outside [{low}, {high}]"
+                elif k > 0 and (e - row[k - 1]) * step < 0:
+                    problem = self._bad_row.format(row[k - 1], e)
+                elif i > 0 and not column_ok(rows[i - 1][k], e):
+                    problem = self._bad_column.format(rows[i - 1][k], e)
+                else:
+                    continue
+                raise ValueError(f"rows[{i}][{k}]: {problem}")
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "_bound", bound)
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
-        raise AttributeError("PlanePartition is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, PlanePartition):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.shape == other.shape
-            and self.bound == other.bound
+            and self._bound == other._bound
             and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.bound, self.rows))
+        return hash((self.shape, self._bound, self.rows))
 
     def __repr__(self) -> str:
-        return f"PlanePartition({list(self.shape.parts)}, {self.bound}, {[list(r) for r in self.rows]})"
+        return f"{type(self).__name__}({list(self.shape.parts)}, {self._bound}, {[list(r) for r in self.rows]})"
+
+    def to_json(self) -> dict:
+        return {
+            "shape": list(self.shape.parts),
+            self._bound_field: self._bound,
+            "rows": [list(r) for r in self.rows],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "_Filling":
+        return cls(*_filling_fields(data, cls._kind, cls._bound_field))
+
+    @classmethod
+    def _groups(cls, shape: Partition, bound: int) -> Iterator[tuple]:
+        """The ``_fillings`` groups of this kind's fillings of the shape."""
+        values = cls._values(bound)
+        if not values:
+            raise ValueError(cls._no_values)
+        return _fillings(shape, values, cls._column_ok)
+
+    @classmethod
+    def _enumerate(cls, shape: Partition, bound: int) -> Iterator["_Filling"]:
+        """This kind's fillings of the shape, in the order of the walk."""
+        shape = shape if isinstance(shape, Partition) else Partition(shape)
+        for rows in _expand(shape, cls._groups(shape, bound)):
+            yield cls(shape, bound, rows)
+
+
+class PlanePartition(_Filling):
+    """Filling of a Young diagram with entries in [0, bound], weakly decreasing
+    along rows and down columns."""
+
+    __slots__ = ()
+    bound = _Filling._bound  # the bound's slot, under this kind's name
+
+    _values = staticmethod(lambda bound: range(bound, -1, -1))
+    _column_ok = operator.ge
+    _kind, _bound_field = "plane partition", "max"
+    _bad_bound = "bound {} is negative"
+    _no_values = "bound must be nonnegative"
+    _bad_row = "row not weakly decreasing ({} < {})"
+    _bad_column = "column not weakly decreasing ({} < {})"
 
     def zero_rows(self) -> int:
         """Number of rows containing the entry 0 (i.e. whose last entry is 0)."""
@@ -179,18 +225,6 @@ class PlanePartition:
     def max_rows(self) -> int:
         """Number of rows containing the bound (i.e. whose first entry equals it)."""
         return _max_rows(self.rows, self.bound)
-
-    def to_json(self) -> dict:
-        return {
-            "shape": list(self.shape.parts),
-            "max": self.bound,
-            "rows": [list(r) for r in self.rows],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PlanePartition":
-        shape, bound, rows = _filling_fields(data, "plane partition", "max")
-        return cls(shape, bound, rows)
 
 
 def _filling_fields(data, kind: str, bound_field: str):
@@ -322,12 +356,6 @@ def _max_rows(rows, bound: int) -> int:
     return sum(row[0] == bound for row in rows)
 
 
-def _plane_partition_groups(shape: Partition, bound: int) -> Iterator[tuple]:
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    return _fillings(shape, range(bound, -1, -1), operator.ge)
-
-
 def enumerate_plane_partitions(
     shape: Partition, bound: int
 ) -> Iterator[PlanePartition]:
@@ -337,9 +365,7 @@ def enumerate_plane_partitions(
     The stream is exhaustive and duplicate-free; the all-zeros filling is
     always the final element.
     """
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    for rows in _expand(shape, _plane_partition_groups(shape, bound)):
-        yield PlanePartition(shape, bound, rows)
+    return PlanePartition._enumerate(shape, bound)
 
 
 def count_plane_partitions(shape: Partition, bound: int) -> int:
@@ -384,7 +410,7 @@ def refined_genfuns_by_enumeration(
     maxes = [0] * (len(shape) + 1)
     if not shape.parts:
         zeros[0] = maxes[0] = 1
-    for prefix, last_rows in _plane_partition_groups(shape, bound):
+    for prefix, last_rows in PlanePartition._groups(shape, bound):
         z, x = _zero_rows(prefix), _max_rows(prefix, bound)
         for row in last_rows:
             zeros[z + (row[-1] == 0)] += 1
@@ -411,61 +437,27 @@ def genfun_by_enumeration(
     return zeros if statistic == "zeros" else maxes
 
 
-class Tableau:
+class Tableau(_Filling):
     """Semistandard Young tableau: rows weakly increase, columns strictly
     increase, entries in [1, varcount]."""
 
-    __slots__ = ("shape", "varcount", "rows")
+    __slots__ = ()
+    varcount = _Filling._bound  # the bound's slot, under this kind's name
 
-    def __init__(self, shape: Partition, varcount: int, rows):
-        if not isinstance(shape, Partition):
-            shape = Partition(shape)
-        if varcount < 1:
-            raise ValueError(f"varcount {varcount} must be at least 1")
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
-        if len(rows) != len(shape):
-            raise ValueError(f"expected {len(shape)} rows, got {len(rows)}")
-        for i, row in enumerate(rows):
-            if len(row) != shape[i]:
-                raise ValueError(
-                    f"rows[{i}]: expected {shape[i]} entries, got {len(row)}"
-                )
-            for k, e in enumerate(row):
-                if not 1 <= e <= varcount:
-                    raise ValueError(
-                        f"rows[{i}][{k}]: entry {e} outside [1, {varcount}]"
-                    )
-                if k > 0 and row[k - 1] > e:
-                    raise ValueError(
-                        f"rows[{i}][{k}]: row not weakly increasing "
-                        f"({row[k - 1]} > {e})"
-                    )
-                if i > 0 and rows[i - 1][k] >= e:
-                    raise ValueError(
-                        f"rows[{i}][{k}]: column not strictly increasing "
-                        f"({rows[i - 1][k]} >= {e})"
-                    )
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "varcount", varcount)
-        object.__setattr__(self, "rows", rows)
+    _values = staticmethod(lambda varcount: range(1, varcount + 1))
+    _column_ok = operator.lt
+    _kind, _bound_field = "tableau", "vars"
+    _bad_bound = "varcount {} must be at least 1"
+    _no_values = "varcount must be at least 1"
+    _bad_row = "row not weakly increasing ({} > {})"
+    _bad_column = "column not strictly increasing ({} >= {})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tableau is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tableau):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.varcount == other.varcount
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.varcount, self.rows))
-
-    def __repr__(self) -> str:
-        return f"Tableau({list(self.shape.parts)}, {self.varcount}, {[list(r) for r in self.rows]})"
+    @classmethod
+    def _groups(cls, shape: Partition, varcount: int) -> Iterator[tuple]:
+        # a strictly increasing column holds at most varcount entries
+        if len(shape) > varcount > 0:
+            return iter(())
+        return super()._groups(shape, varcount)
 
     def column(self, j: int) -> tuple[int, ...]:
         """Entries of column j (0-based), top to bottom; strictly increasing."""
@@ -474,18 +466,6 @@ class Tableau:
     def weight(self) -> tuple[int, ...]:
         """Content vector: component t counts entries equal to t+1."""
         return _weight(self.rows, self.varcount)
-
-    def to_json(self) -> dict:
-        return {
-            "shape": list(self.shape.parts),
-            "vars": self.varcount,
-            "rows": [list(r) for r in self.rows],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Tableau":
-        shape, varcount, rows = _filling_fields(data, "tableau", "vars")
-        return cls(shape, varcount, rows)
 
 
 def _weight(rows, varcount: int) -> tuple[int, ...]:
@@ -497,23 +477,13 @@ def _weight(rows, varcount: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _tableau_groups(shape: Partition, varcount: int) -> Iterator[tuple]:
-    if varcount < 1:
-        raise ValueError("varcount must be at least 1")
-    if len(shape) > varcount:
-        return iter(())
-    return _fillings(shape, range(1, varcount + 1), operator.lt)
-
-
 def enumerate_tableaux(shape: Partition, varcount: int) -> Iterator[Tableau]:
     """Yield every semistandard tableau of the shape with entries <= varcount.
 
     Order is lexicographic on the row-major entry sequence, smallest first.
     The stream is empty exactly when the shape has more rows than varcount.
     """
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    for rows in _expand(shape, _tableau_groups(shape, varcount)):
-        yield Tableau(shape, varcount, rows)
+    return Tableau._enumerate(shape, varcount)
 
 
 def count_tableaux(shape: Partition, varcount: int) -> int:
@@ -554,4 +524,4 @@ def schur_by_enumeration(
     _guard_tableaux(shape, varcount, guard_limit)
     return MultiPoly(varcount, Counter(
         _weight(rows, varcount)
-        for rows in _expand(shape, _tableau_groups(shape, varcount))))
+        for rows in _expand(shape, Tableau._groups(shape, varcount))))

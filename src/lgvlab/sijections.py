@@ -24,6 +24,7 @@ SOURCE = "source"
 TARGET = "target"
 
 _SIGN_CHAR = {1: "+", -1: "-"}
+_MAX_PROBLEMS = 5
 
 
 class SijectionError(Exception):
@@ -264,12 +265,12 @@ def evaluate_with_trace(sij: Sijection, payload) -> tuple[object, list[Tagged]]:
     return image, steps
 
 
-def trace_to_json(steps: list[Tagged], serialize: Callable = None) -> list[dict]:
-    """Render trace steps as JSON rows {"element", "set", "sign"}."""
-    if serialize is None:
-        serialize = lambda p: p.to_json() if hasattr(p, "to_json") else p
-    return [{"element": serialize(payload), "set": label,
-             "sign": _SIGN_CHAR[sign]}
+def trace_to_json(steps: list[Tagged]) -> list[dict]:
+    """Render trace steps as JSON rows {"element", "set", "sign"}; an
+    element is its payload's ``to_json()``, or the payload itself."""
+    return [{"element": (payload.to_json() if hasattr(payload, "to_json")
+                         else payload),
+             "set": label, "sign": _SIGN_CHAR[sign]}
             for label, sign, payload in steps]
 
 
@@ -284,7 +285,7 @@ def _sides(sij: Sijection) -> tuple[list[Tagged], list[Tagged]]:
     return domain, codomain
 
 
-def check_sijection(sij: Sijection, max_problems: int = 5) -> list[str]:
+def check_sijection(sij: Sijection) -> list[str]:
     """Exhaustively verify that ``sij`` is a genuine sijection.
 
     Checks that forward maps S+ |_| T- bijectively onto S- |_| T+ and that
@@ -322,12 +323,11 @@ def check_sijection(sij: Sijection, max_problems: int = 5) -> list[str]:
     for y in codomain:
         if y not in seen:
             problems.append(f"forward is not surjective: {y!r} has no preimage")
-    return problems[:max_problems]
+    return problems[:_MAX_PROBLEMS]
 
 
 def check_compatibility(sij: Sijection, source_stat: Callable,
-                        target_stat: Callable,
-                        max_problems: int = 5) -> list[str]:
+                        target_stat: Callable) -> list[str]:
     """Verify that ``sij`` carries ``source_stat`` to ``target_stat``.
 
     A sijection is compatible with a pair of statistics when every element
@@ -351,4 +351,4 @@ def check_compatibility(sij: Sijection, source_stat: Callable,
         if stat(x) != stat(y):
             problems.append(f"statistic changes along backward: {y!r} has "
                             f"{stat(y)} but {x!r} has {stat(x)}")
-    return problems[:max_problems]
+    return problems[:_MAX_PROBLEMS]

@@ -108,7 +108,7 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
     ni, crossing = [], []
     for family in families:
         (ni if is_nonintersecting(family) else crossing).append(family)
-    signed_sum = sum(f.sign for f in families)
+    signed_sum = sijection.target.signed_size()
     det_count = count_ni_families(endpoints)
     perm_count = count_families(endpoints)
 
@@ -280,23 +280,16 @@ def sweep(max_size: int, max_bound: int,
         raise ValueError("max_bound must be nonnegative")
     started = time.perf_counter()
     checks = []
-    instances = 0
     for shape in enumerate_partitions(max_size):
         for bound in range(max_bound + 1):
-            instances += 1
-            zeros, maxes = refined_genfuns_by_enumeration(
-                shape, bound, guard_limit)
-            det = det_division_free(lgv_matrix(shape, bound))
-            ok = zeros == maxes == det
+            report = verify_theorem1(shape, bound, guard_limit)
+            found = report["results"]
             label = ",".join(str(p) for p in shape.parts) or "empty"
             checks.append(_check(
-                f"shape=({label}) max={bound}", ok,
-                None if ok else {
-                    "zeros": zeros.to_json(), "maxes": maxes.to_json(),
-                    "determinant": det.to_json(),
-                }))
+                f"shape=({label}) max={bound}", report_passed(report),
+                {key: found[key] for key in ("zeros", "maxes", "determinant")}))
     results = {
-        "instances": instances,
+        "instances": len(checks),
         "failures": sum(1 for c in checks if not c["passed"]),
     }
     instance = {"max_size": max_size, "max_bound": max_bound}

@@ -4,9 +4,14 @@ import sys
 
 import pytest
 
+import lgvlab.objects
 from lgvlab.bijections import zero_to_max_map
 from lgvlab.cli import build_parser, main
-from lgvlab.objects import Partition, enumerate_plane_partitions
+from lgvlab.objects import (
+    Partition,
+    enumerate_plane_partitions,
+    schur_by_enumeration,
+)
 
 
 def run(capsys, *argv):
@@ -185,6 +190,24 @@ def test_schur_with_perm_verifies(capsys):
                        "--perm", "2,1,3")
     assert code == 0
     assert "PASS weight-map-is-bijection" in err
+
+
+def test_schur_with_perm_walks_the_tableaux_once(capsys, monkeypatch):
+    walks = []
+    real = lgvlab.objects._fillings
+
+    def counting(shape, values, column_ok):
+        walks.append((shape.parts, values))
+        return real(shape, values, column_ok)
+
+    monkeypatch.setattr(lgvlab.objects, "_fillings", counting)
+    code, out, err = run(capsys, "schur", "--shape", "3,2,1", "--vars", "4",
+                         "--perm", "2,1,4,3")
+    assert code == 0
+    assert walks == [((3, 2, 1), range(1, 5))]
+    assert json.loads(out) == schur_by_enumeration(
+        Partition([3, 2, 1]), 4).to_json()
+    assert "schur shape=(3,2,1) vars=4: 38 monomials" in err
 
 
 def test_schur_perm_length_mismatch(capsys):

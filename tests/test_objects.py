@@ -304,6 +304,132 @@ def test_genfun_three_routes_agree(parts, bound):
     assert zeros == maxes == det
 
 
+# --- one validator for both kinds -------------------------------------------
+
+def oracle_plane_partition(shape, bound, rows):
+    """Independent oracle: the plane-partition rule spelled out cell by cell.
+
+    Returns the ``(repr, hash, to_json)`` of the plane partition, or raises
+    the ValueError that refuses it.
+    """
+    if bound < 0:
+        raise ValueError(f"bound {bound} is negative")
+    rows = tuple(tuple(int(e) for e in row) for row in rows)
+    if len(rows) != len(shape):
+        raise ValueError(f"expected {len(shape)} rows, got {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) != shape[i]:
+            raise ValueError(
+                f"rows[{i}]: expected {shape[i]} entries, got {len(row)}")
+        for k, e in enumerate(row):
+            if not 0 <= e <= bound:
+                raise ValueError(
+                    f"rows[{i}][{k}]: entry {e} outside [0, {bound}]")
+            if k > 0 and row[k - 1] < e:
+                raise ValueError(f"rows[{i}][{k}]: row not weakly decreasing "
+                                 f"({row[k - 1]} < {e})")
+            if i > 0 and k < shape[i - 1] and rows[i - 1][k] < e:
+                raise ValueError(
+                    f"rows[{i}][{k}]: column not weakly decreasing "
+                    f"({rows[i - 1][k]} < {e})")
+    listed = [list(r) for r in rows]
+    return (f"PlanePartition({list(shape.parts)}, {bound}, {listed})",
+            hash((shape, bound, rows)),
+            {"shape": list(shape.parts), "max": bound, "rows": listed})
+
+
+def oracle_tableau(shape, varcount, rows):
+    """Independent oracle: the tableau rule spelled out cell by cell.
+
+    Returns the ``(repr, hash, to_json)`` of the tableau, or raises the
+    ValueError that refuses it.
+    """
+    if varcount < 1:
+        raise ValueError(f"varcount {varcount} must be at least 1")
+    rows = tuple(tuple(int(e) for e in row) for row in rows)
+    if len(rows) != len(shape):
+        raise ValueError(f"expected {len(shape)} rows, got {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) != shape[i]:
+            raise ValueError(
+                f"rows[{i}]: expected {shape[i]} entries, got {len(row)}")
+        for k, e in enumerate(row):
+            if not 1 <= e <= varcount:
+                raise ValueError(
+                    f"rows[{i}][{k}]: entry {e} outside [1, {varcount}]")
+            if k > 0 and row[k - 1] > e:
+                raise ValueError(f"rows[{i}][{k}]: row not weakly increasing "
+                                 f"({row[k - 1]} > {e})")
+            if i > 0 and rows[i - 1][k] >= e:
+                raise ValueError(
+                    f"rows[{i}][{k}]: column not strictly increasing "
+                    f"({rows[i - 1][k]} >= {e})")
+    listed = [list(r) for r in rows]
+    return (f"Tableau({list(shape.parts)}, {varcount}, {listed})",
+            hash((shape, varcount, rows)),
+            {"shape": list(shape.parts), "vars": varcount, "rows": listed})
+
+
+def refusal_or(run):
+    """What ``run()`` returns, or the message of the ValueError it raises."""
+    try:
+        return run()
+    except ValueError as exc:
+        return str(exc)
+
+
+def fields(filling):
+    return repr(filling), hash(filling), filling.to_json()
+
+
+def misshapen(rows):
+    """The rows with one row too few or too many, or one row a cell short
+    or long."""
+    yield rows[:-1]
+    yield rows + [rows[-1] if rows else [1]]
+    for i, row in enumerate(rows):
+        yield rows[:i] + [row[:-1]] + rows[i + 1:]
+        yield rows[:i] + [row + row[-1:]] + rows[i + 1:]
+
+
+@pytest.mark.parametrize("make, oracle, bounds, alphabet, bad_bound", [
+    (PlanePartition, oracle_plane_partition, range(3),
+     lambda m: range(-1, m + 2), -1),
+    (Tableau, oracle_tableau, range(1, 4),
+     lambda n: range(0, n + 2), 0),
+], ids=["plane-partition", "tableau"])
+def test_one_validator_matches_each_rule_spelled_out(make, oracle, bounds,
+                                                     alphabet, bad_bound):
+    checked = accepted = 0
+    for shape in enumerate_partitions(4):
+        for bound in bounds:
+            for entries in product(alphabet(bound), repeat=shape.size()):
+                it = iter(entries)
+                rows = [[next(it) for _ in range(p)] for p in shape]
+                cases = [(bound, rows), (bad_bound, rows)]
+                cases += [(bound, bad) for bad in misshapen(rows)]
+                for b, r in cases:
+                    want = refusal_or(lambda: oracle(shape, b, r))
+                    assert refusal_or(lambda: fields(make(shape, b, r))) == want
+                    checked += 1
+                    accepted += not isinstance(want, str)
+    assert 0 < accepted < checked
+
+
+def test_fillings_of_two_kinds_never_equal():
+    pp = PlanePartition([1], 1, [[1]])
+    tableau = Tableau([1], 1, [[1]])
+    assert hash(pp) == hash(tableau)
+    assert pp != tableau and tableau != pp
+    assert len({pp, tableau}) == 2
+    assert (pp.shape, pp.bound, pp.rows) == (
+        tableau.shape, tableau.varcount, tableau.rows)
+    for filling, kind in ((pp, "PlanePartition"), (tableau, "Tableau")):
+        assert not hasattr(filling, "__dict__")
+        with pytest.raises(AttributeError, match=f"^{kind} is immutable$"):
+            filling.rows = ((0,),)
+
+
 # --- tableaux ---------------------------------------------------------------
 
 def test_tableau_validation():
