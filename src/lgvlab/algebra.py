@@ -67,6 +67,9 @@ class UniPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("UniPoly is immutable")
+
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
@@ -143,6 +146,9 @@ class MultiPoly:
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
+        raise AttributeError("MultiPoly is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("MultiPoly is immutable")
 
     def coefficient(self, exp: tuple[int, ...]) -> int:
@@ -224,6 +230,9 @@ class PolyMatrix:
         object.__setattr__(self, "entries", rows)
 
     def __setattr__(self, name, value):
+        raise AttributeError("PolyMatrix is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("PolyMatrix is immutable")
 
     def __getitem__(self, key: tuple[int, int]) -> UniPoly:

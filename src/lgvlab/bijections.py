@@ -57,6 +57,9 @@ class SwapCertificate:
     def __setattr__(self, name, value):
         raise AttributeError("SwapCertificate is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("SwapCertificate is immutable")
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SwapCertificate):
             return NotImplemented
@@ -138,6 +141,22 @@ def signed_family_set(endpoints: Endpoints,
     )
 
 
+class _Cancellation(Sijection):
+    """The sijection ``lgv_sijection`` returns, with its memo of tail swaps.
+
+    ``_swap(family)`` is ``tail_swap(family)``, image and certificate,
+    computed once per family for the life of the sijection.  Both maps read
+    swaps through it, and so can a caller that checks the involution.  It
+    is a closure over the memo, not a method: a bound method kept on the
+    instance would make a reference cycle, and the memo would then outlive
+    the sijection until the cycle collector ran.
+    """
+
+    def __init__(self, source, target, forward, backward, swap):
+        super().__init__("lgv", source, target, forward, backward)
+        self._swap = swap
+
+
 def lgv_sijection(endpoints: Endpoints,
                   guard_limit: int | None = None) -> Sijection:
     """Sijection from the non-intersecting families to all signed families.
@@ -148,26 +167,27 @@ def lgv_sijection(endpoints: Endpoints,
     signed count of all families equals the plain count of the
     non-intersecting ones.
 
-    Each family is swapped at most once per sijection: the images are kept
-    by input family, and both directions (and the inverse) share them.  The
-    reverse entry is never filled in from the involution, so backward still
-    computes its own swap and a checker can catch a swap that is not one.
+    Each family is swapped at most once per sijection: the swaps, image
+    and certificate, are kept by input family, and both directions (and
+    the inverse) share them.  The reverse entry is never filled in from the
+    involution, so backward still computes its own swap and a checker can
+    catch a swap that is not one.
     """
     source = nonintersecting_set(endpoints, guard_limit)
     target = signed_family_set(endpoints, guard_limit)
     swaps = {}
 
     def swap(family):
-        image = swaps.get(family)
-        if image is None:
-            image = swaps[family] = tail_swap(family)[0]
-        return image
+        result = swaps.get(family)
+        if result is None:
+            result = swaps[family] = tail_swap(family)
+        return result
 
     def forward(tagged):
         side, sign, family = tagged
         if side == SOURCE:
             return (TARGET, 1, family)
-        return (TARGET, 1, swap(family))
+        return (TARGET, 1, swap(family)[0])
 
     def backward(tagged):
         side, sign, family = tagged
@@ -176,9 +196,9 @@ def lgv_sijection(endpoints: Endpoints,
                 "the non-intersecting side has no negative part")
         if is_nonintersecting(family):
             return (SOURCE, 1, family)
-        return (TARGET, -1, swap(family))
+        return (TARGET, -1, swap(family)[0])
 
-    return Sijection("lgv", source, target, forward, backward)
+    return _Cancellation(source, target, forward, backward, swap)
 
 
 def reverse_paths(family: SignedPathFamily) -> SignedPathFamily:

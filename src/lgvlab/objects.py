@@ -47,6 +47,9 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Partition is immutable")
+
     def __len__(self) -> int:
         """Number of parts (rows)."""
         return len(self.parts)
@@ -159,6 +162,9 @@ class _Filling:
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:

@@ -67,6 +67,9 @@ class Path:
     def __setattr__(self, name, value):
         raise AttributeError("Path is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Path is immutable")
+
     def __len__(self) -> int:
         return len(self.word)
 
@@ -113,8 +116,10 @@ class Path:
         return cls((start[0], start[1]), data["word"])
 
 
-# Paths are immutable, so the transforms share one instance per (start,
-# word): each distinct path is validated, and its point set built, once.
+# Paths are immutable, so the family enumeration and the transforms share
+# one instance per (start, word): each distinct path is validated, and its
+# point set built, once, and a swap's image holds the very paths of the
+# enumerated family it equals, so comparing the two stops at identity.
 # A ping-pong orbit of a few hundred hops touches a few hundred distinct
 # paths, so the bound keeps whole orbits while capping the memory held
 # (each entry holds a point set as long as its word).
@@ -138,11 +143,16 @@ class Endpoints:
     def __setattr__(self, name, value):
         raise AttributeError("Endpoints is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Endpoints is immutable")
+
     @property
     def n(self) -> int:
         return len(self.a)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Endpoints):
             return NotImplemented
         return self.a == other.a and self.b == other.b
@@ -218,6 +228,9 @@ class SignedPathFamily:
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
+        raise AttributeError("SignedPathFamily is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("SignedPathFamily is immutable")
 
     @property
@@ -442,10 +455,11 @@ def enumerate_connection_paths(a: Point, b: Point) -> Iterator[Path]:
     if dx < 0 or dy < 0:
         return
     total = dx + dy
+    a = tuple(a)  # a cache key, hence hashable
     for east_positions in combinations(range(total), dx):
         chosen = set(east_positions)
         word = "".join("E" if t in chosen else "S" for t in range(total))
-        yield Path(a, word)
+        yield _path(a, word)
 
 
 def _connection_counts(endpoints: Endpoints) -> list[list[int]]:

@@ -222,6 +222,20 @@ def test_lgv_sijection_check_catches_a_swap_that_does_not_undo_itself(
     assert any(p.startswith("backward(forward(") for p in problems)
 
 
+def test_swap_images_hold_the_enumerated_paths():
+    # the enumeration and the tail swap build their paths through one
+    # cache, so a swap's image shares the path objects of the enumerated
+    # family it equals, and comparing the two stops at identity
+    ep = plane_partition_endpoints(Partition([3, 3, 2]), 2)
+    walked = {family: family for family in enumerate_families(ep)}
+    crossing = [family for family in walked if not is_nonintersecting(family)]
+    assert len(crossing) == 1020
+    for family in crossing:
+        image = tail_swap(family)[0]
+        twin = walked[image]
+        assert all(p is q for p, q in zip(image.paths, twin.paths))
+
+
 # --- word-level symmetries -------------------------------------------------
 
 def test_reverse_paths_involution_and_statistic_swap():

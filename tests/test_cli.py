@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
 
+import lgvlab
 import lgvlab.objects
 from lgvlab.bijections import zero_to_max_map
 from lgvlab.cli import build_parser, main
@@ -353,3 +357,17 @@ def test_bijection_never_consults_a_generating_function(monkeypatch):
     assert [image.max_rows() for image in images] == [
         pp.zero_rows() for pp in pps]
     assert len(set(images)) == len(pps) == 14
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # ``python -m lgvlab`` is the command line without an installed script
+    code, expected, _ = run(capsys, "genfun", "--shape", "2,1", "--max", "2")
+    src = str(pathlib.Path(lgvlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-m", "lgvlab", "genfun", "--shape", "2,1",
+         "--max", "2"], env=env, capture_output=True, text=True, timeout=60)
+    assert (code, done.returncode) == (0, 0)
+    assert done.stdout == expected

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgvlab.algebra import UniPoly, det_division_free, lgv_matrix
+from lgvlab.algebra import (
+    MultiPoly,
+    PolyMatrix,
+    UniPoly,
+    det_division_free,
+    lgv_matrix,
+)
+from lgvlab.bijections import SwapCertificate
 from lgvlab.guards import GuardExceeded
 from lgvlab.objects import (
     Partition,
@@ -23,6 +30,7 @@ from lgvlab.objects import (
     refined_genfuns_by_enumeration,
     schur_by_enumeration,
 )
+from lgvlab.paths import Endpoints, Path, SignedPathFamily
 
 
 # --- partitions ------------------------------------------------------------
@@ -428,6 +436,34 @@ def test_fillings_of_two_kinds_never_equal():
         assert not hasattr(filling, "__dict__")
         with pytest.raises(AttributeError, match=f"^{kind} is immutable$"):
             filling.rows = ((0,),)
+
+
+def _one_path_family():
+    endpoints = Endpoints([(0, 0)], [(1, -1)])
+    return SignedPathFamily(endpoints, [0], [Path((0, 0), "ES")])
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: Partition([2, 1]), "parts"),
+    (lambda: PlanePartition([2, 1], 2, [[2, 0], [1]]), "rows"),
+    (lambda: Tableau([2, 1], 3, [[1, 1], [2]]), "rows"),
+    (lambda: UniPoly([1, 2]), "coeffs"),
+    (lambda: MultiPoly(2, {(1, 0): 1}), "terms"),
+    (lambda: PolyMatrix([[UniPoly([1])]]), "entries"),
+    (lambda: Path((0, 0), "ES"), "word"),
+    (lambda: Endpoints([(0, 0)], [(1, -1)]), "a"),
+    (_one_path_family, "paths"),
+    (lambda: SwapCertificate((0, 0), (0, 1)), "point"),
+], ids=["Partition", "PlanePartition", "Tableau", "UniPoly", "MultiPoly",
+        "PolyMatrix", "Path", "Endpoints", "SignedPathFamily",
+        "SwapCertificate"])
+def test_value_classes_refuse_del(make, field):
+    obj = make()
+    before = (repr(obj), hash(obj))
+    with pytest.raises(AttributeError,
+                       match=f"^{type(obj).__name__} is immutable$"):
+        delattr(obj, field)
+    assert (repr(obj), hash(obj)) == before
 
 
 # --- tableaux ---------------------------------------------------------------

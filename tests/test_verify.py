@@ -149,6 +149,62 @@ def test_verify_lgv_walks_the_families_once(monkeypatch):
     assert set(rejected).isdisjoint(swapped)
 
 
+def test_verify_lgv_swaps_each_crossing_family_once(monkeypatch):
+    # the involution check and the sijection's checkers share one memo:
+    # one successful swap per crossing family, one refused swap per
+    # non-intersecting family (the rejection check)
+    swapped, rejected = collections.Counter(), collections.Counter()
+    real = lgvlab.bijections.tail_swap
+
+    def counting_swap(family):
+        try:
+            result = real(family)
+        except ValueError:
+            rejected[family] += 1
+            raise
+        swapped[family] += 1
+        return result
+
+    monkeypatch.setattr(lgvlab.bijections, "tail_swap", counting_swap)
+    monkeypatch.setattr(verify, "tail_swap", counting_swap)
+    report = verify_lgv((3, 3, 2), 2)
+    assert report_passed(report)
+    assert (sum(swapped.values()), len(swapped)) == (1020, 1020)
+    assert (sum(rejected.values()), len(rejected)) == (155, 155)
+
+
+def test_verify_lgv_reports_a_swap_that_does_not_undo_itself(monkeypatch):
+    # the involution check reads its swaps through the sijection's memo, so
+    # a broken swap shows in both the involution and the bijectivity checks
+    real = lgvlab.bijections.tail_swap
+
+    def one_sided(family):
+        swapped, cert = real(family)
+        return (swapped if family.sign == -1 else family), cert
+
+    monkeypatch.setattr(lgvlab.bijections, "tail_swap", one_sided)
+    report = verify_lgv((2, 1), 2)
+    assert not _check_named(report, "tail-swap-involution")["passed"]
+    assert not _check_named(report, "sijection-bijective")["passed"]
+
+
+def test_verify_theorem1_counts_in_closed_form_once(monkeypatch):
+    calls = []
+    real = lgvlab.objects.count_plane_partitions
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lgvlab.objects, "count_plane_partitions", counting)
+    monkeypatch.setattr(verify, "count_plane_partitions", counting,
+                        raising=False)
+    report = verify_theorem1((3, 2, 1), 2)
+    assert report_passed(report)
+    assert report["results"]["count"] == real(Partition([3, 2, 1]), 2)
+    assert len(calls) == 1
+
+
 def test_verify_lgv_guard_propagates():
     with pytest.raises(GuardExceeded):
         verify_lgv(Partition([2, 1]), 2, guard_limit=3)
