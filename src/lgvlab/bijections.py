@@ -45,14 +45,29 @@ class SwapCertificate:
     The same certificate describes the swap and its undoing, which is what
     makes the involution checkable step by step.  Path indices are stored
     zero-based; the JSON form is one-indexed to match the family format.
+    The tail swap builds its certificates through ``_trusted``, which does
+    not check them again.
     """
 
+    __slots__ = ("point", "paths")
+
     def __init__(self, point, paths):
-        object.__setattr__(self, "point", (int(point[0]), int(point[1])))
+        point = (int(point[0]), int(point[1]))
         i, j = paths
         if not 0 <= i < j:
             raise ValueError("certificate path indices must satisfy 0 <= i < j")
-        object.__setattr__(self, "paths", (int(i), int(j)))
+        self._fill(point, (int(i), int(j)))
+
+    @classmethod
+    def _trusted(cls, point: tuple, paths: tuple) -> "SwapCertificate":
+        """The certificate of an integer point and integer indices i < j."""
+        self = object.__new__(cls)
+        self._fill(point, paths)
+        return self
+
+    def _fill(self, point: tuple, paths: tuple) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "paths", paths)
 
     def __setattr__(self, name, value):
         raise AttributeError("SwapCertificate is immutable")
@@ -119,8 +134,11 @@ def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertifica
     new_paths[j] = _path(paths[j].start, word_j[:cut_j] + word_i[cut_i:])
     new_sigma = list(family.sigma)
     new_sigma[i], new_sigma[j] = new_sigma[j], new_sigma[i]
-    swapped = SignedPathFamily(family.endpoints, new_sigma, new_paths)
-    return swapped, SwapCertificate(point, (i, j))
+    # Path i now ends where path j did, at b_{sigma(j)}, and the other way
+    # round, so the swapped family is valid by construction.
+    swapped = SignedPathFamily._trusted(
+        family.endpoints, tuple(new_sigma), tuple(new_paths))
+    return swapped, SwapCertificate._trusted(point, (i, j))
 
 
 def nonintersecting_set(endpoints: Endpoints,
@@ -208,10 +226,10 @@ def reverse_paths(family: SignedPathFamily) -> SignedPathFamily:
     permutation; it exchanges the last-step-east and first-step-east
     statistics.
     """
-    return SignedPathFamily(
+    return SignedPathFamily._trusted(
         family.endpoints,
         family.sigma,
-        [_path(p.start, p.word[::-1]) for p in family.paths],
+        tuple(_path(p.start, p.word[::-1]) for p in family.paths),
     )
 
 
@@ -239,7 +257,12 @@ def permute_steps(family: SignedPathFamily, positions) -> SignedPathFamily:
         for t, ch in enumerate(path.word):
             letters[positions[t]] = ch
         new_paths.append(_path(path.start, "".join(letters)))
-    return SignedPathFamily(family.endpoints, family.sigma, new_paths)
+    # Every word keeps its letters, hence its end, exactly when every
+    # position was filled; otherwise the constructor says which path broke.
+    if any(len(path.word) != n for path in new_paths):
+        return SignedPathFamily(family.endpoints, family.sigma, new_paths)
+    return SignedPathFamily._trusted(
+        family.endpoints, family.sigma, tuple(new_paths))
 
 
 def _invert_positions(positions) -> tuple[int, ...]:

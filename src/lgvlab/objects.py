@@ -127,6 +127,10 @@ class _Filling:
     ``_values(bound)``, the alphabet in row order (empty exactly when the
     bound is invalid); ``_column_ok(above, entry)``, the column test;
     ``_kind`` and ``_bound_field`` for its JSON; and its refusal texts.
+
+    The constructor and ``from_json`` check every cell; the walker's rows
+    are valid by construction, so ``_enumerate`` builds its fillings
+    through ``_trusted``, which does not check them again.
     """
 
     __slots__ = ("shape", "_bound", "rows")
@@ -157,6 +161,17 @@ class _Filling:
                 else:
                     continue
                 raise ValueError(f"rows[{i}][{k}]: {problem}")
+        self._fill(shape, bound, rows)
+
+    @classmethod
+    def _trusted(cls, shape: Partition, bound: int, rows: tuple) -> "_Filling":
+        """The filling of ``rows``, a tuple of row tuples already known to
+        obey this kind's rule on the shape and bound."""
+        self = object.__new__(cls)
+        self._fill(shape, bound, rows)
+        return self
+
+    def _fill(self, shape: Partition, bound: int, rows: tuple) -> None:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_bound", bound)
         object.__setattr__(self, "rows", rows)
@@ -205,8 +220,9 @@ class _Filling:
     def _enumerate(cls, shape: Partition, bound: int) -> Iterator["_Filling"]:
         """This kind's fillings of the shape, in the order of the walk."""
         shape = shape if isinstance(shape, Partition) else Partition(shape)
+        trusted = cls._trusted
         for rows in _expand(shape, cls._groups(shape, bound)):
-            yield cls(shape, bound, rows)
+            yield trusted(shape, bound, rows)
 
 
 class PlanePartition(_Filling):

@@ -128,9 +128,13 @@ _path = lru_cache(maxsize=_PATH_CACHE_SIZE)(Path)
 
 
 class Endpoints:
-    """Ordered start points a_1..a_n and end points b_1..b_n."""
+    """Ordered start points a_1..a_n and end points b_1..b_n.
 
-    __slots__ = ("a", "b")
+    The number of signed families on them is computed on first use, by
+    ``_family_count``, and kept (``_count``).
+    """
+
+    __slots__ = ("a", "b", "_count")
 
     def __init__(self, a, b):
         a = tuple((int(x), int(y)) for x, y in a)
@@ -139,6 +143,7 @@ class Endpoints:
             raise ValueError(f"{len(a)} start points but {len(b)} end points")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_count", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Endpoints is immutable")
@@ -199,11 +204,17 @@ class SignedPathFamily:
     """Paths p_1..p_n with p_i running from a_i to b_{sigma(i)}.
 
     ``sigma`` is stored 0-based; the sign of the family is the sign of sigma
-    and is computed, never stored.  The hash is computed on first use and
-    cached.
+    and is computed, never stored.  The hash and the disjointness (see
+    ``is_nonintersecting``) are computed on first use and cached.
+
+    The constructor checks every path against its endpoints; so does
+    ``from_json``, which goes through it.  The families the library builds
+    from parts it has already checked (the enumeration, the tail swap, the
+    word transforms and the encoders) go through ``_trusted`` instead,
+    which fills the slots without checking them again.
     """
 
-    __slots__ = ("endpoints", "sigma", "paths", "_hash")
+    __slots__ = ("endpoints", "sigma", "paths", "_hash", "_ni")
 
     def __init__(self, endpoints: Endpoints, sigma, paths):
         sigma = tuple(int(s) for s in sigma)
@@ -222,10 +233,24 @@ class SignedPathFamily:
                 raise ValueError(
                     f"paths[{i}] ends at {p.end}, expected {endpoints.b[sigma[i]]}"
                 )
+        self._fill(endpoints, sigma, paths)
+
+    @classmethod
+    def _trusted(cls, endpoints: Endpoints, sigma: tuple,
+                 paths: tuple) -> "SignedPathFamily":
+        """The family of ``sigma``, a tuple of ints, and ``paths``, a tuple
+        of paths already known to run from each a_i to b_{sigma(i)}; nothing
+        is checked again."""
+        self = object.__new__(cls)
+        self._fill(endpoints, sigma, paths)
+        return self
+
+    def _fill(self, endpoints: Endpoints, sigma: tuple, paths: tuple) -> None:
         object.__setattr__(self, "endpoints", endpoints)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_ni", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedPathFamily is immutable")
@@ -283,15 +308,27 @@ class SignedPathFamily:
         return cls(endpoints, sigma, paths)
 
 
-def is_nonintersecting(family: SignedPathFamily) -> bool:
-    """True when no lattice point lies on two distinct paths of the family."""
+def _disjoint(paths) -> bool:
+    """True when no lattice point lies on two of the paths."""
     seen: set[Point] = set()
-    for path in family.paths:
+    for path in paths:
         points = path._point_set()
         if not seen.isdisjoint(points):
             return False
         seen |= points
     return True
+
+
+def is_nonintersecting(family: SignedPathFamily) -> bool:
+    """True when no lattice point lies on two distinct paths of the family.
+
+    The paths are scanned once per family object; the answer is kept on it.
+    """
+    ni = family._ni
+    if ni is None:
+        ni = _disjoint(family.paths)
+        object.__setattr__(family, "_ni", ni)
+    return ni
 
 
 def pp_encode(pp: PlanePartition) -> SignedPathFamily:
@@ -314,7 +351,8 @@ def pp_encode(pp: PlanePartition) -> SignedPathFamily:
             souths = need
         word.append("S" * (pp.bound - souths))
         paths.append(Path((-i, -i), "".join(word)))
-    return SignedPathFamily(endpoints, range(len(paths)), paths)
+    return SignedPathFamily._trusted(
+        endpoints, tuple(range(len(paths))), tuple(paths))
 
 
 def _check_decodable(family: SignedPathFamily, expected: Endpoints, instance: str):
@@ -365,7 +403,8 @@ def ssyt_encode(tableau: Tableau) -> SignedPathFamily:
         entries = set(tableau.column(j))
         word = "".join("E" if t in entries else "S" for t in range(1, n + 1))
         paths.append(Path((-(j + 1), -(j + 1)), word))
-    return SignedPathFamily(endpoints, range(len(paths)), paths)
+    return SignedPathFamily._trusted(
+        endpoints, tuple(range(len(paths))), tuple(paths))
 
 
 def ssyt_decode(
@@ -496,6 +535,17 @@ def count_families(endpoints: Endpoints) -> int:
     return total
 
 
+def _family_count(endpoints: Endpoints) -> int:
+    """``count_families(endpoints)``, computed once per endpoints object, so
+    the guard of a walk and a report on the same endpoints read one
+    permanent."""
+    count = endpoints._count
+    if count is None:
+        count = count_families(endpoints)
+        object.__setattr__(endpoints, "_count", count)
+    return count
+
+
 def count_ni_families(endpoints: Endpoints) -> int:
     """Number of non-intersecting families: the determinant of the
     connection-count matrix."""
@@ -516,14 +566,16 @@ def _reachable_permutations(counts, prefix=()) -> Iterator[tuple[int, ...]]:
 
 def _families(endpoints: Endpoints, sigmas) -> Iterator[SignedPathFamily]:
     """Yield the families over each permutation in ``sigmas`` in turn, the
-    per-connection path streams in lexicographic product order."""
+    per-connection path streams in lexicographic product order.  Each
+    path joins its endpoints by construction, so no family is checked."""
+    trusted = SignedPathFamily._trusted
     for sigma in sigmas:
         streams = [
             list(enumerate_connection_paths(a, endpoints.b[s]))
             for a, s in zip(endpoints.a, sigma)
         ]
         for paths in product(*streams):
-            yield SignedPathFamily(endpoints, sigma, paths)
+            yield trusted(endpoints, sigma, paths)
 
 
 def enumerate_families(
@@ -536,7 +588,7 @@ def enumerate_families(
     Permutations with an unreachable connection contribute no families
     and are never visited.
     """
-    check_guard("path families", count_families(endpoints), guard_limit)
+    check_guard("path families", _family_count(endpoints), guard_limit)
     counts = _connection_counts(endpoints)
     yield from _families(endpoints, _reachable_permutations(counts))
 

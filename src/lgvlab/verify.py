@@ -31,6 +31,7 @@ from .objects import (
     refined_genfuns_by_enumeration,
 )
 from .paths import (
+    _family_count,
     count_families,
     count_ni_families,
     first_step_east_count,
@@ -108,7 +109,8 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     endpoints = plane_partition_endpoints(shape, bound)
     # The sijection's signed set keeps its stream, so this walk is the only
-    # one: the checkers below replay it.
+    # one: the checkers below replay it.  The walk's guard computes the
+    # permanent and keeps it on the endpoints; the report reads it there.
     sijection = lgv_sijection(endpoints, guard_limit)
     families = [family for family, _ in sijection.target.elements()]
     ni, crossing = [], []
@@ -116,7 +118,7 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
         (ni if is_nonintersecting(family) else crossing).append(family)
     signed_sum = sijection.target.signed_size()
     det_count = count_ni_families(endpoints)
-    perm_count = count_families(endpoints)
+    perm_count = _family_count(endpoints)
 
     # The involution check swaps through the sijection's memo, so each
     # crossing family is swapped once here and the checkers below replay

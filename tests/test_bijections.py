@@ -273,6 +273,15 @@ def test_permute_steps_rejects_wrong_length():
         permute_steps(family, (0, 1))
 
 
+def test_permute_steps_refuses_repeated_positions():
+    # a repeated position drops a step, so a path no longer reaches its
+    # end; the family is refused by the validating constructor
+    ep = tableau_endpoints(Partition([2, 1]), 3)
+    for family in enumerate_families(ep):
+        with pytest.raises(ValueError, match=r"^paths\[\d\] ends at .*, expected"):
+            permute_steps(family, (0, 0, 1))
+
+
 def test_step_permutation_sijection_checks():
     ep = tableau_endpoints(Partition([2]), 2)
     sij = step_permutation_sijection(ep, (1, 0))

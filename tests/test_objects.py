@@ -21,6 +21,7 @@ from lgvlab.objects import (
     Partition,
     PlanePartition,
     Tableau,
+    _Filling,
     count_plane_partitions,
     count_tableaux,
     enumerate_partitions,
@@ -163,6 +164,21 @@ def test_deep_shapes_enumerate_without_recursion():
         assert genfun_by_enumeration(row, 1, statistic) == UniPoly((1, 1500))
     assert len(list(enumerate_tableaux(Partition([1200]), 1))) == 1
     assert len(list(enumerate_plane_partitions(Partition([1] * 1200), 0))) == 1
+
+
+def test_enumeration_runs_no_validating_constructor(monkeypatch):
+    # the walker's rows obey the rule by construction
+    calls = []
+    real = _Filling.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(_Filling, "__init__", counting)
+    assert len(list(enumerate_plane_partitions(Partition([2, 2]), 2))) == 20
+    assert len(list(enumerate_tableaux(Partition([2, 1]), 3))) == 8
+    assert calls == []
 
 
 def oracle_fillings(shape, make, alphabet):

@@ -1,0 +1,105 @@
+"""The library builds families, swap certificates and fillings from parts it
+has already checked without checking them again.  Under the ``validating``
+fixture every such value goes through the public validating constructor
+instead: nothing may raise, and every output must be the same."""
+
+import pytest
+
+import lgvlab.bijections
+from lgvlab.bijections import (
+    tail_swap,
+    weight_permutation_map,
+    zero_to_max_map,
+)
+from lgvlab.objects import (
+    Partition,
+    enumerate_partitions,
+    enumerate_plane_partitions,
+    enumerate_tableaux,
+)
+from lgvlab.paths import (
+    SignedPathFamily,
+    enumerate_families,
+    is_nonintersecting,
+    plane_partition_endpoints,
+)
+from lgvlab.verify import verify_lgv
+
+
+def test_enumerations_are_unchanged_when_validated(validating):
+    # every shape of at most 7 cells: 42k plane partitions with m <= 4,
+    # and the tableaux with at most 4 variables
+    walks = [(walk, shape, bound) for shape in enumerate_partitions(7)
+             for walk, bounds in ((enumerate_plane_partitions, range(5)),
+                                  (enumerate_tableaux, range(1, 5)))
+             for bound in bounds]
+    trusted = [list(walk(shape, bound)) for walk, shape, bound in walks]
+    with validating():
+        checked = [list(walk(shape, bound)) for walk, shape, bound in walks]
+    assert checked == trusted
+    assert sum(map(len, trusted)) == 42_155 + 2_627
+
+
+def _swaps(endpoints):
+    families = list(enumerate_families(endpoints))
+    return families, [tail_swap(family) for family in families
+                      if not is_nonintersecting(family)]
+
+
+def test_tail_swaps_and_lgv_reports_are_unchanged_when_validated(validating):
+    # every verify-lgv instance of at most 6 cells with m <= 2: the walk,
+    # every tail swap with its certificate, and the whole report
+    instances = [(shape, bound) for shape in enumerate_partitions(6)
+                 for bound in range(3)]
+
+    def run():
+        out = []
+        for shape, bound in instances:
+            report = verify_lgv(shape, bound)
+            del report["runtime_ms"]
+            out.append((_swaps(plane_partition_endpoints(shape, bound)),
+                        report))
+        return out
+
+    trusted = run()
+    with validating():
+        checked = run()
+    assert checked == trusted
+    assert sum(len(swaps) for (_, swaps), _ in trusted) > 1000
+
+
+def test_hop_pin_traces_are_unchanged_when_validated(validating):
+    # the elements of the tier-1 hop pin, and a weight-permuting map, whose
+    # ping-pong goes through the step permutation and the tableau encoding
+    pps = [pp for _, pp in zip(range(200), enumerate_plane_partitions(
+        Partition([4, 4, 4]), 4))]
+    tableaux = list(enumerate_tableaux(Partition([3, 2, 1]), 4))
+
+    def run():
+        return ([zero_to_max_map(pp, with_trace=True) for pp in pps],
+                [weight_permutation_map(t, (3, 1, 4, 2), with_trace=True)
+                 for t in tableaux])
+
+    trusted = run()
+    with validating():
+        checked = run()
+    assert checked == trusted
+    assert sum(len(trace["steps"]) for _, trace in trusted[0]) == 9280
+
+
+def test_validating_catches_a_swap_that_forgets_to_transpose_sigma(
+        validating, monkeypatch):
+    # built through the private path, the swapped paths keep the input's
+    # sigma and no longer end where it says: only validation can tell
+    real = tail_swap
+
+    def forgetful(family):
+        swapped, cert = real(family)
+        return (SignedPathFamily._trusted(
+            family.endpoints, family.sigma, swapped.paths), cert)
+
+    monkeypatch.setattr(lgvlab.bijections, "tail_swap", forgetful)
+    shape = Partition([2, 1])
+    verify_lgv(shape, 2)
+    with validating(), pytest.raises(ValueError, match=r"ends at .*, expected"):
+        verify_lgv(shape, 2)

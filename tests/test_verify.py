@@ -173,6 +173,71 @@ def test_verify_lgv_swaps_each_crossing_family_once(monkeypatch):
     assert (sum(rejected.values()), len(rejected)) == (155, 155)
 
 
+def test_verify_lgv_computes_the_permanent_once(monkeypatch):
+    # the walk's guard computes it and the report reads the same value;
+    # building the sijection computes nothing
+    calls = []
+    real = lgvlab.paths.count_families
+
+    def counting(endpoints):
+        calls.append(endpoints)
+        return real(endpoints)
+
+    monkeypatch.setattr(lgvlab.paths, "count_families", counting)
+    monkeypatch.setattr(verify, "count_families", counting)
+    lgvlab.bijections.lgv_sijection(
+        lgvlab.paths.plane_partition_endpoints(Partition([3, 3, 2]), 2))
+    assert calls == []
+    report = verify_lgv((3, 3, 2), 2)
+    assert report_passed(report)
+    assert len(calls) == 1
+    assert _check_named(report, "family-count-matches-permanent")["passed"]
+
+
+def test_verify_lgv_refuses_before_building_a_family(monkeypatch):
+    built = []
+    real = lgvlab.paths.SignedPathFamily._trusted
+    monkeypatch.setattr(lgvlab.paths.SignedPathFamily, "_trusted", classmethod(
+        lambda cls, *args: built.append(args) or real(*args)))
+    with pytest.raises(GuardExceeded, match=(
+            r"^path families: projected size 1175 exceeds guard limit 1000$")):
+        verify_lgv((3, 3, 2), 2, guard_limit=1000)
+    assert built == []
+
+
+def test_verify_lgv_builds_no_value_through_a_validating_constructor(
+        monkeypatch):
+    # the walk, the swaps and their certificates come from checked parts;
+    # on this instance the constructors used to run 2,795 and 1,020 times
+    calls = collections.Counter()
+    for cls in (lgvlab.paths.SignedPathFamily,
+                lgvlab.bijections.SwapCertificate):
+        def counting(self, *args, real=cls.__init__, name=cls.__name__):
+            calls[name] += 1
+            real(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert report_passed(verify_lgv((3, 3, 2), 2))
+    assert calls == {}
+
+
+def test_verify_lgv_scans_each_family_for_disjointness_once(monkeypatch):
+    # 1,175 families and the swap images read back by the checkers; the
+    # scans used to number 3,770, about three per family
+    scans = collections.Counter()
+    held = []  # keeps every scanned tuple alive, so no id is reused
+    real = lgvlab.paths._disjoint
+
+    def counting(paths):
+        held.append(paths)
+        scans[id(paths)] += 1
+        return real(paths)
+
+    monkeypatch.setattr(lgvlab.paths, "_disjoint", counting)
+    assert report_passed(verify_lgv((3, 3, 2), 2))
+    assert max(scans.values()) == 1
+    assert 1175 <= sum(scans.values()) < 3770
+
+
 def test_verify_lgv_reports_a_swap_that_does_not_undo_itself(monkeypatch):
     # the involution check reads its swaps through the sijection's memo, so
     # a broken swap shows in both the involution and the bijectivity checks
