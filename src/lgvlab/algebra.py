@@ -7,10 +7,14 @@ mathematical equality.  They support evaluation, equality, JSON and, for
 ``MultiPoly``, a permutation of the variables; there is no ring arithmetic,
 since no route of the package adds or multiplies polynomials.
 
-Determinants have one algorithm, the fraction-free integer elimination
-``det_int``.  A polynomial determinant is ``det_int`` evaluated at d + 1
-points, d a bound on its degree, followed by exact interpolation; there is
-no size cap.
+Determinants have one algorithm, the fraction-free (Bareiss) integer
+elimination ``_bareiss``, which leaves alone the rows that elimination
+would only rescale (those still zero up to the pivot column); ``det_int``
+is its public entry point, refusing anything but int entries.  A
+polynomial determinant is ``_bareiss`` on the matrix evaluated at d + 1
+points, d a bound on its degree, followed by exact interpolation; the
+evaluation is Horner over the matrix's integer coefficient layers, kept on
+the ``PolyMatrix``.  There is no size cap.
 
 All values are immutable once constructed and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
@@ -40,6 +44,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _ints(values, field: str) -> tuple:
+    """``values`` as a tuple, refusing with ValueError any value that is not
+    a genuine integer (a float, bool or string is refused, not truncated)."""
+    values = tuple(values)
+    for value in values:
+        # the exact-type test settles plain ints without a call
+        if type(value) is not int and not _is_int(value):
+            k = next(k for k, v in enumerate(values) if not _is_int(v))
+            raise ValueError(f"{field}[{k}]: {value!r} is not an integer")
+    return values
+
+
 def _json_coefficient(value, where: str) -> int:
     """A coefficient read from JSON: an integer or a decimal string."""
     if _is_int(value) or (isinstance(value, str)
@@ -53,16 +69,18 @@ class UniPoly:
     """Univariate polynomial with integer coefficients.
 
     ``coeffs[k]`` is the coefficient of x**k.  The stored tuple never has
-    trailing zeros; the zero polynomial is the empty tuple.
+    trailing zeros; the zero polynomial is the empty tuple.  A coefficient
+    that is not an int is refused with ValueError.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        coeffs = _ints(coeffs, "coeffs")
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", coeffs[:end])
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -216,9 +234,14 @@ class MultiPoly:
 
 
 class PolyMatrix:
-    """Square matrix of UniPoly entries."""
+    """Square matrix of UniPoly entries.
 
-    __slots__ = ("n", "entries")
+    Its coefficient layers, one integer matrix per power of x up to the
+    largest entry degree (at least one), are computed on first use and kept
+    (``_layers``); ``evaluate`` runs Horner over them.
+    """
+
+    __slots__ = ("n", "entries", "_layers")
 
     def __init__(self, entries: Iterable[Iterable[UniPoly]]):
         rows = tuple(tuple(row) for row in entries)
@@ -228,6 +251,7 @@ class PolyMatrix:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_layers", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -243,23 +267,36 @@ class PolyMatrix:
         return f"PolyMatrix({self.entries!r})"
 
     def evaluate(self, value: int) -> list[list[int]]:
-        """Entrywise evaluation at an integer point."""
-        return [[p(value) for p in row] for row in self.entries]
+        """Entrywise evaluation at an integer point, as a new list of int
+        lists: Horner over the coefficient layers, a row at a time."""
+        layers = self._layers
+        if layers is None:
+            width = max([len(p.coeffs) for row in self.entries for p in row]
+                        + [1])
+            layers = [[[p.coeffs[k] if k < len(p.coeffs) else 0 for p in row]
+                       for row in self.entries] for k in range(width)]
+            object.__setattr__(self, "_layers", layers)
+        acc = [list(row) for row in layers[-1]]
+        for layer in reversed(layers[:-1]):
+            acc = [[e * value + c for e, c in zip(row, coeffs)]
+                   for row, coeffs in zip(acc, layer)]
+        return acc
 
 
 def det_division_free(matrix: PolyMatrix) -> UniPoly:
     """Exact determinant of a polynomial matrix, by evaluation and interpolation.
 
     The determinant has degree at most d, the sum over rows of the largest
-    entry degree (a row of zeros counts 0).  It is evaluated at x = 0..d with
-    ``det_int`` and rebuilt in Newton form, f(x) = sum_k D^k f(0) * C(x, k),
+    entry degree (a row of zeros counts 0).  It is evaluated at x = 0..d,
+    each value eliminated by ``_bareiss``, and rebuilt in Newton form, f(x) = sum_k D^k f(0) * C(x, k),
     where D^k f(0) is the k-th forward difference of those values.  Every
     division is exact, since k! divides D^k f(0) when f has integer
     coefficients.  The cost is d + 1 integer determinants, so there is no
-    size cap.
+    size cap.  The evaluated matrices are ints by construction (a UniPoly
+    holds only ints), so they go to ``_bareiss`` without a second scan.
     """
     d = sum(max([0] + [p.degree() for p in row]) for row in matrix.entries)
-    values = [det_int(matrix.evaluate(x)) for x in range(d + 1)]
+    values = [_bareiss(matrix.evaluate(x)) for x in range(d + 1)]
     diffs = []
     while values:
         diffs.append(values[0])
@@ -276,17 +313,39 @@ def det_division_free(matrix: PolyMatrix) -> UniPoly:
 def det_int(rows: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination.
 
-    The one determinant algorithm of the package: closed-form counts call it
-    directly and ``det_division_free`` evaluates polynomial matrices with it.
-    O(n^3) exact operations, so there is no size cap.
+    A row that is still zero up to the pivot column is dormant: elimination
+    would only rescale it by the pivot, so it is left as it is until its
+    first nonzero entry meets a pivot column (see ``_bareiss``).  On a
+    matrix of lower bandwidth w each step updates at most w rows, so the
+    cost is O(n^2 w) exact operations, O(n^3) in general; there is no size
+    cap.  Every entry must be an int (a float, bool or string is refused
+    with ValueError); the rows are copied, so the input is not changed.
     """
-    n = len(rows)
+    matrix = [list(_ints(row, f"rows[{i}]")) for i, row in enumerate(rows)]
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix must be square")
+    return _bareiss(matrix)
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of ``m``, a square list of int lists, which it consumes,
+    by fraction-free (Bareiss) elimination with dormant rows.
+
+    After pivot k, Bareiss entry (i, j) is the minor on rows {0..k, i} and
+    columns {0..k, j}, and pivot k is the leading minor p_k of order k + 1.
+    While row i is zero in columns 0..k that minor is m[i][j] * p_k: the
+    row is dormant, keeps its original values and is not touched (every
+    row starts dormant, p_-1 being 1).  When a dormant row first meets a
+    nonzero entry a in pivot column k, its true state is m[i][j] * prev,
+    so its update m[i][j] * p - a * pivot[j] needs no division.  A dormant
+    pivot row is scaled by prev, and a last row still dormant at the end
+    contributes its entry times prev.  ``live`` marks the rows updated so
+    far and moves with them on a swap.
+    """
+    n = len(m)
     if n == 0:
         return 1
-    m = [list(map(int, row)) for row in rows]
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
+    live = [False] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -294,15 +353,27 @@ def det_int(rows: list[list[int]]) -> int:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
+                    live[k], live[i] = live[i], live[k]
                     sign = -sign
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        k1 = k + 1
+        p, pivot = m[k][k], m[k][k1:]
+        if not live[k] and prev != 1:
+            p, pivot = p * prev, [e * prev for e in pivot]
+        for i in range(k1, n):
+            row = m[i]
+            a = row[k]
+            if live[i]:
+                row[k1:] = [(e * p - a * f) // prev
+                            for e, f in zip(row[k1:], pivot)]
+            elif a:
+                row[k1:] = [e * p - a * f for e, f in zip(row[k1:], pivot)]
+                live[i] = True
+        prev = p
+    last = m[n - 1][n - 1]
+    return sign * (last if live[n - 1] else last * prev)
 
 
 def perm_sign(perm: Iterable[int]) -> int:
@@ -337,11 +408,17 @@ def lgv_matrix(shape, bound: int) -> PolyMatrix:
     to the j-th end point of the bounded-plane-partition path configuration,
     weighted by x when the final step is east.  Its determinant is the
     generating function of the bounded plane partitions of that shape by the
-    number of rows containing 0.
+    number of rows containing 0.  The shape is read through ``Partition``;
+    a bound that is not an int is refused with ValueError.
     """
+    from .objects import Partition  # objects imports this module
+
+    shape = shape if isinstance(shape, Partition) else Partition(shape)
+    if not _is_int(bound):
+        raise ValueError(f"bound {bound!r} is not an integer")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    parts = tuple(shape)
+    parts = shape.parts
     n = len(parts)
     return PolyMatrix(
         [

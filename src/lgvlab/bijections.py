@@ -11,11 +11,13 @@ plane partitions (exchanging the zero-row and max-row statistics) and on
 tableaux (permuting the weight).
 """
 
+from .algebra import _ints
 from .objects import PlanePartition, Tableau
 from .paths import (
     Endpoints,
     SignedPathFamily,
     _path,
+    _point,
     enumerate_families,
     enumerate_ni_families,
     is_nonintersecting,
@@ -52,11 +54,11 @@ class SwapCertificate:
     __slots__ = ("point", "paths")
 
     def __init__(self, point, paths):
-        point = (int(point[0]), int(point[1]))
-        i, j = paths
+        point = _point(point, "point")
+        i, j = _ints(paths, "paths")
         if not 0 <= i < j:
             raise ValueError("certificate path indices must satisfy 0 <= i < j")
-        self._fill(point, (int(i), int(j)))
+        self._fill(point, (i, j))
 
     @classmethod
     def _trusted(cls, point: tuple, paths: tuple) -> "SwapCertificate":
@@ -245,8 +247,26 @@ def permute_steps(family: SignedPathFamily, positions) -> SignedPathFamily:
 
     ``positions`` is a zero-based permutation of the step indices.  All
     words must have length n; the step multiset per path is preserved, so
-    the endpoints and the permutation are too.
+    the endpoints and the permutation are too.  A position outside 0..n-1
+    is refused with ValueError before any letter moves.
     """
+    return _permute_steps(family, _step_positions(positions))
+
+
+def _step_positions(positions) -> tuple[int, ...]:
+    """``positions`` as a tuple, each checked to lie in 0..n-1."""
+    positions = tuple(positions)
+    n = len(positions)
+    for t, position in enumerate(positions):
+        if not 0 <= position < n:
+            raise ValueError(
+                f"positions[{t}]: {position} is outside 0..{n - 1}")
+    return positions
+
+
+def _permute_steps(family: SignedPathFamily,
+                   positions: tuple[int, ...]) -> SignedPathFamily:
+    """``permute_steps`` on positions already checked to lie in 0..n-1."""
     n = len(positions)
     new_paths = []
     for path in family.paths:
@@ -274,13 +294,13 @@ def _invert_positions(positions) -> tuple[int, ...]:
 
 def step_permutation_sijection(endpoints: Endpoints, positions,
                                guard_limit: int | None = None) -> Sijection:
-    positions = tuple(positions)
+    positions = _step_positions(positions)
     inverse = _invert_positions(positions)
     families = signed_family_set(endpoints, guard_limit)
     return sijection_from_bijection(
         "permute-steps", families, families,
-        lambda f: permute_steps(f, positions),
-        lambda f: permute_steps(f, inverse))
+        lambda f: _permute_steps(f, positions),
+        lambda f: _permute_steps(f, inverse))
 
 
 def _conjugate(endpoints: Endpoints, middle: Sijection,

@@ -23,17 +23,20 @@ from collections import Counter
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .algebra import MultiPoly, UniPoly, binomial, det_int, _is_int
+from .algebra import MultiPoly, UniPoly, binomial, det_int, _ints, _is_int
 from .guards import check_guard
 
 
 class Partition:
-    """Weakly decreasing sequence of positive integers; may be empty."""
+    """Weakly decreasing sequence of positive integers; may be empty.
+
+    A part that is not an int is refused with ValueError.
+    """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = _ints(parts, "parts")
         for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError(f"parts[{i}]: part {p} is not positive")
@@ -140,7 +143,7 @@ class _Filling:
         values = self._values(bound)
         if not values:
             raise ValueError(self._bad_bound.format(bound))
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(_ints(row, f"rows[{i}]") for i, row in enumerate(rows))
         if len(rows) != len(shape):
             raise ValueError(f"expected {len(shape)} rows, got {len(rows)}")
         low, high = sorted((values[0], values[-1]))

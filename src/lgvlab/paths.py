@@ -31,11 +31,20 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .algebra import _is_int, binomial, det_int, perm_sign
+from .algebra import _ints, _is_int, binomial, det_int, perm_sign
 from .guards import check_guard
 from .objects import Partition, PlanePartition, Tableau
 
 Point = tuple[int, int]
+
+
+def _point(value, field: str) -> Point:
+    """``value`` as a pair of ints; a coordinate that is not an int is
+    refused with ValueError, not truncated."""
+    x, y = value
+    if type(x) is not int or type(y) is not int:
+        x, y = _ints(value, field)
+    return (x, y)
 
 
 class Path:
@@ -49,7 +58,7 @@ class Path:
     __slots__ = ("start", "word", "end", "_points")
 
     def __init__(self, start: Point, word: str):
-        start = (int(start[0]), int(start[1]))
+        start = _point(start, "start")
         if not isinstance(word, str):
             raise ValueError(f"word {word!r} is not a string")
         if word.strip("ES"):
@@ -137,8 +146,8 @@ class Endpoints:
     __slots__ = ("a", "b", "_count")
 
     def __init__(self, a, b):
-        a = tuple((int(x), int(y)) for x, y in a)
-        b = tuple((int(x), int(y)) for x, y in b)
+        a = tuple(_point(p, f"a[{i}]") for i, p in enumerate(a))
+        b = tuple(_point(p, f"b[{i}]") for i, p in enumerate(b))
         if len(a) != len(b):
             raise ValueError(f"{len(a)} start points but {len(b)} end points")
         object.__setattr__(self, "a", a)
@@ -217,7 +226,7 @@ class SignedPathFamily:
     __slots__ = ("endpoints", "sigma", "paths", "_hash", "_ni")
 
     def __init__(self, endpoints: Endpoints, sigma, paths):
-        sigma = tuple(int(s) for s in sigma)
+        sigma = _ints(sigma, "sigma")
         paths = tuple(paths)
         n = endpoints.n
         if sorted(sigma) != list(range(n)):

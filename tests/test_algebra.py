@@ -1,7 +1,9 @@
+import math
+import random
 from itertools import permutations, zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgvlab.algebra import (
@@ -216,6 +218,152 @@ def test_det_int_matches_leibniz_random(n, data):
     ]
     assert UniPoly([det_int(rows)]) == det_leibniz(
         [[[e] for e in row] for row in rows])
+
+
+def seed_bareiss(rows):
+    """Reference: the plain fraction-free elimination that updates every row
+    below the pivot at every step, as ``det_int`` did before dormant rows."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(map(int, row)) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+@st.composite
+def structured_matrices(draw, max_rows=14):
+    """Integer matrices whose rows start with many zeros: banded, triangular
+    or with drawn leading-zero counts, some with a zero row or column, the
+    rows shuffled so that zero pivots force swaps between dormant and live
+    rows."""
+    n = draw(st.integers(min_value=0, max_value=max_rows))
+    values = draw(st.lists(st.integers(min_value=-4, max_value=4),
+                           min_size=n * n, max_size=n * n))
+    rows = [values[i * n:(i + 1) * n] for i in range(n)]
+    pattern = draw(st.sampled_from(["free", "banded", "upper", "lower",
+                                    "leading"]))
+    if pattern == "banded":
+        width = draw(st.integers(min_value=0, max_value=max(n - 1, 0)))
+        zero = lambda i, j: i - j > width
+    elif pattern == "upper":
+        zero = lambda i, j: i > j
+    elif pattern == "lower":
+        zero = lambda i, j: j > i
+    elif pattern == "leading":
+        lead = draw(st.lists(st.integers(min_value=0, max_value=n),
+                             min_size=n, max_size=n))
+        zero = lambda i, j: j < lead[i]
+    else:
+        zero = lambda i, j: False
+    gone = draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0)),
+                        max_size=1)) if n else set()
+    axis = draw(st.sampled_from(["row", "column"]))
+    rows = [[0 if zero(i, j) or (i if axis == "row" else j) in gone else e
+             for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    order = draw(st.permutations(range(n)))
+    return [rows[i] for i in order]
+
+
+@settings(max_examples=200)
+@given(structured_matrices())
+# a dormant row becomes the pivot by a swap and is scaled by prev = 2; the
+# last row stays dormant to the end
+@example([[2, 1, 1], [0, 0, 3], [0, 4, 1]])
+# the last row is still dormant at the end, prev = 5
+@example([[2, 1, 1], [1, 3, 1], [0, 0, 5]])
+# at prev = 3 a live row whose pivot vanished swaps with a dormant row:
+# their flags must move with them
+@example([[3, 0, 1, 2], [-2, 0, -1, -1], [0, 1, 1, -2], [-2, 0, 1, 2]])
+@example([[0, 0], [0, 0]])
+@example([[0, 1], [1, 0]])
+def test_det_int_matches_seed_bareiss(rows):
+    before = [list(row) for row in rows]
+    det = det_int(rows)
+    assert rows == before
+    assert det == seed_bareiss(rows)
+    if len(rows) <= 6:
+        assert UniPoly([det]) == det_leibniz(
+            [[[e] for e in row] for row in rows])
+
+
+def seed_det_division_free(matrix):
+    """Reference: the polynomial determinant with each entry evaluated by
+    ``UniPoly.__call__``, the seed elimination and the same interpolation."""
+    d = sum(max([0] + [p.degree() for p in row]) for row in matrix.entries)
+    values = [seed_bareiss([[p(x) for p in row] for row in matrix.entries])
+              for x in range(d + 1)]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    coeffs = []
+    for k in range(d, -1, -1):
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += diffs[k] // math.factorial(k)
+    return UniPoly(coeffs)
+
+
+def test_det_division_free_matches_seed_route():
+    # the shapes genfun --method det meets: 6 to 14 rows, m = 1..6, parts
+    # at least the row count, so that the matrix is banded below only
+    rng = random.Random(20240611)
+    for _ in range(40):
+        rows = rng.randint(6, 14)
+        parts = sorted((rng.randint(rows, rows + 4) for _ in range(rows)),
+                       reverse=True)
+        matrix = lgv_matrix(Partition(parts), rng.randint(1, 6))
+        assert det_division_free(matrix) == seed_det_division_free(matrix)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=5),
+       st.integers(min_value=-5, max_value=5), st.data())
+def test_polymatrix_evaluate_matches_entrywise(n, value, data):
+    entries = [
+        [UniPoly(data.draw(st.lists(st.integers(min_value=-9, max_value=9),
+                                    max_size=4))) for _ in range(n)]
+        for _ in range(n)
+    ]
+    matrix = PolyMatrix(entries)
+    expected = [[p(value) for p in row] for row in entries]
+    # the second call reads the kept layers; the first result is consumed
+    # the way an elimination consumes it, which must not reach them
+    for _ in range(2):
+        result = matrix.evaluate(value)
+        assert result == expected
+        for row in result:
+            row[:] = [7] * n
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: det_int([[1.9, 0], [0, 2.5]]), r"^rows\[0\]\[0\]: 1.9 is not"),
+    (lambda: det_int([["3"]]), r"^rows\[0\]\[0\]: '3' is not"),
+    (lambda: det_int([[1, 0], [0, True]]), r"^rows\[1\]\[1\]: True is not"),
+    (lambda: UniPoly([True, 2]), r"^coeffs\[0\]: True is not"),
+    (lambda: det_division_free(PolyMatrix([[UniPoly([0.5])]])),
+     r"^coeffs\[0\]: 0.5 is not"),
+    (lambda: lgv_matrix((3, 5), 1), r"weakly decreasing"),
+    (lambda: lgv_matrix((2,), 1.5), r"^bound 1.5 is not an integer$"),
+], ids=["det-float", "det-string", "det-bool", "unipoly-bool",
+        "unipoly-float", "lgv-not-a-partition", "lgv-float-bound"])
+def test_determinant_inputs_refuse_non_integers(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_perm_sign():

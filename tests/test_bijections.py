@@ -282,6 +282,17 @@ def test_permute_steps_refuses_repeated_positions():
             permute_steps(family, (0, 0, 1))
 
 
+@pytest.mark.parametrize("positions", [(-1, 0, 1), (0, 1, 5), (0, 3, 1)],
+                         ids=["negative", "past-the-end", "one-past"])
+def test_permute_steps_refuses_positions_out_of_range(positions):
+    ep = tableau_endpoints(Partition([2, 1]), 3)
+    for family in enumerate_families(ep):
+        with pytest.raises(ValueError, match=r"^positions\[\d\]: .* outside 0\.\.2$"):
+            permute_steps(family, positions)
+    with pytest.raises(ValueError, match=r"^positions\[\d\]: .* outside 0\.\.2$"):
+        step_permutation_sijection(ep, positions)
+
+
 def test_step_permutation_sijection_checks():
     ep = tableau_endpoints(Partition([2]), 2)
     sij = step_permutation_sijection(ep, (1, 0))

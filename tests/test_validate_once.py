@@ -1,23 +1,30 @@
 """The library builds families, swap certificates and fillings from parts it
 has already checked without checking them again.  Under the ``validating``
 fixture every such value goes through the public validating constructor
-instead: nothing may raise, and every output must be the same."""
+instead: nothing may raise, and every output must be the same.  The public
+constructors, at the boundary, refuse a number that is not an int rather
+than truncate it."""
 
 import pytest
 
 import lgvlab.bijections
 from lgvlab.bijections import (
+    SwapCertificate,
     tail_swap,
     weight_permutation_map,
     zero_to_max_map,
 )
 from lgvlab.objects import (
     Partition,
+    PlanePartition,
+    Tableau,
     enumerate_partitions,
     enumerate_plane_partitions,
     enumerate_tableaux,
 )
 from lgvlab.paths import (
+    Endpoints,
+    Path,
     SignedPathFamily,
     enumerate_families,
     is_nonintersecting,
@@ -103,3 +110,28 @@ def test_validating_catches_a_swap_that_forgets_to_transpose_sigma(
     verify_lgv(shape, 2)
     with validating(), pytest.raises(ValueError, match=r"ends at .*, expected"):
         verify_lgv(shape, 2)
+
+
+_ONE_STEP = Endpoints([(0, 0)], [(1, 0)])
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: Path((0.5, 0), "E"), r"start\[0\]"),
+    (lambda: Path((0, True), "E"), r"start\[1\]"),
+    (lambda: Endpoints([(0, 0.5)], [(1, 0)]), r"a\[0\]\[1\]"),
+    (lambda: Endpoints([(0, 0)], [(1.0, 0)]), r"b\[0\]\[0\]"),
+    (lambda: SignedPathFamily(_ONE_STEP, [0.0], [Path((0, 0), "E")]),
+     r"sigma\[0\]"),
+    (lambda: SwapCertificate((0.9, 0), (0, 1)), r"point\[0\]"),
+    (lambda: SwapCertificate((0, 0), (0.5, 1.5)), r"paths\[0\]"),
+    (lambda: Partition([2.5]), r"parts\[0\]"),
+    (lambda: Partition([2, True]), r"parts\[1\]"),
+    (lambda: PlanePartition((2,), 1, [[1, 0.5]]), r"rows\[0\]\[1\]"),
+    (lambda: Tableau((1, 1), 2, [[1], [2.5]]), r"rows\[1\]\[0\]"),
+], ids=["path-start-float", "path-start-bool", "endpoints-a", "endpoints-b",
+        "family-sigma", "certificate-point", "certificate-indices",
+        "partition-float", "partition-bool", "plane-partition-row",
+        "tableau-row"])
+def test_constructors_refuse_non_integers(build, field):
+    with pytest.raises(ValueError, match=rf"^{field}: .* is not an integer$"):
+        build()
