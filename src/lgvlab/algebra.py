@@ -18,6 +18,8 @@ the ``PolyMatrix``.  There is no size cap.
 
 All values are immutable once constructed and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
+``_Value``, the base of every value class of the package, is defined here
+because every other module imports this one.
 """
 
 from __future__ import annotations
@@ -65,7 +67,41 @@ def _json_coefficient(value, where: str) -> int:
                      "or a decimal string")
 
 
-class UniPoly:
+class _Value:
+    """Base of the package's immutable value classes.
+
+    It refuses assignment and deletion of attributes, so a subclass sets
+    its slots through ``object.__setattr__``.  ``_trusted(*fields)`` builds
+    a value through the subclass's ``_fill(*fields)`` without the checks of
+    its constructor; it is for values the library built from parts it had
+    already checked.  Equality and hash read the subclass's ``_key()``, and
+    a value equals only values of its own exact type.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _trusted(cls, *fields):
+        self = object.__new__(cls)
+        self._fill(*fields)
+        return self
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class UniPoly(_Value):
     """Univariate polynomial with integer coefficients.
 
     ``coeffs[k]`` is the coefficient of x**k.  The stored tuple never has
@@ -82,23 +118,12 @@ class UniPoly:
             end -= 1
         object.__setattr__(self, "coeffs", coeffs[:end])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("UniPoly is immutable")
-
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+    def _key(self) -> tuple:
+        return self.coeffs
 
     def __call__(self, value: int) -> int:
         """Evaluate at an integer point (Horner)."""
@@ -134,7 +159,7 @@ class UniPoly:
                    for k, c in enumerate(data["coeffs"]))
 
 
-class MultiPoly:
+class MultiPoly(_Value):
     """Polynomial in n variables with integer coefficients.
 
     Stored as a map from exponent vector (length-n tuple of nonnegative ints)
@@ -163,22 +188,11 @@ class MultiPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MultiPoly is immutable")
-
     def coefficient(self, exp: tuple[int, ...]) -> int:
         return self.terms.get(tuple(exp), 0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+    def _key(self) -> tuple:
+        return (self.nvars, frozenset(self.terms.items()))
 
     def permute_variables(self, perm: tuple[int, ...]) -> "MultiPoly":
         """Apply x_i -> x_{perm(i)}: exponent slot i moves to slot perm[i] (0-based)."""
@@ -233,8 +247,8 @@ class MultiPoly:
         return cls(data["vars"], terms)
 
 
-class PolyMatrix:
-    """Square matrix of UniPoly entries.
+class PolyMatrix(_Value):
+    """Square matrix of UniPoly entries, equal only to itself.
 
     Its coefficient layers, one integer matrix per power of x up to the
     largest entry degree (at least one), are computed on first use and kept
@@ -242,6 +256,7 @@ class PolyMatrix:
     """
 
     __slots__ = ("n", "entries", "_layers")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, entries: Iterable[Iterable[UniPoly]]):
         rows = tuple(tuple(row) for row in entries)
@@ -252,12 +267,6 @@ class PolyMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_layers", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PolyMatrix is immutable")
 
     def __getitem__(self, key: tuple[int, int]) -> UniPoly:
         i, j = key

@@ -11,7 +11,7 @@ plane partitions (exchanging the zero-row and max-row statistics) and on
 tableaux (permuting the weight).
 """
 
-from .algebra import _ints
+from .algebra import _Value, _ints
 from .objects import PlanePartition, Tableau
 from .paths import (
     Endpoints,
@@ -41,14 +41,14 @@ from .sijections import (
 )
 
 
-class SwapCertificate:
+class SwapCertificate(_Value):
     """Where a tail swap acted: the common point and the two path indices.
 
     The same certificate describes the swap and its undoing, which is what
     makes the involution checkable step by step.  Path indices are stored
     zero-based; the JSON form is one-indexed to match the family format.
-    The tail swap builds its certificates through ``_trusted``, which does
-    not check them again.
+    The tail swap builds its certificates through ``_Value._trusted``,
+    which passes them to ``_fill`` without checking them again.
     """
 
     __slots__ = ("point", "paths")
@@ -60,30 +60,13 @@ class SwapCertificate:
             raise ValueError("certificate path indices must satisfy 0 <= i < j")
         self._fill(point, (i, j))
 
-    @classmethod
-    def _trusted(cls, point: tuple, paths: tuple) -> "SwapCertificate":
-        """The certificate of an integer point and integer indices i < j."""
-        self = object.__new__(cls)
-        self._fill(point, paths)
-        return self
-
     def _fill(self, point: tuple, paths: tuple) -> None:
+        """Set the slots: an integer point and integer indices i < j."""
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "paths", paths)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SwapCertificate is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SwapCertificate is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SwapCertificate):
-            return NotImplemented
-        return self.point == other.point and self.paths == other.paths
-
-    def __hash__(self) -> int:
-        return hash((self.point, self.paths))
+    def _key(self) -> tuple:
+        return (self.point, self.paths)
 
     def __repr__(self) -> str:
         return f"SwapCertificate(point={self.point}, paths={self.paths})"
@@ -358,9 +341,10 @@ def variable_positions(perm) -> tuple[int, ...]:
     """Turn a one-indexed variable permutation into zero-based step positions.
 
     perm[i] is the image of variable i+1; steps of the tableau paths are
-    in bijection with variables (step t carries variable t+1).
+    in bijection with variables (step t carries variable t+1).  An entry
+    that is not an int is refused with ValueError, not truncated.
     """
-    perm = tuple(int(v) for v in perm)
+    perm = _ints(perm, "perm")
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"{perm!r} is not a permutation of 1..{n}")

@@ -23,11 +23,12 @@ from collections import Counter
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .algebra import MultiPoly, UniPoly, binomial, det_int, _ints, _is_int
+from .algebra import (MultiPoly, UniPoly, _Value, binomial, det_int, _ints,
+                      _is_int)
 from .guards import check_guard
 
 
-class Partition:
+class Partition(_Value):
     """Weakly decreasing sequence of positive integers; may be empty.
 
     A part that is not an int is refused with ValueError.
@@ -47,12 +48,6 @@ class Partition:
                 )
         object.__setattr__(self, "parts", parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Partition is immutable")
-
     def __len__(self) -> int:
         """Number of parts (rows)."""
         return len(self.parts)
@@ -63,13 +58,8 @@ class Partition:
     def __getitem__(self, i: int) -> int:
         return self.parts[i]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+    def _key(self) -> tuple:
+        return self.parts
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
@@ -122,25 +112,27 @@ def enumerate_partitions(max_size: int) -> Iterator[Partition]:
             yield Partition(parts)
 
 
-class _Filling:
+class _Filling(_Value):
     """A filling of a Young diagram under its kind's rule; immutable,
     hashable, and equal only to fillings of the same kind.
 
     Each kind declares its rule once, for the constructor and the walker:
     ``_values(bound)``, the alphabet in row order (empty exactly when the
-    bound is invalid); ``_column_ok(above, entry)``, the column test;
-    ``_kind`` and ``_bound_field`` for its JSON; and its refusal texts.
+    int bound is invalid); ``_column_ok(above, entry)``, the column test;
+    ``_kind`` and ``_bound_field`` for its JSON; ``_bound_name`` and its
+    refusal texts.  A bound that is not an int is refused by ``_alphabet``.
 
     The constructor and ``from_json`` check every cell; the walker's rows
     are valid by construction, so ``_enumerate`` builds its fillings
-    through ``_trusted``, which does not check them again.
+    through ``_Value._trusted``, which passes them to ``_fill`` without
+    checking them again.
     """
 
     __slots__ = ("shape", "_bound", "rows")
 
     def __init__(self, shape: Partition, bound: int, rows):
         shape = shape if isinstance(shape, Partition) else Partition(shape)
-        values = self._values(bound)
+        values = self._alphabet(bound)
         if not values:
             raise ValueError(self._bad_bound.format(bound))
         rows = tuple(_ints(row, f"rows[{i}]") for i, row in enumerate(rows))
@@ -166,36 +158,23 @@ class _Filling:
                 raise ValueError(f"rows[{i}][{k}]: {problem}")
         self._fill(shape, bound, rows)
 
-    @classmethod
-    def _trusted(cls, shape: Partition, bound: int, rows: tuple) -> "_Filling":
-        """The filling of ``rows``, a tuple of row tuples already known to
-        obey this kind's rule on the shape and bound."""
-        self = object.__new__(cls)
-        self._fill(shape, bound, rows)
-        return self
-
     def _fill(self, shape: Partition, bound: int, rows: tuple) -> None:
+        """Set the slots; ``rows`` is a tuple of row tuples that obeys this
+        kind's rule on the shape and the int bound."""
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_bound", bound)
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def _key(self) -> tuple:
+        return (self.shape, self._bound, self.rows)
 
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and self._bound == other._bound
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self._bound, self.rows))
+    @classmethod
+    def _alphabet(cls, bound) -> range:
+        """This kind's values under ``bound``; a bound that is not an int
+        is refused with ValueError."""
+        if not _is_int(bound):
+            raise ValueError(f"{cls._bound_name} {bound!r} is not an integer")
+        return cls._values(bound)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.shape.parts)}, {self._bound}, {[list(r) for r in self.rows]})"
@@ -214,7 +193,7 @@ class _Filling:
     @classmethod
     def _groups(cls, shape: Partition, bound: int) -> Iterator[tuple]:
         """The ``_fillings`` groups of this kind's fillings of the shape."""
-        values = cls._values(bound)
+        values = cls._alphabet(bound)
         if not values:
             raise ValueError(cls._no_values)
         return _fillings(shape, values, cls._column_ok)
@@ -237,7 +216,7 @@ class PlanePartition(_Filling):
 
     _values = staticmethod(lambda bound: range(bound, -1, -1))
     _column_ok = operator.ge
-    _kind, _bound_field = "plane partition", "max"
+    _kind, _bound_field, _bound_name = "plane partition", "max", "bound"
     _bad_bound = "bound {} is negative"
     _no_values = "bound must be nonnegative"
     _bad_row = "row not weakly decreasing ({} < {})"
@@ -398,8 +377,10 @@ def count_plane_partitions(shape: Partition, bound: int) -> int:
 
     Entry (i, j), 1-based, is C(shape_j + bound, bound + j - i); the
     determinant equals the number of non-intersecting path families, which
-    equals the number of plane partitions.
+    equals the number of plane partitions.  A bound that is not an int is
+    refused with ValueError.
     """
+    PlanePartition._alphabet(bound)
     parts = tuple(shape)
     n = len(parts)
     return det_int(
@@ -471,7 +452,7 @@ class Tableau(_Filling):
 
     _values = staticmethod(lambda varcount: range(1, varcount + 1))
     _column_ok = operator.lt
-    _kind, _bound_field = "tableau", "vars"
+    _kind, _bound_field, _bound_name = "tableau", "vars", "varcount"
     _bad_bound = "varcount {} must be at least 1"
     _no_values = "varcount must be at least 1"
     _bad_row = "row not weakly increasing ({} > {})"
@@ -479,10 +460,9 @@ class Tableau(_Filling):
 
     @classmethod
     def _groups(cls, shape: Partition, varcount: int) -> Iterator[tuple]:
+        groups = super()._groups(shape, varcount)
         # a strictly increasing column holds at most varcount entries
-        if len(shape) > varcount > 0:
-            return iter(())
-        return super()._groups(shape, varcount)
+        return iter(()) if len(shape) > varcount else groups
 
     def column(self, j: int) -> tuple[int, ...]:
         """Entries of column j (0-based), top to bottom; strictly increasing."""
@@ -516,8 +496,10 @@ def count_tableaux(shape: Partition, varcount: int) -> int:
 
     Entry (i, j), 1-based, is C(varcount, mu_j - j + i) where mu is the
     transposed shape; the determinant counts non-intersecting path families,
-    which are in bijection with the tableaux.
+    which are in bijection with the tableaux.  A varcount that is not an
+    int is refused with ValueError.
     """
+    Tableau._alphabet(varcount)
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     mu = shape.transpose()
     n = len(mu)

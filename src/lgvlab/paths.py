@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .algebra import _ints, _is_int, binomial, det_int, perm_sign
+from .algebra import _Value, _ints, _is_int, binomial, det_int, perm_sign
 from .guards import check_guard
 from .objects import Partition, PlanePartition, Tableau
 
@@ -47,7 +47,7 @@ def _point(value, field: str) -> Point:
     return (x, y)
 
 
-class Path:
+class Path(_Value):
     """Monotone south-east lattice path: a start point and a word over {E, S}.
 
     ``end`` is computed once, when the path is built, and stored.  The set
@@ -73,12 +73,6 @@ class Path:
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "_points", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Path is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Path is immutable")
-
     def __len__(self) -> int:
         return len(self.word)
 
@@ -100,6 +94,7 @@ class Path:
             object.__setattr__(self, "_points", frozenset(self.points()))
         return self._points
 
+    # hand-written rather than a ``_key()``: no extra call on this hot path
     def __eq__(self, other) -> bool:
         if not isinstance(other, Path):
             return NotImplemented
@@ -136,7 +131,7 @@ _PATH_CACHE_SIZE = 4096
 _path = lru_cache(maxsize=_PATH_CACHE_SIZE)(Path)
 
 
-class Endpoints:
+class Endpoints(_Value):
     """Ordered start points a_1..a_n and end points b_1..b_n.
 
     The number of signed families on them is computed on first use, by
@@ -154,16 +149,11 @@ class Endpoints:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_count", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Endpoints is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Endpoints is immutable")
-
     @property
     def n(self) -> int:
         return len(self.a)
 
+    # hand-written rather than a ``_key()``: no extra call on this hot path
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -209,7 +199,7 @@ def tableau_endpoints(shape: Partition, varcount: int) -> Endpoints:
     )
 
 
-class SignedPathFamily:
+class SignedPathFamily(_Value):
     """Paths p_1..p_n with p_i running from a_i to b_{sigma(i)}.
 
     ``sigma`` is stored 0-based; the sign of the family is the sign of sigma
@@ -219,8 +209,8 @@ class SignedPathFamily:
     The constructor checks every path against its endpoints; so does
     ``from_json``, which goes through it.  The families the library builds
     from parts it has already checked (the enumeration, the tail swap, the
-    word transforms and the encoders) go through ``_trusted`` instead,
-    which fills the slots without checking them again.
+    word transforms and the encoders) go through ``_Value._trusted``
+    instead, which passes them to ``_fill`` without checking them again.
     """
 
     __slots__ = ("endpoints", "sigma", "paths", "_hash", "_ni")
@@ -244,28 +234,14 @@ class SignedPathFamily:
                 )
         self._fill(endpoints, sigma, paths)
 
-    @classmethod
-    def _trusted(cls, endpoints: Endpoints, sigma: tuple,
-                 paths: tuple) -> "SignedPathFamily":
-        """The family of ``sigma``, a tuple of ints, and ``paths``, a tuple
-        of paths already known to run from each a_i to b_{sigma(i)}; nothing
-        is checked again."""
-        self = object.__new__(cls)
-        self._fill(endpoints, sigma, paths)
-        return self
-
     def _fill(self, endpoints: Endpoints, sigma: tuple, paths: tuple) -> None:
+        """Set the slots; ``sigma`` is a tuple of ints and ``paths`` a tuple
+        of paths that run from each a_i to b_{sigma(i)}."""
         object.__setattr__(self, "endpoints", endpoints)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_ni", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedPathFamily is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SignedPathFamily is immutable")
 
     @property
     def sign(self) -> int:
@@ -278,6 +254,7 @@ class SignedPathFamily:
     def is_identity(self) -> bool:
         return all(s == i for i, s in enumerate(self.sigma))
 
+    # hand-written rather than a ``_key()``: no extra call on this hot path
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedPathFamily):
             return NotImplemented

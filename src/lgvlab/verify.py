@@ -18,6 +18,7 @@ from .algebra import MultiPoly, det_division_free, lgv_matrix
 from .bijections import (
     lgv_sijection,
     tail_swap,
+    variable_positions,
     weight_permutation_map,
     zero_to_max_map,
 )
@@ -217,15 +218,16 @@ def verify_schur(shape, varcount: int, perm=None,
 
     Symmetry is verified on every adjacent transposition (which generate
     the full symmetric group) and on ``perm`` itself; the bijection is run
-    over all tableaux for ``perm`` (default: the reversal).
+    over all tableaux for ``perm`` (default: the reversal), which is read
+    through ``variable_positions``.
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    if perm is None:
-        perm = tuple(range(varcount, 0, -1))
-    else:
-        perm = tuple(int(v) for v in perm)
     det_count = _guard_tableaux(shape, varcount, guard_limit)
+    # a list, as the refusal of permute_variables prints it
+    positions = list(variable_positions(
+        range(varcount, 0, -1) if perm is None else perm))
+    perm = tuple(p + 1 for p in positions)
     tableaux = list(enumerate_tableaux(shape, varcount))
     poly = MultiPoly(varcount, Counter(t.weight() for t in tableaux))
 
@@ -237,8 +239,7 @@ def verify_schur(shape, varcount: int, perm=None,
         if permuted != poly:
             symmetry_witness = {"transposition": [k + 1, k + 2]}
             break
-    perm_positions = [v - 1 for v in perm]
-    perm_invariant = poly.permute_variables(perm_positions) == poly
+    perm_invariant = poly.permute_variables(positions) == poly
 
     images = []
     weight_witness = None
@@ -248,7 +249,7 @@ def verify_schur(shape, varcount: int, perm=None,
         want = [0] * varcount
         got = image.weight()
         for k, count in enumerate(tableau.weight()):
-            want[perm[k] - 1] = count
+            want[positions[k]] = count
         if weight_witness is None and list(got) != want:
             weight_witness = {
                 "input": tableau.to_json(), "output": image.to_json(),

@@ -476,10 +476,32 @@ def _one_path_family():
 def test_value_classes_refuse_del(make, field):
     obj = make()
     before = (repr(obj), hash(obj))
-    with pytest.raises(AttributeError,
-                       match=f"^{type(obj).__name__} is immutable$"):
+    refusal = f"^{type(obj).__name__} is immutable$"
+    with pytest.raises(AttributeError, match=refusal):
         delattr(obj, field)
+    with pytest.raises(AttributeError, match=refusal):
+        setattr(obj, field, getattr(obj, field))
+    with pytest.raises(AttributeError, match=refusal):
+        obj.new_attribute = 1
     assert (repr(obj), hash(obj)) == before
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda: Partition([2, 1]), (2, 1)),
+    (lambda: UniPoly([1, 0, 2, 0]), (1, 0, 2)),
+    (lambda: MultiPoly(2, {(1, 0): 1, (0, 1): 3}),
+     (2, frozenset({((1, 0), 1), ((0, 1), 3)}))),
+    (lambda: SwapCertificate((0, -1), (0, 2)), ((0, -1), (0, 2))),
+    (lambda: PlanePartition([2, 1], 2, [[2, 0], [1]]),
+     ((2, 1), 2, ((2, 0), (1,)))),
+], ids=["Partition", "UniPoly", "MultiPoly", "SwapCertificate",
+        "PlanePartition"])
+def test_equal_values_hash_their_field_tuple(make, fields):
+    # a value hashes as the tuple of its fields, the hash each of these
+    # classes has always had
+    a, b = make(), make()
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash(fields)
 
 
 # --- tableaux ---------------------------------------------------------------

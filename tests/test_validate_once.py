@@ -11,6 +11,7 @@ import lgvlab.bijections
 from lgvlab.bijections import (
     SwapCertificate,
     tail_swap,
+    variable_positions,
     weight_permutation_map,
     zero_to_max_map,
 )
@@ -18,9 +19,13 @@ from lgvlab.objects import (
     Partition,
     PlanePartition,
     Tableau,
+    count_plane_partitions,
+    count_tableaux,
     enumerate_partitions,
     enumerate_plane_partitions,
     enumerate_tableaux,
+    genfun_by_enumeration,
+    schur_by_enumeration,
 )
 from lgvlab.paths import (
     Endpoints,
@@ -30,7 +35,7 @@ from lgvlab.paths import (
     is_nonintersecting,
     plane_partition_endpoints,
 )
-from lgvlab.verify import verify_lgv
+from lgvlab.verify import verify_bijection, verify_lgv, verify_schur
 
 
 def test_enumerations_are_unchanged_when_validated(validating):
@@ -135,3 +140,41 @@ _ONE_STEP = Endpoints([(0, 0)], [(1, 0)])
 def test_constructors_refuse_non_integers(build, field):
     with pytest.raises(ValueError, match=rf"^{field}: .* is not an integer$"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PlanePartition((1,), True, [[1]]), "bound True"),
+    (lambda: PlanePartition((1,), 1.5, [[1]]), "bound 1.5"),
+    (lambda: list(enumerate_plane_partitions((1,), 1.5)), "bound 1.5"),
+    (lambda: genfun_by_enumeration((1,), 1.5, "zeros"), "bound 1.5"),
+    (lambda: count_plane_partitions((1,), 1.5), "bound 1.5"),
+    (lambda: verify_bijection((1,), 2.0), "bound 2.0"),
+    (lambda: Tableau((1,), 2.0, [[1]]), "varcount 2.0"),
+    (lambda: list(enumerate_tableaux((1,), True)), "varcount True"),
+    (lambda: list(enumerate_tableaux((1, 1, 1), 1.5)), "varcount 1.5"),
+    (lambda: schur_by_enumeration((1,), 2.0), "varcount 2.0"),
+    (lambda: count_tableaux((1,), 2.0), "varcount 2.0"),
+    (lambda: verify_schur((1,), 2.0), "varcount 2.0"),
+], ids=["pp-bool", "pp-float", "pp-walk", "pp-genfun", "pp-count",
+        "pp-verify", "tableau-float", "tableau-walk-bool",
+        "tableau-walk-too-many-rows", "tableau-schur", "tableau-count",
+        "tableau-verify"])
+def test_filling_bounds_refuse_non_integers(build, message):
+    # checked before the guard's count, so no TypeError from range or comb
+    with pytest.raises(ValueError, match=rf"^{message} is not an integer$"):
+        build()
+
+
+@pytest.mark.parametrize("perm", [(1.5, 2), (True, 2), ("2", 1)],
+                         ids=["float", "bool", "string"])
+def test_variable_permutations_refuse_non_integers(perm):
+    message = rf"^perm\[0\]: {perm[0]!r} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        variable_positions(perm)
+    with pytest.raises(ValueError, match=message):
+        verify_schur((1,), 2, perm)
+
+
+def test_verify_schur_reports_its_perm_as_ints():
+    perm = verify_schur((2, 1), 3, [3, 1, 2])["results"]["perm"]
+    assert perm == [3, 1, 2] and all(type(v) is int for v in perm)
