@@ -164,23 +164,29 @@ class MultiPoly(_Value):
 
     Stored as a map from exponent vector (length-n tuple of nonnegative ints)
     to nonzero coefficient.  All exponent vectors in one polynomial have the
-    same length.
+    same length.  An ``nvars``, exponent or coefficient that is not an int
+    is refused with ValueError.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
+        if not _is_int(nvars):
+            raise ValueError(f"nvars {nvars!r} is not an integer")
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         clean: dict[tuple[int, ...], int] = {}
         for exp, coef in (terms or {}).items():
-            exp = tuple(exp)
+            exp = _ints(exp, "exponent vector")
             if len(exp) != nvars:
                 raise ValueError(
                     f"exponent vector {exp} has length {len(exp)}, expected {nvars}"
                 )
             if any(e < 0 for e in exp):
                 raise ValueError(f"exponent vector {exp} has a negative entry")
+            if not _is_int(coef):
+                raise ValueError(
+                    f"coefficient {coef!r} of {exp} is not an integer")
             if coef != 0:
                 clean[exp] = clean.get(exp, 0) + coef
                 if clean[exp] == 0:

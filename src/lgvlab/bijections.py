@@ -144,22 +144,6 @@ def signed_family_set(endpoints: Endpoints,
     )
 
 
-class _Cancellation(Sijection):
-    """The sijection ``lgv_sijection`` returns, with its memo of tail swaps.
-
-    ``_swap(family)`` is ``tail_swap(family)``, image and certificate,
-    computed once per family for the life of the sijection.  Both maps read
-    swaps through it, and so can a caller that checks the involution.  It
-    is a closure over the memo, not a method: a bound method kept on the
-    instance would make a reference cycle, and the memo would then outlive
-    the sijection until the cycle collector ran.
-    """
-
-    def __init__(self, source, target, forward, backward, swap):
-        super().__init__("lgv", source, target, forward, backward)
-        self._swap = swap
-
-
 def lgv_sijection(endpoints: Endpoints,
                   guard_limit: int | None = None) -> Sijection:
     """Sijection from the non-intersecting families to all signed families.
@@ -174,7 +158,9 @@ def lgv_sijection(endpoints: Endpoints,
     and certificate, are kept by input family, and both directions (and
     the inverse) share them.  The reverse entry is never filled in from the
     involution, so backward still computes its own swap and a checker can
-    catch a swap that is not one.
+    catch a swap that is not one.  ``verify_lgv`` reads the memo through
+    the sijection's ``_swap``, a closure: a bound method would make a
+    reference cycle that keeps the memo alive until the collector runs.
     """
     source = nonintersecting_set(endpoints, guard_limit)
     target = signed_family_set(endpoints, guard_limit)
@@ -201,7 +187,9 @@ def lgv_sijection(endpoints: Endpoints,
             return (SOURCE, 1, family)
         return (TARGET, -1, swap(family)[0])
 
-    return _Cancellation(source, target, forward, backward, swap)
+    sijection = Sijection("lgv", source, target, forward, backward)
+    sijection._swap = swap
+    return sijection
 
 
 def reverse_paths(family: SignedPathFamily) -> SignedPathFamily:

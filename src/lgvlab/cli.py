@@ -97,7 +97,11 @@ def _cmd_bijection(args) -> int:
     else:
         with open(args.input) as fh:
             text = fh.read()
-    pp = PlanePartition.from_json(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
+    pp = PlanePartition.from_json(data)
     if args.trace:
         image, trace = zero_to_max_map(pp, with_trace=True,
                                        guard_limit=args.guard_limit)

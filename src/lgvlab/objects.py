@@ -377,11 +377,12 @@ def count_plane_partitions(shape: Partition, bound: int) -> int:
 
     Entry (i, j), 1-based, is C(shape_j + bound, bound + j - i); the
     determinant equals the number of non-intersecting path families, which
-    equals the number of plane partitions.  A bound that is not an int is
-    refused with ValueError.
+    equals the number of plane partitions.  The shape is read through
+    ``Partition``; a bound that is not an int is refused with ValueError.
     """
     PlanePartition._alphabet(bound)
-    parts = tuple(shape)
+    shape = shape if isinstance(shape, Partition) else Partition(shape)
+    parts = shape.parts
     n = len(parts)
     return det_int(
         [

@@ -8,7 +8,9 @@ part S-.  A sijection phi: S => T is an ordinary bijection
 which witnesses the equality of signed sizes |S+| - |S-| = |T+| - |T-|.
 Sijections compose by the Garsia-Milne ping-pong construction: to map an
 element of S+ through psi . phi, bounce it back and forth through the
-middle signed set until it escapes out of the far side.
+middle signed set until it escapes out of the far side.  An inverse is a
+plain ``Sijection`` of the same two maps exchanged, so the ping-pong
+composite is the only subclass.
 
 Elements moving through a sijection are tagged with the side they sit on
 ("source" or "target") and their sign (+1 or -1).  Applications optionally
@@ -94,6 +96,8 @@ class Sijection:
     ``(side, sign, payload)`` and return the same shape.
     """
 
+    _base = None  # on an inverse, the sijection it inverts
+
     def __init__(self, name: str, source: SignedSet, target: SignedSet,
                  forward: Callable[[Tagged], Tagged],
                  backward: Callable[[Tagged], Tagged]):
@@ -122,7 +126,16 @@ class Sijection:
         return result
 
     def inverse(self) -> "Sijection":
-        return _InverseSijection(self)
+        """The sijection T => S: the two maps exchanged, read with the tags
+        flipped.  Its inverse is ``self`` again."""
+        if self._base is not None:
+            return self._base
+        forward, backward = self._forward, self._backward
+        inverse = Sijection(f"inverse({self.name})", self.target, self.source,
+                            lambda tagged: _flip(backward(_flip(tagged))),
+                            lambda tagged: _flip(forward(_flip(tagged))))
+        inverse._base = self
+        return inverse
 
     def __repr__(self) -> str:
         return f"Sijection({self.name!r}: {self.source.name} => {self.target.name})"
@@ -131,30 +144,6 @@ class Sijection:
 def _flip(tagged: Tagged) -> Tagged:
     side, sign, payload = tagged
     return (TARGET if side == SOURCE else SOURCE, sign, payload)
-
-
-class _InverseSijection(Sijection):
-    """The inverse sijection T => S of phi: S => T.
-
-    The underlying bijection is the set-inverse of phi's, read with the
-    roles of the two signed sets exchanged.
-    """
-
-    def __init__(self, base: Sijection):
-        self._base = base
-        super().__init__(f"inverse({base.name})", base.target, base.source,
-                         None, None)
-
-    def forward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
-        _check_domain(tagged, ((SOURCE, 1), (TARGET, -1)), self.name)
-        return _flip(self._base.backward(_flip(tagged), trace))
-
-    def backward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
-        _check_domain(tagged, ((SOURCE, -1), (TARGET, 1)), self.name)
-        return _flip(self._base.forward(_flip(tagged), trace))
-
-    def inverse(self) -> Sijection:
-        return self._base
 
 
 def sijection_from_bijection(name: str, source: SignedSet, target: SignedSet,
@@ -185,7 +174,6 @@ class _ComposedSijection(Sijection):
     def __init__(self, phi: Sijection, psi: Sijection):
         self.phi = phi
         self.psi = psi
-        self.middle = phi.target
         name = f"({psi.name} . {phi.name})"
         # forward/backward are overridden wholesale; no atomic callables.
         super().__init__(name, phi.source, psi.target, None, None)

@@ -126,6 +126,43 @@ def test_multipoly_from_json_refuses_non_integers(data):
         MultiPoly.from_json(data)
 
 
+@pytest.mark.parametrize("nvars, terms", [
+    (1, {(1,): 0.5}),
+    (1.5, None),
+    (1, {(True,): 2}),
+    (True, None),
+    ("2", {}),
+    (1, {(1.0,): 2}),
+    (1, {("1",): 2}),
+    (1, {(1,): True}),
+    (1, {(1,): "2"}),
+    (1, {(1,): 0.0}),
+], ids=["float-coef", "float-nvars", "bool-exp", "bool-nvars",
+        "string-nvars", "float-exp", "string-exp", "bool-coef",
+        "string-coef", "float-zero-coef"])
+def test_multipoly_refuses_non_integers(nvars, terms):
+    with pytest.raises(ValueError, match="is not an integer"):
+        MultiPoly(nvars, terms)
+
+
+_loose = st.one_of(st.integers(-3, 3), st.booleans(),
+                   st.floats(-3, 3), st.text(max_size=1))
+
+
+@settings(max_examples=300)
+@given(_loose, st.dictionaries(
+    st.lists(_loose, max_size=3).map(tuple), _loose, max_size=4))
+@example(1, {(1,): 0.5})
+@example(1.5, {})
+@example(1, {(True,): 2})
+def test_every_multipoly_that_builds_round_trips_through_json(nvars, terms):
+    try:
+        poly = MultiPoly(nvars, terms)
+    except ValueError:
+        return
+    assert MultiPoly.from_json(poly.to_json()) == poly
+
+
 # --- determinants ---------------------------------------------------------
 
 def _poly_mul(a, b):

@@ -35,6 +35,7 @@ from lgvlab.paths import (
 from lgvlab.sijections import (
     SOURCE,
     TARGET,
+    Sijection,
     check_compatibility,
     check_sijection,
 )
@@ -203,6 +204,26 @@ def test_checkers_enumerate_the_signed_families_once(monkeypatch):
         calls.clear()
         assert check_compatibility(lgv_sijection(ep), stat, stat) == []
         assert len(calls) == 1
+
+
+def test_lgv_sijection_and_its_inverse_share_one_swap_memo(monkeypatch):
+    calls = []
+    real = lgvlab.bijections.tail_swap
+
+    def counting(family):
+        calls.append(family)
+        return real(family)
+
+    monkeypatch.setattr(lgvlab.bijections, "tail_swap", counting)
+    ep = plane_partition_endpoints(Partition([2, 1]), 2)
+    sij = lgv_sijection(ep)
+    inv = sij.inverse()
+    assert type(sij) is Sijection and type(inv) is Sijection
+    negative = next(f for f in enumerate_families(ep) if f.sign == -1)
+    image = sij.forward((TARGET, -1, negative))
+    assert inv.backward((SOURCE, -1, negative)) == (SOURCE, 1, image[2])
+    assert sij._swap(negative) == real(negative)
+    assert calls == [negative]
 
 
 def test_lgv_sijection_check_catches_a_swap_that_does_not_undo_itself(

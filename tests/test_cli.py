@@ -148,6 +148,15 @@ def test_bijection_bad_json_is_input_error(capsys, monkeypatch):
     assert "error" in err
 
 
+def test_bijection_deeply_nested_json_is_input_error(capsys, monkeypatch):
+    depth = 100000
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * depth + "]" * depth))
+    code, out, err = run(capsys, "bijection")
+    assert code == 2
+    assert out == ""
+    assert err == "error: input JSON is nested too deeply\n"
+
+
 def test_bijection_invalid_object_is_input_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(
         json.dumps({"shape": [2], "max": 1, "rows": [[0, 1]]})))

@@ -122,7 +122,24 @@ def test_inverse_swaps_roles():
     assert inv.source is t and inv.target is s
     assert inv.forward((SOURCE, 1, 1)) == (TARGET, 1, "a")
     assert inv.inverse() is sij
+    assert type(inv) is Sijection
+    assert repr(inv) == "Sijection('inverse(f)': t => s)"
     assert check_sijection(inv) == []
+
+
+def test_an_inverse_checks_the_image_of_the_map_it_reads():
+    # backward sends 1 to a negative source element, outside S+ |_| T-;
+    # the inverse reaches it through its forward and must refuse the image
+    s = plain("s", "a")
+    t = plain("t", 1)
+    broken = Sijection("f", s, t, lambda tagged: (TARGET, 1, 1),
+                       lambda tagged: (SOURCE, -1, "a"))
+    with pytest.raises(SijectionError,
+                       match=r"^inverse\(f\) \(forward image\): element "
+                             r"tagged \(target, -\)"):
+        broken.inverse().forward((SOURCE, 1, 1))
+    with pytest.raises(SijectionError, match=r"^f \(backward image\)"):
+        broken.backward((TARGET, 1, 1))
 
 
 def test_composition_with_genuine_cancellation():

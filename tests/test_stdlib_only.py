@@ -1,0 +1,40 @@
+"""The runtime stays stdlib-only: every absolute import in the package
+names a module of the standard library."""
+
+import ast
+import pathlib
+import sys
+
+import lgvlab
+
+PACKAGE = pathlib.Path(lgvlab.__file__).resolve().parent
+
+
+def absolute_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports anywhere in ``source``,
+    function-level imports included; relative imports are skipped."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_absolute_imports_are_collected_at_every_depth():
+    source = ("import os.path\nfrom .paths import Path\n"
+              "def f():\n    from numpy.linalg import det\n")
+    assert absolute_imports(source) == {"os", "numpy"}
+
+
+def test_the_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) >= 10
+    outside = {
+        (module.name, name)
+        for module in modules
+        for name in absolute_imports(module.read_text())
+        if name not in sys.stdlib_module_names
+    }
+    assert outside == set()

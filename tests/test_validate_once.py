@@ -34,6 +34,7 @@ from lgvlab.paths import (
     enumerate_families,
     is_nonintersecting,
     plane_partition_endpoints,
+    tableau_endpoints,
 )
 from lgvlab.verify import verify_bijection, verify_lgv, verify_schur
 
@@ -155,13 +156,36 @@ def test_constructors_refuse_non_integers(build, field):
     (lambda: schur_by_enumeration((1,), 2.0), "varcount 2.0"),
     (lambda: count_tableaux((1,), 2.0), "varcount 2.0"),
     (lambda: verify_schur((1,), 2.0), "varcount 2.0"),
+    (lambda: plane_partition_endpoints((1,), 1.5), "bound 1.5"),
+    (lambda: tableau_endpoints((1,), 2.5), "varcount 2.5"),
+    (lambda: tableau_endpoints((1,), True), "varcount True"),
 ], ids=["pp-bool", "pp-float", "pp-walk", "pp-genfun", "pp-count",
         "pp-verify", "tableau-float", "tableau-walk-bool",
         "tableau-walk-too-many-rows", "tableau-schur", "tableau-count",
-        "tableau-verify"])
+        "tableau-verify", "pp-endpoints", "tableau-endpoints",
+        "tableau-endpoints-bool"])
 def test_filling_bounds_refuse_non_integers(build, message):
     # checked before the guard's count, so no TypeError from range or comb
     with pytest.raises(ValueError, match=rf"^{message} is not an integer$"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: count_plane_partitions((1, 3), 1),
+     r"^parts\[1\]: parts must be weakly decreasing \(1 < 3\)$"),
+    (lambda: plane_partition_endpoints((1, 3), 1),
+     r"^parts\[1\]: parts must be weakly decreasing \(1 < 3\)$"),
+    (lambda: count_plane_partitions([1.5], 1),
+     r"^parts\[0\]: 1.5 is not an integer$"),
+    (lambda: plane_partition_endpoints([2, 0], 1),
+     r"^parts\[1\]: part 0 is not positive$"),
+    (lambda: plane_partition_endpoints((1,), -1), r"^bound must be nonnegative$"),
+    (lambda: tableau_endpoints((1,), 0), r"^varcount must be at least 1$"),
+], ids=["count-not-decreasing", "endpoints-not-decreasing", "count-float-part",
+        "endpoints-zero-part", "endpoints-negative-bound",
+        "endpoints-no-variables"])
+def test_path_model_entry_points_read_their_shape_and_bound(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
 
 
