@@ -424,15 +424,12 @@ def lgv_matrix(shape, bound: int) -> PolyMatrix:
     weighted by x when the final step is east.  Its determinant is the
     generating function of the bounded plane partitions of that shape by the
     number of rows containing 0.  The shape is read through ``Partition``;
-    a bound that is not an int is refused with ValueError.
+    a bound that is not a nonnegative int is refused with ValueError.
     """
-    from .objects import Partition  # objects imports this module
+    from .objects import Partition, PlanePartition  # objects imports this module
 
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    if not _is_int(bound):
-        raise ValueError(f"bound {bound!r} is not an integer")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    PlanePartition._check_bound(bound)
     parts = shape.parts
     n = len(parts)
     return PolyMatrix(

@@ -256,8 +256,14 @@ def _permute_steps(family: SignedPathFamily,
         family.endpoints, family.sigma, tuple(new_paths))
 
 
-def _invert_positions(positions) -> tuple[int, ...]:
-    inverse = [0] * len(positions)
+def _invert_positions(positions: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of ``positions``, whose entries lie in 0..n-1; a repeated
+    position is refused with ValueError."""
+    n = len(positions)
+    if len(set(positions)) != n:
+        raise ValueError(
+            f"positions {positions!r} is not a permutation of 0..{n - 1}")
+    inverse = [0] * n
     for t, image in enumerate(positions):
         inverse[image] = t
     return tuple(inverse)

@@ -120,7 +120,8 @@ class _Filling(_Value):
     ``_values(bound)``, the alphabet in row order (empty exactly when the
     int bound is invalid); ``_column_ok(above, entry)``, the column test;
     ``_kind`` and ``_bound_field`` for its JSON; ``_bound_name`` and its
-    refusal texts.  A bound that is not an int is refused by ``_alphabet``.
+    refusal texts.  A bound that is not an int is refused by ``_alphabet``,
+    one out of range also by ``_check_bound``.
 
     The constructor and ``from_json`` check every cell; the walker's rows
     are valid by construction, so ``_enumerate`` builds its fillings
@@ -176,6 +177,14 @@ class _Filling(_Value):
             raise ValueError(f"{cls._bound_name} {bound!r} is not an integer")
         return cls._values(bound)
 
+    @classmethod
+    def _check_bound(cls, bound) -> range:
+        """``_alphabet(bound)``, refused with ``_no_values`` when empty."""
+        values = cls._alphabet(bound)
+        if not values:
+            raise ValueError(cls._no_values)
+        return values
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.shape.parts)}, {self._bound}, {[list(r) for r in self.rows]})"
 
@@ -193,10 +202,7 @@ class _Filling(_Value):
     @classmethod
     def _groups(cls, shape: Partition, bound: int) -> Iterator[tuple]:
         """The ``_fillings`` groups of this kind's fillings of the shape."""
-        values = cls._alphabet(bound)
-        if not values:
-            raise ValueError(cls._no_values)
-        return _fillings(shape, values, cls._column_ok)
+        return _fillings(shape, cls._check_bound(bound), cls._column_ok)
 
     @classmethod
     def _enumerate(cls, shape: Partition, bound: int) -> Iterator["_Filling"]:
@@ -378,9 +384,10 @@ def count_plane_partitions(shape: Partition, bound: int) -> int:
     Entry (i, j), 1-based, is C(shape_j + bound, bound + j - i); the
     determinant equals the number of non-intersecting path families, which
     equals the number of plane partitions.  The shape is read through
-    ``Partition``; a bound that is not an int is refused with ValueError.
+    ``Partition``; a bound that is not a nonnegative int is refused with
+    ValueError.
     """
-    PlanePartition._alphabet(bound)
+    PlanePartition._check_bound(bound)
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     parts = shape.parts
     n = len(parts)
@@ -497,10 +504,10 @@ def count_tableaux(shape: Partition, varcount: int) -> int:
 
     Entry (i, j), 1-based, is C(varcount, mu_j - j + i) where mu is the
     transposed shape; the determinant counts non-intersecting path families,
-    which are in bijection with the tableaux.  A varcount that is not an
-    int is refused with ValueError.
+    which are in bijection with the tableaux.  A varcount that is not a
+    positive int is refused with ValueError.
     """
-    Tableau._alphabet(varcount)
+    Tableau._check_bound(varcount)
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     mu = shape.transpose()
     n = len(mu)

@@ -171,11 +171,10 @@ class Endpoints(_Value):
 def plane_partition_endpoints(shape: Partition, bound: int) -> Endpoints:
     """Endpoint configuration for PP(shape; bound): a_i = (-i, -i),
     b_j = (shape_j - j, -bound - j), 1-based.  The shape is read through
-    ``Partition``; a bound that is not an int is refused with ValueError."""
+    ``Partition``; a bound that is not a nonnegative int is refused with
+    ValueError."""
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    PlanePartition._alphabet(bound)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    PlanePartition._check_bound(bound)
     parts = shape.parts
     n = len(parts)
     return Endpoints(
@@ -189,12 +188,10 @@ def tableau_endpoints(shape: Partition, varcount: int) -> Endpoints:
 
     With mu the transposed shape, a_j = (-j, -j) and
     b_j = (mu_j - j, mu_j - j - varcount), so every connection takes exactly
-    varcount steps, mu_j of them east.  A varcount that is not an int is
-    refused with ValueError.
+    varcount steps, mu_j of them east.  A varcount that is not a positive
+    int is refused with ValueError.
     """
-    Tableau._alphabet(varcount)
-    if varcount < 1:
-        raise ValueError("varcount must be at least 1")
+    Tableau._check_bound(varcount)
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     mu = shape.transpose()
     n = len(mu)

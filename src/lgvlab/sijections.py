@@ -8,9 +8,11 @@ part S-.  A sijection phi: S => T is an ordinary bijection
 which witnesses the equality of signed sizes |S+| - |S-| = |T+| - |T-|.
 Sijections compose by the Garsia-Milne ping-pong construction: to map an
 element of S+ through psi . phi, bounce it back and forth through the
-middle signed set until it escapes out of the far side.  An inverse is a
-plain ``Sijection`` of the same two maps exchanged, so the ping-pong
-composite is the only subclass.
+middle signed set until it escapes out of the far side.  There is one
+class: a sijection is a chain of stages, one built from two maps has one
+stage, ``compose`` concatenates chains, and ``forward`` and ``backward``
+run the same ping-pong walk along the chain, with each stage's forward or
+backward map.  An inverse reverses the chain and inverts each stage.
 
 Elements moving through a sijection are tagged with the side they sit on
 ("source" or "target") and their sign (+1 or -1).  Applications optionally
@@ -18,6 +20,7 @@ append every landing to a trace list, so a composite of many stages yields
 a flat itinerary of intermediate elements.
 """
 
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Optional
 
 Tagged = tuple[str, int, object]
@@ -25,6 +28,8 @@ Tagged = tuple[str, int, object]
 SOURCE = "source"
 TARGET = "target"
 
+_DOMAIN = ((SOURCE, 1), (TARGET, -1))  # S+ |_| T-, which forward maps
+_CODOMAIN = ((SOURCE, -1), (TARGET, 1))  # S- |_| T+, which backward maps
 _SIGN_CHAR = {1: "+", -1: "-"}
 _MAX_PROBLEMS = 5
 
@@ -94,6 +99,8 @@ class Sijection:
     ``forward`` realises the bijection S+ |_| T- -> S- |_| T+ and
     ``backward`` its inverse.  Both act on tagged triples
     ``(side, sign, payload)`` and return the same shape.
+    It is a chain of stages ``(name, forward_map, backward_map)``, stage i
+    a sijection X_i => X_i+1 from X_0 = S to X_k = T.
     """
 
     _base = None  # on an inverse, the sijection it inverts
@@ -104,36 +111,53 @@ class Sijection:
         self.name = name
         self.source = source
         self.target = target
-        self._forward = forward
-        self._backward = backward
+        self._stages = ((name, forward, backward),)
 
     def forward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
-        _check_domain(tagged, ((SOURCE, 1), (TARGET, -1)), self.name)
-        result = self._forward(tagged)
-        _check_domain(result, ((SOURCE, -1), (TARGET, 1)),
-                      self.name + " (forward image)")
-        if trace is not None:
-            trace.append((result[1], result[2]))
-        return result
+        _check_domain(tagged, _DOMAIN, self.name)
+        return self._walk(tagged, 1, _CODOMAIN, " (forward image)", trace)
 
     def backward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
-        _check_domain(tagged, ((SOURCE, -1), (TARGET, 1)), self.name)
-        result = self._backward(tagged)
-        _check_domain(result, ((SOURCE, 1), (TARGET, -1)),
-                      self.name + " (backward image)")
-        if trace is not None:
-            trace.append((result[1], result[2]))
-        return result
+        _check_domain(tagged, _CODOMAIN, self.name)
+        return self._walk(tagged, 2, _DOMAIN, " (backward image)", trace)
+
+    def _walk(self, tagged: Tagged, which: int, image, label: str,
+              trace: Optional[list]) -> Tagged:
+        # The Garsia-Milne ping-pong with each stage's forward (which=1) or
+        # backward (which=2) map: an image on a stage's target side moves on
+        # to the next stage, one on its source side back to the previous one,
+        # until it steps off the chain.  Revisiting a landing means the walk
+        # entered a cycle it can never escape, so we abort rather than spin.
+        stages = self._stages
+        k = 0 if tagged[0] == SOURCE else len(stages) - 1
+        visited = set()
+        while True:
+            stage = stages[k]
+            tagged = stage[which](tagged)
+            _check_domain(tagged, image, stage[0] + label)
+            side, sign, payload = tagged
+            if trace is not None:
+                trace.append((sign, payload))
+            boundary = k + 1 if side == TARGET else k  # it lands in X_boundary
+            if boundary == 0 or boundary == len(stages):
+                return tagged
+            landing = (boundary, sign, payload)
+            if landing in visited:
+                raise SijectionError(
+                    f"{self.name}: ping-pong revisited middle element "
+                    f"{payload!r} with sign {_SIGN_CHAR[sign]}")
+            visited.add(landing)
+            k += 1 if side == TARGET else -1
+            tagged = _flip(tagged)
 
     def inverse(self) -> "Sijection":
-        """The sijection T => S: the two maps exchanged, read with the tags
-        flipped.  Its inverse is ``self`` again."""
+        """The sijection T => S: the stages in reverse order, each with its
+        two maps exchanged and read with the tags flipped.  Its inverse is
+        ``self`` again."""
         if self._base is not None:
             return self._base
-        forward, backward = self._forward, self._backward
-        inverse = Sijection(f"inverse({self.name})", self.target, self.source,
-                            lambda tagged: _flip(backward(_flip(tagged))),
-                            lambda tagged: _flip(forward(_flip(tagged))))
+        inverse = _chain(f"inverse({self.name})", self.target, self.source,
+                         tuple(map(_invert_stage, reversed(self._stages))))
         inverse._base = self
         return inverse
 
@@ -141,9 +165,24 @@ class Sijection:
         return f"Sijection({self.name!r}: {self.source.name} => {self.target.name})"
 
 
+def _chain(name: str, source: SignedSet, target: SignedSet,
+           stages: tuple) -> Sijection:
+    """The sijection S => T that runs ``stages`` in order."""
+    sij = object.__new__(Sijection)
+    sij.name, sij.source, sij.target, sij._stages = name, source, target, stages
+    return sij
+
+
 def _flip(tagged: Tagged) -> Tagged:
     side, sign, payload = tagged
     return (TARGET if side == SOURCE else SOURCE, sign, payload)
+
+
+def _invert_stage(stage: tuple) -> tuple:
+    name, forward, backward = stage
+    return (f"inverse({name})",
+            lambda tagged: _flip(backward(_flip(tagged))),
+            lambda tagged: _flip(forward(_flip(tagged))))
 
 
 def sijection_from_bijection(name: str, source: SignedSet, target: SignedSet,
@@ -168,66 +207,17 @@ def sijection_from_bijection(name: str, source: SignedSet, target: SignedSet,
     return Sijection(name, source, target, forward, backward)
 
 
-class _ComposedSijection(Sijection):
-    """Garsia-Milne composite of phi: S => T and psi: T => U."""
-
-    def __init__(self, phi: Sijection, psi: Sijection):
-        self.phi = phi
-        self.psi = psi
-        name = f"({psi.name} . {phi.name})"
-        # forward/backward are overridden wholesale; no atomic callables.
-        super().__init__(name, phi.source, psi.target, None, None)
-
-    # The ping-pong loop.  Landings in the middle set are recorded per
-    # call; revisiting one would mean the trajectory entered a cycle and
-    # can never escape, so we abort rather than loop forever.
-
-    def forward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
-        _check_domain(tagged, ((SOURCE, 1), (TARGET, -1)), self.name)
-        # phi borders the source and psi the target; an element escapes
-        # when the map just applied sends it out of its own outer side.
-        outer = tagged[0]
-        current = (self.phi if outer == SOURCE else self.psi).forward(
-            tagged, trace)
-        visited = set()
-        while current[0] != outer:
-            _, csign, cpayload = current
-            if (csign, cpayload) in visited:
-                raise SijectionError(
-                    f"{self.name}: ping-pong revisited middle element "
-                    f"{cpayload!r} with sign {_SIGN_CHAR[csign]}")
-            visited.add((csign, cpayload))
-            if csign == 1:
-                outer = TARGET
-                current = self.psi.forward((SOURCE, 1, cpayload), trace)
-            else:
-                outer = SOURCE
-                current = self.phi.forward((TARGET, -1, cpayload), trace)
-        return current
-
-    def backward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
-        # backward is the forward ping-pong of the inverse composite, read
-        # with source and target exchanged.
-        _check_domain(tagged, ((SOURCE, -1), (TARGET, 1)), self.name)
-        return _flip(self.inverse().forward(_flip(tagged), trace))
-
-    def inverse(self) -> Sijection:
-        return _ComposedSijection(self.psi.inverse(), self.phi.inverse())
-
-
 def compose(phi: Sijection, psi: Sijection) -> Sijection:
-    """Compose phi: S => T with psi: T => U into a sijection S => U."""
-    return _ComposedSijection(phi, psi)
+    """Compose phi: S => T with psi: T => U into a sijection S => U, the
+    chain of phi's stages followed by psi's."""
+    return _chain(f"({psi.name} . {phi.name})", phi.source, psi.target,
+                  phi._stages + psi._stages)
 
 
 def compose_all(*sijections: Sijection) -> Sijection:
-    seq = list(sijections)
-    if not seq:
+    if not sijections:
         raise ValueError("compose_all needs at least one sijection")
-    result = seq[0]
-    for sij in seq[1:]:
-        result = compose(result, sij)
-    return result
+    return reduce(compose, sijections)
 
 
 def evaluate_with_trace(sij: Sijection, payload) -> tuple[object, list[Tagged]]:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 import lgvlab.bijections
@@ -314,6 +317,15 @@ def test_permute_steps_refuses_positions_out_of_range(positions):
         step_permutation_sijection(ep, positions)
 
 
+def test_step_permutation_sijection_refuses_a_repeated_position():
+    # every position is in range, yet 0 repeats and 2 is missing: refused
+    # when the sijection is built, not by a family in the middle of a walk
+    ep = tableau_endpoints(Partition([2, 1]), 3)
+    with pytest.raises(ValueError, match=r"^positions \(0, 0, 1\) is not a "
+                                         r"permutation of 0\.\.2$"):
+        step_permutation_sijection(ep, (0, 0, 1))
+
+
 def test_step_permutation_sijection_checks():
     ep = tableau_endpoints(Partition([2]), 2)
     sij = step_permutation_sijection(ep, (1, 0))
@@ -362,11 +374,16 @@ def test_zero_to_max_hop_counts_are_pinned():
     # first 200 elements of PP((4,4,4); 4) the traces hold 9280 steps (9080
     # hops) and the longest holds 216 (215 hops)
     pps = enumerate_plane_partitions(Partition([4, 4, 4]), 4)
-    lengths = [len(zero_to_max_map(pp, with_trace=True)[1]["steps"])
-               for _, pp in zip(range(200), pps)]
+    traces = [zero_to_max_map(pp, with_trace=True)[1]
+              for _, pp in zip(range(200), pps)]
+    lengths = [len(trace["steps"]) for trace in traces]
     assert len(lengths) == 200
     assert sum(lengths) == 9280
     assert max(lengths) == 216
+    # and so is every landing of every itinerary
+    text = json.dumps(traces, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "efdabf473558a3799167971369ef18de779031878eb17f96b1018a76ea661a50")
 
 
 @pytest.mark.parametrize("parts,bound", [((1, 1), 1), ((2, 1), 2), ((2, 2), 2)])

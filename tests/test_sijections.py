@@ -142,6 +142,41 @@ def test_an_inverse_checks_the_image_of_the_map_it_reads():
         broken.backward((TARGET, 1, 1))
 
 
+def test_a_composite_is_the_inverse_of_its_inverse():
+    sij = zero_to_max_sijection((2, 1), 1)
+    inv = sij.inverse()
+    assert type(inv) is Sijection
+    assert inv.inverse() is sij
+    assert inv.source is sij.target and inv.target is sij.source
+    assert repr(inv) == ("Sijection('inverse((inverse(lgv) . (reverse-words "
+                         ". lgv)))': nonintersecting families => "
+                         "nonintersecting families)")
+    assert check_sijection(inv) == []
+    # the inverse's forward walk is the backward walk, read with the tags
+    # flipped, landing by landing
+    for x in sij.source.plus():
+        y = sij.forward((SOURCE, 1, x))
+        ahead, back = [], []
+        flipped = (SOURCE if y[0] == TARGET else TARGET, y[1], y[2])
+        assert inv.forward(flipped, ahead) == (TARGET, 1, x)
+        assert sij.backward(y, back) == (SOURCE, 1, x)
+        assert ahead == back
+
+
+def test_checking_a_composite_builds_no_inverse(monkeypatch):
+    sij = zero_to_max_sijection((3, 2, 1), 2)
+    inverted = []
+    inverse = Sijection.inverse
+
+    def counted(self):
+        inverted.append(self.name)
+        return inverse(self)
+
+    monkeypatch.setattr(Sijection, "inverse", counted)
+    assert check_sijection(sij) == []
+    assert inverted == []
+
+
 def test_composition_with_genuine_cancellation():
     # phi: S => T matches q in T- with 1 in S+; psi: T => U sends x back
     # into T-, so mapping 1 through the composite requires three bounces.
@@ -194,6 +229,36 @@ def test_composition_is_associative_on_elements():
     for x in (1, 2):
         assert left.forward((SOURCE, 1, x)) == right.forward((SOURCE, 1, x))
     assert compose_all(f, g, h).forward((SOURCE, 1, 1)) == (TARGET, 1, "A")
+
+    # a chain whose walk crosses both middle sets in both directions:
+    # 1 -> a -> x -> r -> q -> b -> y -> Z
+    t = signed("t", ("a", "b"), ("q",))
+    u = signed("u", ("x", "y"), ("r",))
+    v = plain("v", "Z")
+    f = from_dict("f", plain("s", 1), t, {
+        (SOURCE, 1, 1): (TARGET, 1, "a"),
+        (TARGET, -1, "q"): (TARGET, 1, "b"),
+    })
+    g = from_dict("g", t, u, {
+        (SOURCE, 1, "a"): (TARGET, 1, "x"),
+        (TARGET, -1, "r"): (SOURCE, -1, "q"),
+        (SOURCE, 1, "b"): (TARGET, 1, "y"),
+    })
+    h = from_dict("h", u, v, {
+        (SOURCE, 1, "x"): (SOURCE, -1, "r"),
+        (SOURCE, 1, "y"): (TARGET, 1, "Z"),
+    })
+    left = compose(compose(f, g), h)
+    right = compose(f, compose(g, h))
+    ahead = [(1, "a"), (1, "x"), (-1, "r"), (-1, "q"), (1, "b"), (1, "y"),
+             (1, "Z")]
+    for sij in (left, right):
+        assert check_sijection(sij) == []
+        trace, back = [], []
+        assert sij.forward((SOURCE, 1, 1), trace) == (TARGET, 1, "Z")
+        assert trace == ahead
+        assert sij.backward((TARGET, 1, "Z"), back) == (SOURCE, 1, 1)
+        assert back == ahead[-2::-1] + [(1, 1)]
 
 
 def test_nonterminating_composition_detected():

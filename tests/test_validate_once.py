@@ -8,6 +8,7 @@ than truncate it."""
 import pytest
 
 import lgvlab.bijections
+from lgvlab.algebra import lgv_matrix
 from lgvlab.bijections import (
     SwapCertificate,
     tail_swap,
@@ -185,6 +186,27 @@ def test_filling_bounds_refuse_non_integers(build, message):
         "endpoints-zero-part", "endpoints-negative-bound",
         "endpoints-no-variables"])
 def test_path_model_entry_points_read_their_shape_and_bound(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: count_plane_partitions((1,), -1), r"^bound must be nonnegative$"),
+    (lambda: count_tableaux((1,), 0), r"^varcount must be at least 1$"),
+    (lambda: lgv_matrix((1,), -1), r"^bound must be nonnegative$"),
+    (lambda: list(enumerate_plane_partitions((1,), -1)),
+     r"^bound must be nonnegative$"),
+    (lambda: list(enumerate_tableaux((1,), 0)),
+     r"^varcount must be at least 1$"),
+    (lambda: genfun_by_enumeration((1,), -1, "zeros"),
+     r"^bound must be nonnegative$"),
+    (lambda: schur_by_enumeration((1,), 0), r"^varcount must be at least 1$"),
+    (lambda: PlanePartition((1,), -1, [[0]]), r"^bound -1 is negative$"),
+    (lambda: Tableau((1,), 0, [[1]]), r"^varcount 0 must be at least 1$"),
+], ids=["pp-count", "tableau-count", "lgv-matrix", "pp-walk", "tableau-walk",
+        "pp-genfun", "tableau-schur", "pp-constructor", "tableau-constructor"])
+def test_an_out_of_range_bound_is_refused_not_counted(build, message):
+    # the closed-form counts refuse it as the walks do, rather than answer 0
     with pytest.raises(ValueError, match=message):
         build()
 
