@@ -392,15 +392,35 @@ def _bareiss(m: list[list[int]]) -> int:
 
 
 def perm_sign(perm: Iterable[int]) -> int:
-    """Sign of a permutation given as a sequence of images (any base index)."""
+    """Sign of a permutation of base..base+n-1, given as its sequence of
+    images, where base is the smallest entry (any base index).
+
+    The sign is (-1)^(n - cycles), found by walking each cycle once.  A
+    sequence with a repeated, out-of-range or non-integer image is refused
+    with ValueError.
+    """
     perm = tuple(perm)
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
+    n = len(perm)
+    odd = False
+    try:
+        base = min(perm) if perm else 0
+        seen = [False] * n
+        for start in range(n):
+            if seen[start]:
+                continue
+            seen[start] = True
+            j = perm[start] - base
+            # every step of a cycle but the one closing it is a transposition
+            while j != start:
+                if j >= n or seen[j]:
+                    raise ValueError
+                seen[j] = True
+                odd = not odd
+                j = perm[j] - base
+    except (TypeError, ValueError):  # TypeError: an image is no integer
+        raise ValueError(f"{list(perm)} is not a permutation of {n} "
+                         "consecutive integers") from None
+    return -1 if odd else 1
 
 
 def path_count_matrix_entry(part: int, bound: int, i: int, j: int) -> UniPoly:

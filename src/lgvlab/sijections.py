@@ -100,7 +100,8 @@ class Sijection:
     ``backward`` its inverse.  Both act on tagged triples
     ``(side, sign, payload)`` and return the same shape.
     It is a chain of stages ``(name, forward_map, backward_map)``, stage i
-    a sijection X_i => X_i+1 from X_0 = S to X_k = T.
+    a sijection X_i => X_i+1 from X_0 = S to X_k = T; an inverted stage
+    carries the stage it inverts as a fourth entry.
     """
 
     _base = None  # on an inverse, the sijection it inverts
@@ -179,10 +180,16 @@ def _flip(tagged: Tagged) -> Tagged:
 
 
 def _invert_stage(stage: tuple) -> tuple:
+    """The stage read the other way.  An inverted stage keeps the stage it
+    came from as a fourth entry, which the walk never reads, so inverting
+    it again gives that stage back instead of flipping the tags twice."""
+    if len(stage) == 4:
+        return stage[3]
     name, forward, backward = stage
     return (f"inverse({name})",
             lambda tagged: _flip(backward(_flip(tagged))),
-            lambda tagged: _flip(forward(_flip(tagged))))
+            lambda tagged: _flip(forward(_flip(tagged))),
+            stage)
 
 
 def sijection_from_bijection(name: str, source: SignedSet, target: SignedSet,
@@ -270,7 +277,17 @@ def check_sijection(sij: Sijection) -> list[str]:
     backward inverts it.  Returns a list of problem descriptions (with
     witnesses), empty when everything holds.
     """
+    return _round_trips(sij)[0]
+
+
+def _round_trips(sij: Sijection) -> tuple[list[str], list[tuple]]:
+    """One round trip per element: forward each element x of S+ |_| T-
+    once and send its image back once.  Returns ``check_sijection``'s
+    problems and the pairs ``(x, forward(x))`` whose round trip held, in
+    domain order.  When there are no problems these pairs are all of
+    forward, and so (read the other way) all of backward."""
     problems: list[str] = []
+    pairs: list[tuple] = []
     domain, codomain = _sides(sij)
     codomain_set = set(codomain)
     if len(codomain_set) != len(codomain):
@@ -298,10 +315,12 @@ def check_sijection(sij: Sijection) -> list[str]:
             continue
         if back != x:
             problems.append(f"backward(forward({x!r})) = {back!r} != {x!r}")
+            continue
+        pairs.append((x, y))
     for y in codomain:
         if y not in seen:
             problems.append(f"forward is not surjective: {y!r} has no preimage")
-    return problems[:_MAX_PROBLEMS]
+    return problems[:_MAX_PROBLEMS], pairs
 
 
 def check_compatibility(sij: Sijection, source_stat: Callable,
@@ -311,22 +330,29 @@ def check_compatibility(sij: Sijection, source_stat: Callable,
     A sijection is compatible with a pair of statistics when every element
     and its image share the statistic value (reading the statistic off
     whichever set the element belongs to).  Both directions are checked.
+    The backward half is redundant only after a passing ``check_sijection``:
+    then backward is forward read the other way.  Alone, it is what catches
+    a backward map that breaks the statistic while forward keeps it.
     """
-    problems: list[str] = []
-
-    def stat(tagged: Tagged) -> int:
-        side, _, payload = tagged
-        return source_stat(payload) if side == SOURCE else target_stat(payload)
-
     domain, codomain = _sides(sij)
-    for x in domain:
-        y = sij.forward(x)
-        if stat(x) != stat(y):
-            problems.append(f"statistic changes along forward: {x!r} has "
-                            f"{stat(x)} but {y!r} has {stat(y)}")
-    for y in codomain:
-        x = sij.backward(y)
-        if stat(x) != stat(y):
-            problems.append(f"statistic changes along backward: {y!r} has "
-                            f"{stat(y)} but {x!r} has {stat(x)}")
+    problems = _stat_changes(((x, sij.forward(x)) for x in domain),
+                             source_stat, target_stat, "forward")
+    problems += _stat_changes(((y, sij.backward(y)) for y in codomain),
+                              source_stat, target_stat, "backward")
+    return problems[:_MAX_PROBLEMS]
+
+
+def _stat_changes(pairs: Iterable[tuple], source_stat: Callable,
+                  target_stat: Callable, direction: str) -> list[str]:
+    """The first few pairs ``(element, image)`` whose statistic values
+    differ, as problem descriptions; the statistic is read off whichever
+    set each element sits in.  ``direction`` names the map that made the
+    images."""
+    problems: list[str] = []
+    for x, y in pairs:
+        sx = source_stat(x[2]) if x[0] == SOURCE else target_stat(x[2])
+        sy = source_stat(y[2]) if y[0] == SOURCE else target_stat(y[2])
+        if sx != sy:
+            problems.append(f"statistic changes along {direction}: {x!r} has "
+                            f"{sx} but {y!r} has {sy}")
     return problems[:_MAX_PROBLEMS]

@@ -40,7 +40,7 @@ from .paths import (
     last_step_east_count,
     plane_partition_endpoints,
 )
-from .sijections import check_compatibility, check_sijection
+from .sijections import _round_trips, _stat_changes
 
 
 def _check(name: str, passed: bool, witness=None) -> dict:
@@ -148,11 +148,14 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
         rejects_witness = {"family": family.to_json()}
         break
 
-    bijective = check_sijection(sijection)
-    compat_last = check_compatibility(
-        sijection, last_step_east_count, last_step_east_count)
-    compat_first = check_compatibility(
-        sijection, first_step_east_count, first_step_east_count)
+    # One round trip per element.  Once forward is a bijection that
+    # backward undoes, backward is forward read the other way, so both
+    # statistics are compared on the forward pairs whose round trip held.
+    bijective, pairs = _round_trips(sijection)
+    compat_last = _stat_changes(pairs, last_step_east_count,
+                                last_step_east_count, "forward")
+    compat_first = _stat_changes(pairs, first_step_east_count,
+                                 first_step_east_count, "forward")
 
     checks = [
         _check("family-count-matches-permanent", len(families) == perm_count,

@@ -407,6 +407,22 @@ def test_perm_sign():
     assert perm_sign((0, 1, 2)) == 1
     assert perm_sign((1, 0, 2)) == -1
     assert perm_sign((1, 2, 0)) == 1
+    # the sign from cycles is the parity of the inversion count
+    for n in range(8):
+        for perm in permutations(range(n)):
+            inversions = sum(perm[i] > perm[j]
+                             for i in range(n) for j in range(i + 1, n))
+            sign = -1 if inversions % 2 else 1
+            assert perm_sign(perm) == sign
+            assert perm_sign(iter([p + 1 for p in perm])) == sign
+
+
+@pytest.mark.parametrize("perm", [
+    (0, 0), (0, 5), (1, 1, 0), (2, 0, 0), (1, 3), (0, 2, 3), (0, 0.5),
+    ("a", "b")])
+def test_perm_sign_refuses_a_sequence_that_is_not_a_permutation(perm):
+    with pytest.raises(ValueError, match="is not a permutation of"):
+        perm_sign(perm)
 
 
 # --- the binomial matrix ---------------------------------------------------

@@ -163,6 +163,17 @@ def test_a_composite_is_the_inverse_of_its_inverse():
         assert ahead == back
 
 
+def test_inverting_an_inverted_stage_gives_the_stage_back():
+    # the composite ends in inverse(lgv); its inverse begins with lgv's own
+    # stage, not a doubly flipped copy of it
+    sij = zero_to_max_sijection((2, 1), 1)
+    inv = sij.inverse()
+    assert [stage[0] for stage in inv._stages] == [
+        "lgv", "inverse(reverse-words)", "inverse(lgv)"]
+    assert inv._stages[0] is sij._stages[0]  # lgv's own maps
+    assert check_sijection(inv) == []
+
+
 def test_checking_a_composite_builds_no_inverse(monkeypatch):
     sij = zero_to_max_sijection((3, 2, 1), 2)
     inverted = []
@@ -337,6 +348,24 @@ def test_compatibility_checks():
     assert check_compatibility(sij, lambda x: x % 3, lambda y: (y // 10) % 3) == []
     problems = check_compatibility(sij, lambda x: x, lambda y: y)
     assert problems and "statistic changes" in problems[0]
+
+
+def test_compatibility_checks_backward_on_its_own():
+    # forward keeps the statistic (1 -> 10, 2 -> 20) but backward sends 10
+    # to 2 and 20 to 1; only the backward half of the check can see it
+    s = plain("s", 1, 2)
+    t = plain("t", 10, 20)
+    sij = sijection_from_bijection(
+        "crossed", s, t, lambda x: 10 * x, {10: 2, 20: 1}.get)
+    problems = check_compatibility(sij, lambda x: x, lambda y: y // 10)
+    assert problems == [
+        "statistic changes along backward: ('target', 1, 10) has 1 but "
+        "('source', 1, 2) has 2",
+        "statistic changes along backward: ('target', 1, 20) has 2 but "
+        "('source', 1, 1) has 1",
+    ]
+    # the backward half is redundant only once the round trips hold
+    assert any("backward(forward" in p for p in check_sijection(sij))
 
 
 def test_trace_to_json_serialization():

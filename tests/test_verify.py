@@ -16,6 +16,7 @@ from lgvlab.objects import (
     schur_by_enumeration,
 )
 from lgvlab.paths import is_nonintersecting
+from lgvlab.sijections import Sijection, check_compatibility, check_sijection
 from lgvlab.verify import (
     report_passed,
     sweep,
@@ -147,6 +148,109 @@ def test_verify_lgv_walks_the_families_once(monkeypatch):
     assert max(swapped.values()) <= 2
     assert sum(rejected.values()) == results["nonintersecting"]
     assert set(rejected).isdisjoint(swapped)
+
+
+def test_verify_lgv_makes_one_round_trip_per_element(monkeypatch):
+    # one forward and one backward evaluation per element of S+ |_| T-,
+    # and each statistic read at most on an element and on its image
+    calls = collections.Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("forward", "backward"):
+        monkeypatch.setattr(Sijection, name,
+                            counting(name, getattr(Sijection, name)))
+    for name in ("first_step_east_count", "last_step_east_count"):
+        monkeypatch.setattr(verify, name,
+                            counting(name, getattr(verify, name)))
+    report = verify_lgv((3, 3, 2), 2)
+    assert report_passed(report)
+    results = report["results"]
+    negative = (results["families"] - results["signed_sum"]) // 2
+    domain = results["nonintersecting"] + negative
+    assert domain == 155 + 510
+    assert calls["forward"] == domain
+    assert calls["backward"] == domain
+    assert calls["first_step_east_count"] <= 2 * domain
+    assert calls["last_step_east_count"] <= 2 * domain
+
+
+_SIJECTION_CHECKS = ("sijection-bijective", "compatible-with-last-step-east",
+                     "compatible-with-first-step-east")
+
+
+def _public_sijection_checks(shape, bound):
+    """The three sijection checks of ``verify_lgv``, from the public
+    checkers on a fresh cancellation sijection."""
+    sij = lgvlab.bijections.lgv_sijection(
+        lgvlab.paths.plane_partition_endpoints(shape, bound))
+    last, first = (lgvlab.paths.last_step_east_count,
+                   lgvlab.paths.first_step_east_count)
+    return (check_sijection(sij), check_compatibility(sij, last, last),
+            check_compatibility(sij, first, first))
+
+
+@pytest.mark.parametrize("shape", [
+    shape.parts for shape in enumerate_partitions(6)],
+    ids=lambda parts: ",".join(map(str, parts)) or "empty")
+def test_verify_lgv_sijection_checks_match_the_public_checkers(shape):
+    # the one-pass checks against the three separate checkers they replace
+    for bound in range(3):
+        report = verify_lgv(shape, bound)
+        for name, problems in zip(_SIJECTION_CHECKS,
+                                  _public_sijection_checks(shape, bound)):
+            check = _check_named(report, name)
+            assert check["passed"] == (problems == [])
+            assert check["witness"] == (None if check["passed"] else problems)
+
+
+def test_verify_lgv_reads_a_broken_statistic_off_the_round_trips(
+        monkeypatch):
+    # the sign is not carried by the cancellation: each of the 16 negative
+    # families maps to a positive one.  With that many, the public checker's
+    # first problems are all forward ones, the witness the report gives.
+    def sign(family):
+        return family.sign
+
+    monkeypatch.setattr(verify, "last_step_east_count", sign)
+    report = verify_lgv((2, 2), 2)
+    check = _check_named(report, "compatible-with-last-step-east")
+    sij = lgvlab.bijections.lgv_sijection(
+        lgvlab.paths.plane_partition_endpoints((2, 2), 2))
+    assert not check["passed"]
+    assert check["witness"] == check_compatibility(sij, sign, sign)
+    assert all(p.startswith("statistic changes along forward: ('target', -1")
+               for p in check["witness"])
+    assert _check_named(report, "sijection-bijective")["passed"]
+    assert _check_named(report, "compatible-with-first-step-east")["passed"]
+
+
+def test_verify_lgv_reports_one_broken_round_trip(monkeypatch):
+    # a swap that sends one positive crossing family to the wrong negative
+    # family breaks exactly one round trip; the report says so, no traceback
+    endpoints = lgvlab.paths.plane_partition_endpoints((2, 2), 1)
+    families = list(lgvlab.paths.enumerate_families(endpoints))
+    real = lgvlab.bijections.tail_swap
+    victim = next(f for f in families
+                  if f.sign == 1 and not is_nonintersecting(f))
+    wrong = next(f for f in families
+                 if f.sign == -1 and f != real(victim)[0])
+
+    def faulty(family):
+        image, cert = real(family)
+        return (wrong if family == victim else image), cert
+
+    monkeypatch.setattr(lgvlab.bijections, "tail_swap", faulty)
+    report = verify_lgv((2, 2), 1)
+    check = _check_named(report, "sijection-bijective")
+    assert not check["passed"]
+    assert len(check["witness"]) == 1
+    assert check["witness"][0].startswith("backward(forward(")
+    json.dumps(report)
 
 
 def test_verify_lgv_swaps_each_crossing_family_once(monkeypatch):
