@@ -96,19 +96,20 @@ def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertifica
     # The canonical point is the smallest point a path shares with an
     # earlier one, and the first path to share it is the second smallest
     # index through it: one pass over the paths, linear in their length.
-    best = None
-    seen = set()
-    for j, points in enumerate(sets):
-        common = points & seen
-        if common:
-            low = min(common)
-            if best is None or low < best[0]:
-                best = (low, j)
+    point = None
+    seen = set(sets[0]) if sets else set()
+    for k in range(1, len(sets)):
+        points = sets[k]
+        if not seen.isdisjoint(points):
+            low = min(points & seen)
+            if point is None or low < point:
+                point, j = low, k
         seen |= points
-    if best is None:
+    if point is None:
         raise ValueError("tail swap is undefined on a non-intersecting family")
-    point, j = best
-    i = next(k for k in range(j) if point in sets[k])
+    i = 0
+    while point not in sets[i]:
+        i += 1
     # A south-east path reaches (x, y) after (x - x0) + (y0 - y) steps.
     cut_i = point[0] - paths[i].start[0] + paths[i].start[1] - point[1]
     cut_j = point[0] - paths[j].start[0] + paths[j].start[1] - point[1]
@@ -123,16 +124,31 @@ def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertifica
     # round, so the swapped family is valid by construction.
     swapped = SignedPathFamily._trusted(
         family.endpoints, tuple(new_sigma), tuple(new_paths))
+    # Both new paths still pass through the common point, so the image
+    # intersects too: recorded here, it is not scanned for again.
+    object.__setattr__(swapped, "_ni", False)
     return swapped, SwapCertificate._trusted(point, (i, j))
 
 
 def nonintersecting_set(endpoints: Endpoints,
-                        guard_limit: int | None = None) -> SignedSet:
-    """The non-intersecting families as a signed set with empty minus part."""
-    return SignedSet(
-        "nonintersecting families",
-        lambda: ((f, 1) for f in enumerate_ni_families(endpoints, guard_limit)),
-    )
+                        guard_limit: int | None = None,
+                        families: SignedSet | None = None) -> SignedSet:
+    """The non-intersecting families as a signed set with empty minus part.
+
+    ``families``, when given, is the signed set of all families on the same
+    endpoints.  A walk that starts after it has been walked reads the
+    non-intersecting identity families off its stream, where they already
+    are, built and scanned, in the order the enumeration would give them.
+    """
+    identity = tuple(range(endpoints.n))
+
+    def elements():
+        if families is not None and families._stream is not None:
+            return ((f, 1) for f, _ in families.elements()
+                    if f.sigma == identity and is_nonintersecting(f))
+        return ((f, 1) for f in enumerate_ni_families(endpoints, guard_limit))
+
+    return SignedSet("nonintersecting families", elements)
 
 
 def signed_family_set(endpoints: Endpoints,
@@ -161,9 +177,11 @@ def lgv_sijection(endpoints: Endpoints,
     catch a swap that is not one.  ``verify_lgv`` reads the memo through
     the sijection's ``_swap``, a closure: a bound method would make a
     reference cycle that keeps the memo alive until the collector runs.
+    The non-intersecting side, walked after the signed families, reads its
+    families off their stream (see ``nonintersecting_set``).
     """
-    source = nonintersecting_set(endpoints, guard_limit)
     target = signed_family_set(endpoints, guard_limit)
+    source = nonintersecting_set(endpoints, guard_limit, target)
     swaps = {}
 
     def swap(family):

@@ -50,12 +50,13 @@ def _point(value, field: str) -> Point:
 class Path(_Value):
     """Monotone south-east lattice path: a start point and a word over {E, S}.
 
-    ``end`` is computed once, when the path is built, and stored.  The set
-    of visited points is computed on first use and cached (``_point_set``);
-    ``points()`` still builds the ordered tuple on every call.
+    ``end`` and the hash are computed once, when the path is built, and
+    stored.  The set of visited points is computed on first use and cached
+    (``_point_set``); ``points()`` still builds the ordered tuple on every
+    call.
     """
 
-    __slots__ = ("start", "word", "end", "_points")
+    __slots__ = ("start", "word", "end", "_hash", "_points")
 
     def __init__(self, start: Point, word: str):
         start = _point(start, "start")
@@ -71,6 +72,7 @@ class Path(_Value):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "end", end)
+        object.__setattr__(self, "_hash", hash((start, word)))
         object.__setattr__(self, "_points", None)
 
     def __len__(self) -> int:
@@ -101,7 +103,7 @@ class Path(_Value):
         return self.start == other.start and self.word == other.word
 
     def __hash__(self) -> int:
-        return hash((self.start, self.word))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Path({self.start}, {self.word!r})"
@@ -129,6 +131,11 @@ class Path(_Value):
 # (each entry holds a point set as long as its word).
 _PATH_CACHE_SIZE = 4096
 _path = lru_cache(maxsize=_PATH_CACHE_SIZE)(Path)
+
+# A family's sign is its permutation's.  The families on n endpoints share
+# at most n! permutations, and a family's sigma is always a tuple of ints,
+# so the sign is looked up by sigma instead of walked again per family.
+_sigma_sign = lru_cache(maxsize=1024)(perm_sign)
 
 
 class Endpoints(_Value):
@@ -247,7 +254,7 @@ class SignedPathFamily(_Value):
 
     @property
     def sign(self) -> int:
-        return perm_sign(self.sigma)
+        return _sigma_sign(self.sigma)
 
     @property
     def n(self) -> int:
@@ -256,20 +263,17 @@ class SignedPathFamily(_Value):
     def is_identity(self) -> bool:
         return all(s == i for i, s in enumerate(self.sigma))
 
-    # hand-written rather than a ``_key()``: no extra call on this hot path
+    # Hand-written rather than a ``_key()``: no extra call on this hot path.
+    # The paths' starts and ends, read through sigma, are the endpoints, so
+    # equal sigma and paths already mean equal families.
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedPathFamily):
             return NotImplemented
-        return (
-            self.endpoints == other.endpoints
-            and self.sigma == other.sigma
-            and self.paths == other.paths
-        )
+        return self.sigma == other.sigma and self.paths == other.paths
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.endpoints, self.sigma, self.paths)))
+            object.__setattr__(self, "_hash", hash((self.sigma, self.paths)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -423,7 +427,7 @@ def last_step_east_count(family: SignedPathFamily) -> int:
     0: the entry recorded by the final east step is 0 exactly when no south
     steps follow it.
     """
-    return sum(1 for p in family.paths if p.word.endswith("E"))
+    return [p.word[-1:] for p in family.paths].count("E")
 
 
 def first_step_east_count(family: SignedPathFamily) -> int:
@@ -432,7 +436,7 @@ def first_step_east_count(family: SignedPathFamily) -> int:
     On an encoded plane partition this equals the number of rows containing
     the bound: a first east step means the first entry lost no height.
     """
-    return sum(1 for p in family.paths if p.word.startswith("E"))
+    return [p.word[:1] for p in family.paths].count("E")
 
 
 def east_step_labels(family: SignedPathFamily, varcount: int) -> tuple[int, ...]:

@@ -163,6 +163,9 @@ def test_tail_swap_and_disjointness_match_the_dict_oracle():
             expected, point, pair = _oracle_tail_swap(family)
             assert cert.point == point and cert.paths == pair
             assert swapped == expected
+            # the image comes marked intersecting, and so the oracle finds it
+            assert swapped._ni is False
+            assert not _oracle_is_nonintersecting(swapped)
             triple += sum(point in p.points() for p in family.paths) > 2
     assert crossing > 8000 and triple > 0
 
@@ -244,6 +247,28 @@ def test_lgv_sijection_check_catches_a_swap_that_does_not_undo_itself(
     ep = plane_partition_endpoints(Partition([2, 1]), 2)
     problems = check_sijection(lgv_sijection(ep))
     assert any(p.startswith("backward(forward(") for p in problems)
+
+
+@pytest.mark.parametrize("ep", [
+    plane_partition_endpoints(Partition([3, 3, 2]), 2),
+    tableau_endpoints(Partition([3, 2]), 3),
+], ids=["plane-partition", "tableau"])
+def test_lgv_source_walked_after_the_target_reads_its_stream(ep, monkeypatch):
+    # walked first, the non-intersecting side enumerates its own families;
+    # walked after the signed families, it gives the same families in the
+    # same order, the signed set's own objects, and enumerates nothing
+    fresh = list(lgv_sijection(ep).source.elements())
+    sij = lgv_sijection(ep)
+    walked = {id(family) for family, _ in sij.target.elements()}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the families were enumerated again")
+
+    monkeypatch.setattr(lgvlab.bijections, "enumerate_ni_families", refused)
+    read = list(sij.source.elements())
+    assert read == fresh and len(read) > 10
+    assert all(id(family) in walked for family, _ in read)
+    assert check_sijection(sij) == []
 
 
 def test_swap_images_hold_the_enumerated_paths():

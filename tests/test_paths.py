@@ -17,6 +17,7 @@ from lgvlab.objects import (
     enumerate_tableaux,
 )
 import lgvlab.paths
+from lgvlab.algebra import perm_sign
 from lgvlab.paths import (
     Endpoints,
     Path,
@@ -81,6 +82,28 @@ def test_path_caches_end_and_point_set():
     assert p._point_set() is p._point_set()
     with pytest.raises(AttributeError):
         p.end = (0, 0)
+
+
+def test_path_and_family_hashes():
+    # a path hashes as (start, word), computed once when it is built; a
+    # family compares and hashes by (sigma, paths), which fix its endpoints
+    p = Path((2, -3), "SSEES")
+    assert hash(p) == hash(Path((2, -3), "SSEES")) == hash(((2, -3), "SSEES"))
+    ep = plane_partition_endpoints(Partition([2, 2]), 2)
+    twin = plane_partition_endpoints(Partition([2, 2]), 2)
+    assert twin == ep and twin is not ep
+    for family in enumerate_families(ep):
+        rebuilt = SignedPathFamily(twin, family.sigma, family.paths)
+        assert rebuilt == family and rebuilt is not family
+        assert hash(rebuilt) == hash(family) == hash(
+            (family.sigma, family.paths))
+        assert family.sign == perm_sign(family.sigma)
+
+
+def test_step_statistics_on_an_empty_path():
+    ep = Endpoints([(0, 0), (-1, -1)], [(0, 0), (0, -1)])
+    family = SignedPathFamily(ep, (0, 1), [Path((0, 0), ""), Path((-1, -1), "E")])
+    assert last_step_east_count(family) == first_step_east_count(family) == 1
 
 
 def test_interned_paths_equal_fresh_paths_and_stay_immutable():
