@@ -74,7 +74,9 @@ class _Value:
     its slots through ``object.__setattr__``.  ``_trusted(*fields)`` builds
     a value through the subclass's ``_fill(*fields)`` without the checks of
     its constructor; it is for values the library built from parts it had
-    already checked.  Equality and hash read the subclass's ``_key()``, and
+    already checked.  A class built on a hot path replaces it with a
+    fixed-arity ``_trusted`` of its own, whose calls CPython specialises
+    where it does not specialise the varargs one.  Equality and hash read the subclass's ``_key()``, and
     a value equals only values of its own exact type.
     """
 

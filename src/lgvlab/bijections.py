@@ -16,6 +16,7 @@ from .objects import PlanePartition, Tableau
 from .paths import (
     Endpoints,
     SignedPathFamily,
+    _family_meet,
     _path,
     _point,
     enumerate_families,
@@ -47,8 +48,8 @@ class SwapCertificate(_Value):
     The same certificate describes the swap and its undoing, which is what
     makes the involution checkable step by step.  Path indices are stored
     zero-based; the JSON form is one-indexed to match the family format.
-    The tail swap builds its certificates through ``_Value._trusted``,
-    which passes them to ``_fill`` without checking them again.
+    The tail swap builds its certificates through ``_trusted``, which
+    passes them to ``_fill`` without checking them again.
     """
 
     __slots__ = ("point", "paths")
@@ -64,6 +65,13 @@ class SwapCertificate(_Value):
         """Set the slots: an integer point and integer indices i < j."""
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "paths", paths)
+
+    # fixed arity, unlike ``_Value._trusted``, so the calls specialise
+    @classmethod
+    def _trusted(cls, point: tuple, paths: tuple) -> "SwapCertificate":
+        self = object.__new__(cls)
+        self._fill(point, paths)
+        return self
 
     def _key(self) -> tuple:
         return (self.point, self.paths)
@@ -91,25 +99,11 @@ def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertifica
     Returns the swapped family together with the certificate; raises
     ValueError on a non-intersecting family.
     """
-    paths = family.paths
-    sets = [path._point_set() for path in paths]
-    # The canonical point is the smallest point a path shares with an
-    # earlier one, and the first path to share it is the second smallest
-    # index through it: one pass over the paths, linear in their length.
-    point = None
-    seen = set(sets[0]) if sets else set()
-    for k in range(1, len(sets)):
-        points = sets[k]
-        if not seen.isdisjoint(points):
-            low = min(points & seen)
-            if point is None or low < point:
-                point, j = low, k
-        seen |= points
-    if point is None:
+    meet = _family_meet(family)
+    if meet is None:
         raise ValueError("tail swap is undefined on a non-intersecting family")
-    i = 0
-    while point not in sets[i]:
-        i += 1
+    point, i, j = meet
+    paths = family.paths
     # A south-east path reaches (x, y) after (x - x0) + (y0 - y) steps.
     cut_i = point[0] - paths[i].start[0] + paths[i].start[1] - point[1]
     cut_j = point[0] - paths[j].start[0] + paths[j].start[1] - point[1]
@@ -125,7 +119,9 @@ def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertifica
     swapped = SignedPathFamily._trusted(
         family.endpoints, tuple(new_sigma), tuple(new_paths))
     # Both new paths still pass through the common point, so the image
-    # intersects too: recorded here, it is not scanned for again.
+    # intersects too: recorded here, it is not scanned for again.  Its meet
+    # is not copied from the input: swapping the image scans its own paths,
+    # so the involution is checked, not assumed.
     object.__setattr__(swapped, "_ni", False)
     return swapped, SwapCertificate._trusted(point, (i, j))
 
@@ -205,7 +201,8 @@ def lgv_sijection(endpoints: Endpoints,
             return (SOURCE, 1, family)
         return (TARGET, -1, swap(family)[0])
 
-    sijection = Sijection("lgv", source, target, forward, backward)
+    sijection = Sijection("lgv", source, target, forward, backward,
+                          guard_limit)
     sijection._swap = swap
     return sijection
 
@@ -220,7 +217,7 @@ def reverse_paths(family: SignedPathFamily) -> SignedPathFamily:
     return SignedPathFamily._trusted(
         family.endpoints,
         family.sigma,
-        tuple(_path(p.start, p.word[::-1]) for p in family.paths),
+        tuple(p._reverse() for p in family.paths),
     )
 
 
@@ -228,7 +225,8 @@ def reversal_sijection(endpoints: Endpoints,
                        guard_limit: int | None = None) -> Sijection:
     families = signed_family_set(endpoints, guard_limit)
     return sijection_from_bijection(
-        "reverse-words", families, families, reverse_paths, reverse_paths)
+        "reverse-words", families, families, reverse_paths, reverse_paths,
+        guard_limit)
 
 
 def permute_steps(family: SignedPathFamily, positions) -> SignedPathFamily:
@@ -295,7 +293,7 @@ def step_permutation_sijection(endpoints: Endpoints, positions,
     return sijection_from_bijection(
         "permute-steps", families, families,
         lambda f: _permute_steps(f, positions),
-        lambda f: _permute_steps(f, inverse))
+        lambda f: _permute_steps(f, inverse), guard_limit)
 
 
 def _conjugate(endpoints: Endpoints, middle: Sijection,

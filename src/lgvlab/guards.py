@@ -1,10 +1,15 @@
-"""Enumeration guards.
+"""Enumeration guards and the ping-pong hop budget.
 
 Every exhaustive enumeration in this package is bounded by a guard limit:
 before materializing a combinatorial family we estimate its size by a cheap
 closed-form count (a determinant or permanent of binomial coefficients) and
 refuse to proceed if the estimate exceeds the limit.  This turns a runaway
 computation into an immediate, diagnosable error.
+
+The same limit bounds every sijection evaluation: a ping-pong walk counts
+the stage maps it applies and raises ``GuardExceeded("ping-pong hops",
+...)`` once it would apply more than the limit.  No closed form predicts
+an orbit's length, so this guard fires during the walk, not before it.
 
 The default limit is 10**7 objects.  It can be overridden per call (the
 ``guard_limit`` keyword accepted throughout), or globally through the

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 from typing import Iterator
 
 from .algebra import _Value, _ints, _is_int, binomial, det_int, perm_sign
@@ -36,6 +36,8 @@ from .guards import check_guard
 from .objects import Partition, PlanePartition, Tableau
 
 Point = tuple[int, int]
+
+_serials = count()
 
 
 def _point(value, field: str) -> Point:
@@ -52,11 +54,14 @@ class Path(_Value):
 
     ``end`` and the hash are computed once, when the path is built, and
     stored.  The set of visited points is computed on first use and cached
-    (``_point_set``); ``points()`` still builds the ordered tuple on every
-    call.
+    (``_point_set``), as is the reversed path (``_reverse``); ``points()``
+    still builds the ordered tuple on every call.  ``_meets`` memoises this
+    path's meets with its partners (see ``_pair_meet``), keyed by each
+    partner's ``_serial``, a number no other path object is ever given.
     """
 
-    __slots__ = ("start", "word", "end", "_hash", "_points")
+    __slots__ = ("start", "word", "end", "_hash", "_points", "_reversed",
+                 "_meets", "_serial")
 
     def __init__(self, start: Point, word: str):
         start = _point(start, "start")
@@ -74,6 +79,9 @@ class Path(_Value):
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "_hash", hash((start, word)))
         object.__setattr__(self, "_points", None)
+        object.__setattr__(self, "_reversed", None)
+        object.__setattr__(self, "_meets", None)
+        object.__setattr__(self, "_serial", next(_serials))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -95,6 +103,17 @@ class Path(_Value):
         if self._points is None:
             object.__setattr__(self, "_points", frozenset(self.points()))
         return self._points
+
+    def _reverse(self) -> "Path":
+        """The path with the same start and the reversed word, looked up
+        once per pair: each of the two keeps the other."""
+        reverse = self._reversed
+        if reverse is None:
+            reverse = _path(self.start, self.word[::-1])
+            object.__setattr__(self, "_reversed", reverse)
+            if reverse._reversed is None:
+                object.__setattr__(reverse, "_reversed", self)
+        return reverse
 
     # hand-written rather than a ``_key()``: no extra call on this hot path
     def __eq__(self, other) -> bool:
@@ -128,9 +147,12 @@ class Path(_Value):
 # enumerated family it equals, so comparing the two stops at identity.
 # A ping-pong orbit of a few hundred hops touches a few hundred distinct
 # paths, so the bound keeps whole orbits while capping the memory held
-# (each entry holds a point set as long as its word).
+# (each entry holds a point set as long as its word, and may keep its
+# reversal alive: at most 2 * _PATH_CACHE_SIZE paths outlive their use).
 _PATH_CACHE_SIZE = 4096
 _path = lru_cache(maxsize=_PATH_CACHE_SIZE)(Path)
+
+_UNSCANNED = object()  # a meet not computed yet; None means "no meet"
 
 # A family's sign is its permutation's.  The families on n endpoints share
 # at most n! permutations, and a family's sigma is always a tuple of ints,
@@ -212,17 +234,18 @@ class SignedPathFamily(_Value):
     """Paths p_1..p_n with p_i running from a_i to b_{sigma(i)}.
 
     ``sigma`` is stored 0-based; the sign of the family is the sign of sigma
-    and is computed, never stored.  The hash and the disjointness (see
-    ``is_nonintersecting``) are computed on first use and cached.
+    and is computed, never stored.  The hash, the meet (see ``_family_meet``)
+    and the disjointness (see ``is_nonintersecting``) are computed on first
+    use and cached.
 
     The constructor checks every path against its endpoints; so does
     ``from_json``, which goes through it.  The families the library builds
     from parts it has already checked (the enumeration, the tail swap, the
-    word transforms and the encoders) go through ``_Value._trusted``
-    instead, which passes them to ``_fill`` without checking them again.
+    word transforms and the encoders) go through ``_trusted`` instead,
+    which passes them to ``_fill`` without checking them again.
     """
 
-    __slots__ = ("endpoints", "sigma", "paths", "_hash", "_ni")
+    __slots__ = ("endpoints", "sigma", "paths", "_hash", "_ni", "_meet")
 
     def __init__(self, endpoints: Endpoints, sigma, paths):
         sigma = _ints(sigma, "sigma")
@@ -251,6 +274,15 @@ class SignedPathFamily(_Value):
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_ni", None)
+        object.__setattr__(self, "_meet", _UNSCANNED)
+
+    # fixed arity, unlike ``_Value._trusted``, so the calls specialise
+    @classmethod
+    def _trusted(cls, endpoints: Endpoints, sigma: tuple,
+                 paths: tuple) -> "SignedPathFamily":
+        self = object.__new__(cls)
+        self._fill(endpoints, sigma, paths)
+        return self
 
     @property
     def sign(self) -> int:
@@ -300,25 +332,72 @@ class SignedPathFamily(_Value):
         return cls(endpoints, sigma, paths)
 
 
-def _disjoint(paths) -> bool:
-    """True when no lattice point lies on two of the paths."""
-    seen: set[Point] = set()
-    for path in paths:
-        points = path._point_set()
-        if not seen.isdisjoint(points):
-            return False
-        seen |= points
-    return True
+# Each path memoises its meets with the partners it has been scanned
+# against, keyed by their serials.  A serial is never reused, so an entry
+# can go stale but never wrong, and it keeps no partner alive: a path's
+# memo goes when the path does, after the cache has evicted it.  A memo is
+# cleared when it reaches _MEETS_PER_PATH entries, so the paths the cache
+# keeps alive hold at most 2 * _PATH_CACHE_SIZE * _MEETS_PER_PATH meets.
+_MEETS_PER_PATH = 256
+
+
+def _pair_meet(p: Path, q: Path, meets: dict) -> Point | None:
+    """The smallest point (by x, then y) on both paths, or None, computed
+    and kept in ``meets``, the memo of ``p``."""
+    common = p._point_set() & q._point_set()
+    meet = min(common) if common else None
+    if len(meets) >= _MEETS_PER_PATH:
+        meets.clear()
+    meets[q._serial] = meet
+    return meet
+
+
+def _meet_scan(paths) -> tuple | None:
+    """The meet of a family's paths: ``(point, i, j)`` with ``point`` the
+    smallest point on two of them and i < j the two smallest indices
+    through it, or None when the paths are disjoint.
+
+    The pairs go in index order and only a strictly smaller pair meet
+    replaces the best, so (i, j) is the first pair through the smallest
+    shared point.  Every pair through that point has it as its own
+    smallest shared point, none in the family being smaller, so the first
+    such pair is the two smallest indices through the point.
+    """
+    best = None
+    n = len(paths)
+    for i in range(n - 1):
+        p = paths[i]
+        meets = p._meets
+        if meets is None:
+            meets = {}
+            object.__setattr__(p, "_meets", meets)
+        for j in range(i + 1, n):
+            q = paths[j]
+            point = meets.get(q._serial, _UNSCANNED)
+            if point is _UNSCANNED:
+                point = _pair_meet(p, q, meets)
+            if point is not None and (best is None or point < best[0]):
+                best = (point, i, j)
+    return best
+
+
+def _family_meet(family: SignedPathFamily) -> tuple | None:
+    """``_meet_scan`` of the family's paths, scanned once per family object
+    and kept on it.  It decides disjointness and places the tail swap."""
+    meet = family._meet
+    if meet is _UNSCANNED:
+        meet = _meet_scan(family.paths)
+        object.__setattr__(family, "_meet", meet)
+    return meet
 
 
 def is_nonintersecting(family: SignedPathFamily) -> bool:
-    """True when no lattice point lies on two distinct paths of the family.
-
-    The paths are scanned once per family object; the answer is kept on it.
-    """
+    """True when no lattice point lies on two distinct paths of the family,
+    that is, when no pair of its paths meets.  The answer is kept on the
+    family."""
     ni = family._ni
     if ni is None:
-        ni = _disjoint(family.paths)
+        ni = _family_meet(family) is None
         object.__setattr__(family, "_ni", ni)
     return ni
 
@@ -342,7 +421,7 @@ def pp_encode(pp: PlanePartition) -> SignedPathFamily:
             word.append("E")
             souths = need
         word.append("S" * (pp.bound - souths))
-        paths.append(Path((-i, -i), "".join(word)))
+        paths.append(_path((-i, -i), "".join(word)))
     return SignedPathFamily._trusted(
         endpoints, tuple(range(len(paths))), tuple(paths))
 
@@ -394,7 +473,7 @@ def ssyt_encode(tableau: Tableau) -> SignedPathFamily:
     for j in range(endpoints.n):
         entries = set(tableau.column(j))
         word = "".join("E" if t in entries else "S" for t in range(1, n + 1))
-        paths.append(Path((-(j + 1), -(j + 1)), word))
+        paths.append(_path((-(j + 1), -(j + 1)), word))
     return SignedPathFamily._trusted(
         endpoints, tuple(range(len(paths))), tuple(paths))
 

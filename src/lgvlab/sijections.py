@@ -13,6 +13,8 @@ class: a sijection is a chain of stages, one built from two maps has one
 stage, ``compose`` concatenates chains, and ``forward`` and ``backward``
 run the same ping-pong walk along the chain, with each stage's forward or
 backward map.  An inverse reverses the chain and inverts each stage.
+A walk that revisits a landing is refused with ``SijectionError`` and one
+longer than the guard limit with ``GuardExceeded``.
 
 Elements moving through a sijection are tagged with the side they sit on
 ("source" or "target") and their sign (+1 or -1).  Applications optionally
@@ -22,6 +24,8 @@ a flat itinerary of intermediate elements.
 
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Optional
+
+from .guards import GuardExceeded, resolve_guard_limit
 
 Tagged = tuple[str, int, object]
 
@@ -35,9 +39,9 @@ _MAX_PROBLEMS = 5
 
 
 class SijectionError(Exception):
-    """Raised when a sijection is applied outside its domain or fails to
-    terminate (which can only happen if a constituent map is not actually
-    a bijection)."""
+    """Raised when a sijection is applied outside its domain or its
+    ping-pong enters a cycle (which can only happen if a constituent map is
+    not actually a bijection)."""
 
 
 class SignedSet:
@@ -102,17 +106,23 @@ class Sijection:
     It is a chain of stages ``(name, forward_map, backward_map)``, stage i
     a sijection X_i => X_i+1 from X_0 = S to X_k = T; an inverted stage
     carries the stage it inverts as a fourth entry.
+
+    One application runs at most ``guard_limit`` stage maps (the effective
+    guard limit, see ``lgvlab.guards``) and raises ``GuardExceeded`` past
+    that; a composite keeps the smaller limit of its parts.
     """
 
     _base = None  # on an inverse, the sijection it inverts
 
     def __init__(self, name: str, source: SignedSet, target: SignedSet,
                  forward: Callable[[Tagged], Tagged],
-                 backward: Callable[[Tagged], Tagged]):
+                 backward: Callable[[Tagged], Tagged],
+                 guard_limit: int | None = None):
         self.name = name
         self.source = source
         self.target = target
         self._stages = ((name, forward, backward),)
+        self._hop_limit = resolve_guard_limit(guard_limit)
 
     def forward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
         _check_domain(tagged, _DOMAIN, self.name)
@@ -127,12 +137,21 @@ class Sijection:
         # The Garsia-Milne ping-pong with each stage's forward (which=1) or
         # backward (which=2) map: an image on a stage's target side moves on
         # to the next stage, one on its source side back to the previous one,
-        # until it steps off the chain.  Revisiting a landing means the walk
-        # entered a cycle it can never escape, so we abort rather than spin.
+        # until it steps off the chain.  Each landing decides the rest of the
+        # walk, so revisiting one means a cycle the walk can never escape.
+        # Brent's check finds it with one saved landing, replaced whenever
+        # the hop count reaches a power of two, and the hop budget bounds
+        # every walk, cycle or not.
         stages = self._stages
-        k = 0 if tagged[0] == SOURCE else len(stages) - 1
-        visited = set()
+        last = len(stages)
+        limit = self._hop_limit
+        k = 0 if tagged[0] == SOURCE else last - 1
+        saved = None
+        hops = 0
         while True:
+            hops += 1
+            if hops > limit:
+                raise GuardExceeded("ping-pong hops", hops, limit)
             stage = stages[k]
             tagged = stage[which](tagged)
             _check_domain(tagged, image, stage[0] + label)
@@ -140,14 +159,15 @@ class Sijection:
             if trace is not None:
                 trace.append((sign, payload))
             boundary = k + 1 if side == TARGET else k  # it lands in X_boundary
-            if boundary == 0 or boundary == len(stages):
+            if boundary == 0 or boundary == last:
                 return tagged
             landing = (boundary, sign, payload)
-            if landing in visited:
+            if landing == saved:
                 raise SijectionError(
                     f"{self.name}: ping-pong revisited middle element "
                     f"{payload!r} with sign {_SIGN_CHAR[sign]}")
-            visited.add(landing)
+            if hops & (hops - 1) == 0:
+                saved = landing
             k += 1 if side == TARGET else -1
             tagged = _flip(tagged)
 
@@ -158,7 +178,8 @@ class Sijection:
         if self._base is not None:
             return self._base
         inverse = _chain(f"inverse({self.name})", self.target, self.source,
-                         tuple(map(_invert_stage, reversed(self._stages))))
+                         tuple(map(_invert_stage, reversed(self._stages))),
+                         self._hop_limit)
         inverse._base = self
         return inverse
 
@@ -167,10 +188,12 @@ class Sijection:
 
 
 def _chain(name: str, source: SignedSet, target: SignedSet,
-           stages: tuple) -> Sijection:
-    """The sijection S => T that runs ``stages`` in order."""
+           stages: tuple, hop_limit: int) -> Sijection:
+    """The sijection S => T that runs ``stages`` in order, refusing an
+    application past ``hop_limit`` stage maps."""
     sij = object.__new__(Sijection)
     sij.name, sij.source, sij.target, sij._stages = name, source, target, stages
+    sij._hop_limit = hop_limit
     return sij
 
 
@@ -193,10 +216,12 @@ def _invert_stage(stage: tuple) -> tuple:
 
 
 def sijection_from_bijection(name: str, source: SignedSet, target: SignedSet,
-                             fn: Callable, fn_inv: Callable) -> Sijection:
+                             fn: Callable, fn_inv: Callable,
+                             guard_limit: int | None = None) -> Sijection:
     """Lift a sign-preserving bijection S -> T to a sijection S => T.
 
     ``fn`` must carry S+ onto T+ and S- onto T-; ``fn_inv`` is its inverse.
+    ``guard_limit`` bounds the hops as in ``Sijection``.
     """
 
     def forward(tagged: Tagged) -> Tagged:
@@ -211,14 +236,16 @@ def sijection_from_bijection(name: str, source: SignedSet, target: SignedSet,
             return (SOURCE, 1, fn_inv(payload))
         return (TARGET, -1, fn(payload))
 
-    return Sijection(name, source, target, forward, backward)
+    return Sijection(name, source, target, forward, backward, guard_limit)
 
 
 def compose(phi: Sijection, psi: Sijection) -> Sijection:
     """Compose phi: S => T with psi: T => U into a sijection S => U, the
-    chain of phi's stages followed by psi's."""
+    chain of phi's stages followed by psi's, under the smaller of their
+    hop limits."""
     return _chain(f"({psi.name} . {phi.name})", phi.source, psi.target,
-                  phi._stages + psi._stages)
+                  phi._stages + psi._stages,
+                  min(phi._hop_limit, psi._hop_limit))
 
 
 def compose_all(*sijections: Sijection) -> Sijection:
@@ -261,13 +288,18 @@ def trace_to_json(steps: list[Tagged]) -> list[dict]:
 
 def _sides(sij: Sijection) -> tuple[list[Tagged], list[Tagged]]:
     """The domain S+ |_| T- and the codomain S- |_| T+ of ``sij`` as tagged
-    lists, each ordered source first; each signed set is walked once."""
-    domain, codomain = [], []
-    for side, signed_set in ((SOURCE, sij.source), (TARGET, sij.target)):
+    lists, each ordered source first; each signed set is walked once.
+
+    The target is walked first: a source that reads its elements off the
+    target's stream once it has been walked (as the non-intersecting side
+    of ``lgv_sijection`` does) then builds none of them again."""
+    target_plus, target_minus, source_plus, source_minus = [], [], [], []
+    for side, signed_set, plus, minus in (
+            (TARGET, sij.target, target_plus, target_minus),
+            (SOURCE, sij.source, source_plus, source_minus)):
         for payload, sign in signed_set.elements():
-            into = domain if (side == SOURCE) == (sign == 1) else codomain
-            into.append((side, sign, payload))
-    return domain, codomain
+            (plus if sign == 1 else minus).append((side, sign, payload))
+    return source_plus + target_minus, source_minus + target_plus
 
 
 def check_sijection(sij: Sijection) -> list[str]:
@@ -333,13 +365,31 @@ def check_compatibility(sij: Sijection, source_stat: Callable,
     The backward half is redundant only after a passing ``check_sijection``:
     then backward is forward read the other way.  Alone, it is what catches
     a backward map that breaks the statistic while forward keeps it.
+    An element its map fails on is reported as ``check_sijection`` reports
+    it, ``forward failed on ...``, and the check goes on.
     """
     domain, codomain = _sides(sij)
-    problems = _stat_changes(((x, sij.forward(x)) for x in domain),
-                             source_stat, target_stat, "forward")
-    problems += _stat_changes(((y, sij.backward(y)) for y in codomain),
-                              source_stat, target_stat, "backward")
+    problems: list[str] = []
+    for direction, fn, elements in (("forward", sij.forward, domain),
+                                    ("backward", sij.backward, codomain)):
+        failures: list[str] = []
+        problems += _stat_changes(_images(fn, elements, direction, failures),
+                                  source_stat, target_stat, direction)
+        problems += failures
     return problems[:_MAX_PROBLEMS]
+
+
+def _images(fn: Callable, elements: Iterable[Tagged], direction: str,
+            failures: list[str]) -> Iterator[tuple]:
+    """The pairs ``(x, fn(x))``; an element ``fn`` fails on is left out
+    and described in ``failures`` instead.  ``direction`` names ``fn``."""
+    for x in elements:
+        try:
+            y = fn(x)
+        except SijectionError as exc:
+            failures.append(f"{direction} failed on {x!r}: {exc}")
+            continue
+        yield x, y
 
 
 def _stat_changes(pairs: Iterable[tuple], source_stat: Callable,

@@ -145,11 +145,18 @@ def test_tail_swap_and_disjointness_match_the_dict_oracle():
     # every family of every plane-partition instance with at most 6 cells
     # and m <= 2, and of every tableau instance with at most 4 cells and
     # n <= 3; the 6-cell instances hold the families where three paths
-    # meet at the canonical point, so the pair choice is tested too
+    # meet at the canonical point, so the pair choice is tested too.  The
+    # eight-path column 1^8 (m <= 2) and tableaux with 5 or 6 columns
+    # (n <= 3) give the pair scan of the meet kernel many pairs per family
     instances = [plane_partition_endpoints(shape, bound)
                  for shape in enumerate_partitions(6) for bound in range(3)]
+    instances += [plane_partition_endpoints(Partition([1] * 8), bound)
+                  for bound in range(3)]
     instances += [tableau_endpoints(shape, varcount)
                   for shape in enumerate_partitions(4)
+                  for varcount in range(1, 4)]
+    instances += [tableau_endpoints(Partition(parts), varcount)
+                  for parts in [(5,), (6,), (5, 1), (6, 1), (5, 2), (5, 1, 1)]
                   for varcount in range(1, 4)]
     crossing = triple = 0
     for ep in instances:
@@ -167,7 +174,7 @@ def test_tail_swap_and_disjointness_match_the_dict_oracle():
             assert swapped._ni is False
             assert not _oracle_is_nonintersecting(swapped)
             triple += sum(point in p.points() for p in family.paths) > 2
-    assert crossing > 8000 and triple > 0
+    assert crossing > 50_000 and triple > 0
 
 
 # --- the LGV sijection ---------------------------------------------------------
@@ -269,6 +276,20 @@ def test_lgv_source_walked_after_the_target_reads_its_stream(ep, monkeypatch):
     assert read == fresh and len(read) > 10
     assert all(id(family) in walked for family, _ in read)
     assert check_sijection(sij) == []
+
+
+def test_checkers_walk_the_lgv_target_first(monkeypatch):
+    # checked on its own, the LGV sijection has its signed families walked
+    # first, so its non-intersecting side reads them off their stream and
+    # no identity family is built twice (600 of 1,175 were, on this shape)
+    def refused(*args, **kwargs):
+        raise AssertionError("the non-intersecting families were enumerated")
+
+    monkeypatch.setattr(lgvlab.bijections, "enumerate_ni_families", refused)
+    ep = plane_partition_endpoints(Partition([3, 3, 2]), 2)
+    assert check_sijection(lgv_sijection(ep)) == []
+    assert check_compatibility(lgv_sijection(ep), last_step_east_count,
+                               last_step_east_count) == []
 
 
 def test_swap_images_hold_the_enumerated_paths():

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -139,6 +140,38 @@ def test_bijection_trace(capsys, monkeypatch):
     assert trace["steps"][0]["set"] == "source"
     assert trace["steps"][-1]["set"] == "target"
     assert all(set(s) == {"element", "set", "sign"} for s in trace["steps"])
+
+
+# the (4,4,4), m=4 element whose orbit is the longest of the first 200:
+# 215 hops
+_LONG_ORBIT = {"shape": [4, 4, 4], "max": 4,
+               "rows": [[4, 4, 4, 4], [4, 4, 4, 2], [1, 1, 1, 1]]}
+
+
+@pytest.mark.parametrize("limit, code", [("100", 1), ("215", 0)])
+def test_bijection_guard_limit_bounds_the_ping_pong(capsys, monkeypatch,
+                                                     limit, code):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_LONG_ORBIT)))
+    got, out, err = run(capsys, "bijection", "--guard-limit", limit)
+    assert got == code
+    if code:
+        assert out == ""
+        assert f"guard: ping-pong hops: projected size {int(limit) + 1} " \
+               f"exceeds guard limit {limit}" in err
+
+
+def test_bijection_refuses_a_thirty_row_column_within_a_second(
+        capsys, monkeypatch):
+    # the orbit grows about 2.3x per row, so without a hop budget this
+    # element would ping-pong for hours; the time is this process's CPU
+    # time, which other processes on the machine do not inflate
+    doc = {"shape": [1] * 30, "max": 1, "rows": [[1]] * 15 + [[0]] * 15}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    started = time.process_time()
+    code, out, err = run(capsys, "bijection", "--guard-limit", "10000")
+    assert time.process_time() - started < 1
+    assert (code, out) == (1, "")
+    assert "ping-pong hops: projected size 10001 exceeds guard limit 10000" in err
 
 
 def test_bijection_bad_json_is_input_error(capsys, monkeypatch):

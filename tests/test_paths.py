@@ -1,11 +1,13 @@
+import gc
 import math
 import random
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lgvlab.bijections import zero_to_max_map
 from lgvlab.guards import GuardExceeded
 from lgvlab.objects import (
     Partition,
@@ -22,6 +24,7 @@ from lgvlab.paths import (
     Endpoints,
     Path,
     SignedPathFamily,
+    _PATH_CACHE_SIZE,
     _path,
     count_connection_paths,
     count_families,
@@ -115,6 +118,47 @@ def test_interned_paths_equal_fresh_paths_and_stay_immutable():
         p.word = "SEE"
     with pytest.raises(ValueError):
         _path((0, 0), "EN")
+
+
+def test_a_path_keeps_its_reversal():
+    p = _path((-1, -1), "EES")
+    r = p._reverse()
+    assert r is _path((-1, -1), "SEE") and r._reverse() is p
+    assert r.end == p.end
+
+
+def test_the_meet_memo_stays_bounded_as_the_path_cache_evicts(monkeypatch):
+    # enough maps across shapes that the path cache evicts, under a small
+    # per-path cap: the paths made on the way and still alive are the
+    # cache's entries and the reversals they keep, each memoising at most
+    # the cap; once the cache lets go of them, none is kept alive
+    cap = 8
+    monkeypatch.setattr(lgvlab.paths, "_MEETS_PER_PATH", cap)
+    first = Path((0, 0), "")._serial
+    misses = _path.cache_info().misses
+    for parts in [(4, 4, 4), (5, 5, 3), (6, 4, 2)]:
+        for bound in (4, 5, 6):
+            pps = enumerate_plane_partitions(Partition(parts), bound)
+            for pp in islice(pps, 0, 4000, 100):
+                zero_to_max_map(pp)
+    assert _path.cache_info().misses - misses > _PATH_CACHE_SIZE + 1000
+
+    def made():
+        gc.collect()
+        return [obj for obj in gc.get_objects()
+                if type(obj) is Path and obj._serial > first]
+
+    alive = made()
+    assert len(alive) <= 2 * _PATH_CACHE_SIZE
+    # a memo holds serials and points, never a partner path
+    assert not any(type(obj) is Path for p in alive if p._meets
+                   for obj in gc.get_referents(p._meets))
+    assert max(len(p._meets or ()) for p in alive) == cap
+    assert sum(len(p._meets or ()) for p in alive) <= (
+        2 * _PATH_CACHE_SIZE * cap)
+    del alive
+    _path.cache_clear()
+    assert made() == []
 
 
 @pytest.mark.parametrize("data", [

@@ -1,7 +1,9 @@
 import pytest
 
 from lgvlab.bijections import weight_permutation_sijection, zero_to_max_sijection
-from lgvlab.guards import GuardExceeded
+from lgvlab.guards import DEFAULT_GUARD_LIMIT, GuardExceeded
+from lgvlab.objects import Partition, PlanePartition
+from lgvlab.paths import pp_encode
 from lgvlab.sijections import (
     SOURCE,
     TARGET,
@@ -28,7 +30,7 @@ def signed(name, plus, minus):
                      + [(x, -1) for x in minus])
 
 
-def from_dict(name, source, target, mapping):
+def from_dict(name, source, target, mapping, guard_limit=None):
     """Sijection whose forward bijection is literally the dict."""
     inverse = {v: k for k, v in mapping.items()}
 
@@ -38,7 +40,12 @@ def from_dict(name, source, target, mapping):
     def backward(tagged):
         return inverse[tagged]
 
-    return Sijection(name, source, target, forward, backward)
+    return Sijection(name, source, target, forward, backward, guard_limit)
+
+
+# The cycle tests run under this hop budget, so a cycle check that never
+# fires makes them fail with GuardExceeded instead of spinning forever.
+_CYCLE_TEST_HOPS = 100
 
 
 def test_signed_set_sizes():
@@ -278,11 +285,12 @@ def test_nonterminating_composition_detected():
     t = signed("t", ("x",), ("q",))
     u = signed("u", (), ("u0",))
     empty = plain("empty")
-    phi = from_dict("phi", empty, t, {(TARGET, -1, "q"): (TARGET, 1, "x")})
+    phi = from_dict("phi", empty, t, {(TARGET, -1, "q"): (TARGET, 1, "x")},
+                    _CYCLE_TEST_HOPS)
     psi = from_dict("psi", t, u, {
         (SOURCE, 1, "x"): (SOURCE, -1, "q"),
         (TARGET, -1, "u0"): (SOURCE, -1, "q"),
-    })
+    }, _CYCLE_TEST_HOPS)
     chained = compose(phi, psi)
     with pytest.raises(SijectionError, match="revisited"):
         chained.forward((TARGET, -1, "u0"))
@@ -294,14 +302,79 @@ def test_nonterminating_backward_detected():
     t = signed("t", ("x",), ("q",))
     u = plain("u", "u0")
     empty = plain("empty")
-    phi = from_dict("phi", empty, t, {(TARGET, -1, "q"): (TARGET, 1, "x")})
+    phi = from_dict("phi", empty, t, {(TARGET, -1, "q"): (TARGET, 1, "x")},
+                    _CYCLE_TEST_HOPS)
     psi = Sijection("psi", t, u, {}.__getitem__, {
         (TARGET, 1, "u0"): (SOURCE, 1, "x"),
         (SOURCE, -1, "q"): (SOURCE, 1, "x"),
-    }.__getitem__)
+    }.__getitem__, _CYCLE_TEST_HOPS)
     chained = compose(phi, psi)
     with pytest.raises(SijectionError, match="revisited"):
         chained.backward((TARGET, 1, "u0"))
+
+
+def _ring(length, guard_limit):
+    """phi . psi, where an element entering from u0 runs q0, x0, q1, x1, ...
+    up to x_(length-1), which psi sends back to q1: a cycle of
+    2 (length - 1) landings behind a tail of two."""
+    xs = [f"x{k}" for k in range(length)]
+    qs = [f"q{k}" for k in range(length)]
+    t = signed("t", xs, qs)
+    phi = from_dict("phi", plain("empty"), t,
+                    {(TARGET, -1, q): (TARGET, 1, x) for q, x in zip(qs, xs)},
+                    guard_limit)
+    back_to = qs[1:] + [qs[1]]
+    mapping = {(SOURCE, 1, x): (SOURCE, -1, q) for x, q in zip(xs, back_to)}
+    mapping[(TARGET, -1, "u0")] = (SOURCE, -1, qs[0])
+    psi = from_dict("psi", t, signed("u", (), ("u0",)), mapping, guard_limit)
+    return compose(phi, psi)
+
+
+@pytest.mark.parametrize("length", [2, 3, 20, 60])
+def test_a_long_cycle_is_found_within_a_few_cycle_lengths(length):
+    # Brent's check keeps one landing, so it sees a cycle of L landings
+    # within about 3L hops of entering it; a budget of 4L + 8 leaves room
+    cycle = 2 * (length - 1)
+    chained = _ring(length, 4 * cycle + 8)
+    with pytest.raises(SijectionError, match="revisited middle element"):
+        chained.forward((TARGET, -1, "u0"))
+
+
+def test_the_hop_budget_bounds_a_walk_that_would_escape():
+    # the (4,4,4), m=4 element whose orbit is the longest of the first 200:
+    # 215 stage maps, each one hop
+    pp = PlanePartition(Partition([4, 4, 4]), 4,
+                        [[4, 4, 4, 4], [4, 4, 4, 2], [1, 1, 1, 1]])
+    hops = []
+    sij = zero_to_max_sijection(pp.shape, pp.bound, guard_limit=215)
+    sij.forward((SOURCE, 1, pp_encode(pp)), hops)
+    assert len(hops) == 215
+    sij = zero_to_max_sijection(pp.shape, pp.bound, guard_limit=214)
+    with pytest.raises(GuardExceeded, match=(
+            r"^ping-pong hops: projected size 215 exceeds guard limit 214$")):
+        sij.forward((SOURCE, 1, pp_encode(pp)))
+
+
+def test_a_composite_keeps_the_smaller_hop_budget(monkeypatch):
+    # explicit limits, the environment and the default resolve as the
+    # enumeration guards do, once, when the sijection is built
+    s = plain("s", 1)
+    t = plain("t", 2)
+
+    def lift(guard_limit=None):
+        return sijection_from_bijection("f", s, t, lambda x: 2, lambda y: 1,
+                                        guard_limit)
+
+    assert compose(lift(7), lift(3))._hop_limit == 3
+    assert compose(lift(3), lift()).inverse()._hop_limit == 3
+    assert lift()._hop_limit == DEFAULT_GUARD_LIMIT
+    monkeypatch.setenv("LGVLAB_GUARD_LIMIT", "5")
+    assert lift()._hop_limit == 5
+    with pytest.raises(GuardExceeded, match="ping-pong hops"):
+        lift(0).forward((SOURCE, 1, 1))
+    monkeypatch.setenv("LGVLAB_GUARD_LIMIT", "-1")
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        lift()
 
 
 @pytest.mark.parametrize("sij", [
@@ -348,6 +421,29 @@ def test_compatibility_checks():
     assert check_compatibility(sij, lambda x: x % 3, lambda y: (y // 10) % 3) == []
     problems = check_compatibility(sij, lambda x: x, lambda y: y)
     assert problems and "statistic changes" in problems[0]
+
+
+def test_both_checkers_report_a_map_that_fails_on_an_element():
+    # forward sends 2 to 20 with the wrong sign, so the walk refuses its
+    # image; each checker reports it as a problem instead of raising
+    s = plain("s", 1, 2)
+    t = plain("t", 10, 20)
+    sij = Sijection("misfit", s, t, {
+        (SOURCE, 1, 1): (TARGET, 1, 10),
+        (SOURCE, 1, 2): (TARGET, -1, 20),
+    }.__getitem__, {
+        (TARGET, 1, 10): (SOURCE, 1, 1),
+        (TARGET, 1, 20): (SOURCE, 1, 2),
+    }.__getitem__)
+    failure = ("forward failed on ('source', 1, 2): misfit (forward image): "
+               "element tagged (target, -) is outside the domain; expected "
+               "(source, -) or (target, +)")
+    assert check_sijection(sij) == [
+        failure,
+        "forward is not surjective: ('target', 1, 20) has no preimage",
+    ]
+    assert check_compatibility(sij, lambda x: x, lambda y: y // 10) == [
+        failure]
 
 
 def test_compatibility_checks_backward_on_its_own():

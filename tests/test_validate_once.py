@@ -8,7 +8,7 @@ than truncate it."""
 import pytest
 
 import lgvlab.bijections
-from lgvlab.algebra import lgv_matrix
+from lgvlab.algebra import _Value, lgv_matrix
 from lgvlab.bijections import (
     SwapCertificate,
     tail_swap,
@@ -120,6 +120,26 @@ def test_validating_catches_a_swap_that_forgets_to_transpose_sigma(
 
 
 _ONE_STEP = Endpoints([(0, 0)], [(1, 0)])
+
+# One wrong value per trusted builder, each built through it: a path that
+# misses its end point, certificate indices out of order, and (through the
+# base's builder) a plane-partition entry above the bound.
+_BAD_TRUSTED_BUILDS = {
+    SignedPathFamily: lambda: SignedPathFamily._trusted(
+        _ONE_STEP, (0,), (Path((0, 0), "S"),)),
+    SwapCertificate: lambda: SwapCertificate._trusted((0, 0), (1, 0)),
+    _Value: lambda: PlanePartition._trusted(Partition([1]), 1, ((2,),)),
+}
+
+
+def test_every_trusted_builder_validates_under_the_fixture(
+        validating, trusted_builders):
+    # a builder the fixture missed would let a wrong value through unchecked
+    assert set(trusted_builders) == set(_BAD_TRUSTED_BUILDS)
+    for build in _BAD_TRUSTED_BUILDS.values():
+        build()  # trusted: nothing is checked
+        with validating(), pytest.raises(ValueError):
+            build()
 
 
 @pytest.mark.parametrize("build, field", [

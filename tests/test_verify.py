@@ -326,17 +326,18 @@ def test_verify_lgv_builds_no_value_through_a_validating_constructor(
 
 def test_verify_lgv_scans_each_family_for_disjointness_once(monkeypatch):
     # 1,175 families and the swap images read back by the checkers; the
-    # scans used to number 3,770, about three per family
+    # scans used to number 3,770, about three per family.  One meet scan
+    # decides disjointness and places the swap.
     scans = collections.Counter()
     held = []  # keeps every scanned tuple alive, so no id is reused
-    real = lgvlab.paths._disjoint
+    real = lgvlab.paths._meet_scan
 
     def counting(paths):
         held.append(paths)
         scans[id(paths)] += 1
         return real(paths)
 
-    monkeypatch.setattr(lgvlab.paths, "_disjoint", counting)
+    monkeypatch.setattr(lgvlab.paths, "_meet_scan", counting)
     assert report_passed(verify_lgv((3, 3, 2), 2))
     assert max(scans.values()) == 1
     assert 1175 <= sum(scans.values()) < 3770
