@@ -229,12 +229,15 @@ class PlanePartition(_Filling):
     _bad_column = "column not weakly decreasing ({} < {})"
 
     def zero_rows(self) -> int:
-        """Number of rows containing the entry 0 (i.e. whose last entry is 0)."""
-        return _zero_rows(self.rows)
+        """Number of rows containing the entry 0: a weakly decreasing row
+        contains 0 exactly when its last entry is 0."""
+        return sum(row[-1] == 0 for row in self.rows)
 
     def max_rows(self) -> int:
-        """Number of rows containing the bound (i.e. whose first entry equals it)."""
-        return _max_rows(self.rows, self.bound)
+        """Number of rows containing the bound: a weakly decreasing row
+        contains it exactly when its first entry equals it."""
+        bound = self.bound
+        return sum(row[0] == bound for row in self.rows)
 
 
 def _filling_fields(data, kind: str, bound_field: str):
@@ -356,16 +359,6 @@ def _expand(shape: Partition, groups) -> Iterator[tuple]:
             yield prefix + (row,)
 
 
-def _zero_rows(rows) -> int:
-    """Rows containing 0: a weakly decreasing row contains 0 iff it ends in 0."""
-    return sum(row[-1] == 0 for row in rows)
-
-
-def _max_rows(rows, bound: int) -> int:
-    """Rows containing the bound, i.e. starting with it."""
-    return sum(row[0] == bound for row in rows)
-
-
 def enumerate_plane_partitions(
     shape: Partition, bound: int
 ) -> Iterator[PlanePartition]:
@@ -415,8 +408,10 @@ def refined_genfuns_by_enumeration(
     Returns ``(zeros, maxes)``: the coefficient of x**k in ``zeros`` counts
     the plane partitions with k rows containing 0, in ``maxes`` those with
     k rows containing the bound.  Every plane partition is visited and
-    counted on its own; a group's prefix is counted once, and each last row
-    adds its own two tests.
+    counted on its own.  A ``_fillings`` group's prefix is counted once, by
+    one inline loop over its rows (a group holds few fillings on a shape of
+    many short rows, so a call per statistic per group would cost more than
+    the group's own tally), and each last row adds its own two tests.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     _guard_plane_partitions(shape, bound, guard_limit)
@@ -425,7 +420,10 @@ def refined_genfuns_by_enumeration(
     if not shape.parts:
         zeros[0] = maxes[0] = 1
     for prefix, last_rows in PlanePartition._groups(shape, bound):
-        z, x = _zero_rows(prefix), _max_rows(prefix, bound)
+        z = x = 0
+        for row in prefix:
+            z += row[-1] == 0
+            x += row[0] == bound
         for row in last_rows:
             zeros[z + (row[-1] == 0)] += 1
             maxes[x + (row[0] == bound)] += 1

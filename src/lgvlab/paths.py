@@ -26,7 +26,6 @@ with an east step, and contains m exactly when its path starts with one.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 from itertools import combinations, count, product
 from typing import Iterator
@@ -583,33 +582,50 @@ def _connection_counts(endpoints: Endpoints) -> list[list[int]]:
 
 def count_families(endpoints: Endpoints) -> int:
     """Total number of signed families over all permutations: the permanent
-    of the connection-count matrix (Ryser's formula).
+    of the connection-count matrix, by a dynamic programme over the
+    columns used so far.
 
-    The column subsets are visited in Gray-code order, so each step adds or
-    removes one column from the n row sums: O(2^n n) in all.
+    The rows go in order of their first nonzero column.  A state is the
+    set of columns the rows so far use, a bit mask read from the current
+    row's first nonzero column, mapped to the weighted number of ways to
+    reach it.  No later row reaches a column left of that one, so before
+    each row the states that leave such a column unused are dropped and
+    the rest are shifted to the row's first column.  This is exact for any
+    integer matrix.  Row i leaves at most C(n, i) states; on the endpoints
+    built here each row's nonzero entries form an interval, so far fewer
+    stay alive and a tall narrow shape counts in milliseconds.
     """
-    n = endpoints.n
-    if n == 0:
-        return 1
-    columns = list(zip(*_connection_counts(endpoints)))
-    sums = [0] * n
-    subset = 0
-    total = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        subset ^= 1 << j
-        step = operator.add if subset >> j & 1 else operator.sub
-        sums = list(map(step, sums, columns[j]))
-        if 0 not in sums:
-            term = math.prod(sums)
-            total += -term if (n - subset.bit_count()) & 1 else term
-    return total
+    rows = []
+    for row in _connection_counts(endpoints):
+        entries = [(j, c) for j, c in enumerate(row) if c]
+        if not entries:
+            return 0
+        rows.append(entries)
+    rows.sort(key=lambda entries: entries[0][0])
+    states = {0: 1}
+    base = 0  # the column that bit 0 of a mask stands for
+    for entries in rows:
+        first = entries[0][0]
+        shift = first - base
+        if shift:
+            filled = (1 << shift) - 1
+            states = {mask >> shift: ways for mask, ways in states.items()
+                      if mask & filled == filled}
+            base = first
+        grown = {}
+        for mask, ways in states.items():
+            for j, c in entries:
+                bit = 1 << (j - base)
+                if not mask & bit:
+                    grown[mask | bit] = grown.get(mask | bit, 0) + ways * c
+        states = grown
+    return sum(states.values())
 
 
 def _family_count(endpoints: Endpoints) -> int:
     """``count_families(endpoints)``, computed once per endpoints object, so
     the guard of a walk and a report on the same endpoints read one
-    permanent."""
+    count."""
     count = endpoints._count
     if count is None:
         count = count_families(endpoints)

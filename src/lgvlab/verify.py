@@ -13,6 +13,8 @@ data to reproduce the discrepancy.
 
 import time
 from collections import Counter
+from itertools import count
+from typing import Iterator
 
 from .algebra import MultiPoly, det_division_free, lgv_matrix
 from .bijections import (
@@ -22,10 +24,12 @@ from .bijections import (
     weight_permutation_map,
     zero_to_max_map,
 )
+from .guards import check_guard
 from .objects import (
     Partition,
     _guard_plane_partitions,
     _guard_tableaux,
+    count_plane_partitions,
     enumerate_partitions,
     enumerate_plane_partitions,
     enumerate_tableaux,
@@ -283,16 +287,58 @@ def verify_schur(shape, varcount: int, perm=None,
     return _finish(instance, results, checks, started)
 
 
+def _partition_counts() -> Iterator[int]:
+    """p(0), p(1), p(2), ...: the partition numbers, by Euler's pentagonal
+    number recurrence p(k) = sum over i >= 1 of (-1)**(i + 1) times
+    p(k - i(3i - 1)/2) + p(k - i(3i + 1)/2)."""
+    p = [1]
+    yield 1
+    for k in count(1):
+        total = 0
+        for i in count(1):
+            low = i * (3 * i - 1) // 2
+            if low > k:
+                break
+            term = p[k - low] + (p[k - low - i] if low + i <= k else 0)
+            total += term if i & 1 else -term
+        p.append(total)
+        yield total
+
+
+def _guard_sweep(max_size: int, max_bound: int,
+                 guard_limit: int | None) -> None:
+    """Refuse a sweep grid whose instances or objects exceed the guard.
+
+    The instance count is p(0) + ... + p(max_size) times max_bound + 1,
+    summed size by size; it stops at the first size at which it exceeds
+    the limit, so a refusal names the count up to that size, a lower bound
+    that costs nothing however large ``max_size`` is.  Within the limit,
+    the objects are the closed-form counts of PP(shape; bound) summed over
+    the whole grid, one binomial determinant per instance.
+    """
+    instances = 0
+    for _, p in zip(range(max_size + 1), _partition_counts()):
+        instances += p * (max_bound + 1)
+        check_guard("sweep instances", instances, guard_limit)
+    objects = sum(count_plane_partitions(shape, bound)
+                  for shape in enumerate_partitions(max_size)
+                  for bound in range(max_bound + 1))
+    check_guard("sweep objects", objects, guard_limit)
+
+
 def sweep(max_size: int, max_bound: int,
           guard_limit: int | None = None) -> dict:
     """Verify the refined counting identity across a grid of instances.
 
     Runs every shape of size at most ``max_size`` against every bound up
-    to ``max_bound`` and records one check per instance.
+    to ``max_bound`` and records one check per instance.  Before running
+    anything it refuses a grid larger than the guard limit (see
+    ``_guard_sweep``).
     """
     if max_bound < 0:
         raise ValueError("max_bound must be nonnegative")
     started = time.perf_counter()
+    _guard_sweep(max_size, max_bound, guard_limit)
     checks = []
     for shape in enumerate_partitions(max_size):
         for bound in range(max_bound + 1):

@@ -10,6 +10,7 @@ import pytest
 
 import lgvlab
 import lgvlab.objects
+import lgvlab.paths
 from lgvlab.bijections import zero_to_max_map
 from lgvlab.cli import build_parser, main
 from lgvlab.objects import (
@@ -302,6 +303,44 @@ def test_brute_route_on_a_1500_cell_row(capsys):
     code, out, _ = run(capsys, "verify-theorem1", "--shape", "1500", "--max", "1")
     assert code == 0
     assert all(check["passed"] for check in json.loads(out)["checks"])
+
+
+def test_sweep_refuses_a_grid_past_the_limit_before_running(capsys):
+    # --max-size 100 has over 10^9 shapes; the time is this process's CPU
+    # time, which other processes on the machine do not inflate
+    started = time.process_time()
+    code, out, err = run(capsys, "sweep", "--max-size", "100",
+                         "--max-bound", "0")
+    assert time.process_time() - started < 1
+    assert (code, out) == (1, "")
+    assert "guard: sweep instances: projected size" in err
+    # a grid of few shapes but many plane partitions is refused by its total
+    code, out, err = run(capsys, "sweep", "--max-size", "9",
+                         "--max-bound", "4", "--guard-limit", "100000")
+    assert (code, out) == (1, "")
+    total = sum(lgvlab.objects.count_plane_partitions(shape, bound)
+                for shape in lgvlab.objects.enumerate_partitions(9)
+                for bound in range(5))
+    assert (f"guard: sweep objects: projected size {total} exceeds guard "
+            f"limit 100000") in err
+
+
+@pytest.mark.parametrize("parts, bound", [((2,) * 24, 2), ((1,) * 30, 1)])
+def test_verify_lgv_refuses_a_tall_shape_within_a_second(
+        capsys, parts, bound):
+    # the refusal names the exact number of signed families, counted
+    # column by column instead of over all 2^n column subsets
+    started = time.process_time()
+    code, out, err = run(capsys, "verify-lgv",
+                         "--shape", ",".join(map(str, parts)),
+                         "--max", str(bound))
+    assert time.process_time() - started < 1
+    assert (code, out) == (1, "")
+    count = lgvlab.paths.count_families(
+        lgvlab.paths.plane_partition_endpoints(parts, bound))
+    assert count > 10**11
+    assert (f"guard: path families: projected size {count} exceeds guard "
+            f"limit") in err
 
 
 def test_sweep_reaches_thirteen_rows(capsys):

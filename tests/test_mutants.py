@@ -1,0 +1,177 @@
+"""Mutation smoke tests: each case plants one plausible fault in one
+internal and asserts that the report check named after that job fails.
+
+A passing suite shows that correct code passes its checks; these cases
+show that the checks can fail.  Each fault is monkeypatched where the
+code that calls it looks it up (``paths._sigma_sign``, which caches
+``algebra.perm_sign``, rather than ``perm_sign`` itself), and each case
+runs under a small guard limit, so a fault that makes a walk run away is
+refused instead of hanging the suite.
+"""
+
+import __future__
+import inspect
+import textwrap
+
+import pytest
+
+import lgvlab.algebra
+import lgvlab.bijections
+import lgvlab.objects
+import lgvlab.paths
+from lgvlab.guards import GuardExceeded
+from lgvlab.sijections import (SOURCE, TARGET, Sijection, SignedSet,
+                               compose)
+from lgvlab.verify import (verify_bijection, verify_lgv, verify_schur,
+                           verify_theorem1)
+
+LIMIT = 10_000
+
+
+def rewritten(func, old: str, new: str):
+    """``func`` compiled again from its source with the one occurrence of
+    ``old`` replaced by ``new``, against its module's globals."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{old!r} is not in {func.__qualname__}"
+    code = compile(source.replace(old, new), inspect.getsourcefile(func),
+                   "exec", flags=__future__.annotations.compiler_flag,
+                   dont_inherit=True)
+    namespace = {}
+    exec(code, func.__globals__, namespace)
+    return namespace[func.__name__]
+
+
+def failed(report: dict) -> set[str]:
+    """The names of the report's failing checks."""
+    return {check["name"] for check in report["checks"]
+            if not check["passed"]}
+
+
+def test_a_determinant_off_by_one_fails_zeros_matches_determinant(
+        monkeypatch):
+    real = lgvlab.algebra._bareiss
+    monkeypatch.setattr(lgvlab.algebra, "_bareiss",
+                        lambda matrix: real(matrix) + 1)
+    report = verify_theorem1((2, 1), 2, LIMIT)
+    assert "zeros-matches-determinant" in failed(report)
+
+
+def test_a_walk_that_drops_a_group_fails_determinant_at_one(monkeypatch):
+    real = lgvlab.objects._fillings
+
+    def dropping(shape, values, column_ok):
+        groups = real(shape, values, column_ok)
+        next(groups, None)
+        return groups
+
+    monkeypatch.setattr(lgvlab.objects, "_fillings", dropping)
+    report = verify_theorem1((2, 1), 2, LIMIT)
+    assert "determinant-at-one-counts-all" in failed(report)
+
+
+def test_a_walk_that_loses_a_tableau_fails_the_tableau_count(monkeypatch):
+    real = lgvlab.objects._expand
+
+    def losing(shape, groups):
+        fillings = real(shape, groups)
+        next(fillings, None)
+        return fillings
+
+    monkeypatch.setattr(lgvlab.objects, "_expand", losing)
+    report = verify_schur((2, 1), 3, None, LIMIT)
+    assert "tableau-count-matches-determinant" in failed(report)
+
+
+def test_a_sign_wrong_from_four_paths_fails_the_signed_sum(monkeypatch):
+    real = lgvlab.paths._sigma_sign
+
+    def first_three_only(sigma):
+        # counts the inversions among the first three entries only
+        if len(sigma) < 4:
+            return real(sigma)
+        inversions = sum(sigma[i] > sigma[j]
+                         for i in range(3) for j in range(i + 1, 3))
+        return -1 if inversions & 1 else 1
+
+    monkeypatch.setattr(lgvlab.paths, "_sigma_sign", first_three_only)
+    report = verify_lgv((1, 1, 1, 1), 1, LIMIT)
+    assert "signed-sum-matches-nonintersecting" in failed(report)
+
+
+def test_a_disjointness_test_blind_past_three_paths_fails_the_determinant_count(
+        monkeypatch):
+    # ``is_nonintersecting`` looks the meet up in ``paths``; the tail swap
+    # keeps its own binding, so it still finds every crossing
+    scan = lgvlab.paths._meet_scan
+    monkeypatch.setattr(lgvlab.paths, "_family_meet",
+                        lambda family: scan(family.paths[:3]))
+    report = verify_lgv((1, 1, 1, 1), 1, LIMIT)
+    assert "determinant-counts-nonintersecting" in failed(report)
+
+
+def test_a_tail_swap_at_the_largest_pair_meet_fails_the_involution(
+        monkeypatch):
+    # every path here takes its k-th step at x - y = k, so a swap keeps the
+    # paths through each point, and a swap at the smallest or the largest
+    # shared point is an involution; a pair's own first meet is not kept,
+    # so a scan that keeps the pair whose meet is largest swaps a family
+    # at one place and its image at another
+    monkeypatch.setattr(lgvlab.paths, "_meet_scan", rewritten(
+        lgvlab.paths._meet_scan, "point < best[0]", "point > best[0]"))
+    report = verify_lgv((2, 2, 2), 2, LIMIT)
+    assert "tail-swap-involution" in failed(report)
+
+
+def test_a_family_count_that_reuses_a_column_fails_the_permanent_check(
+        monkeypatch):
+    monkeypatch.setattr(lgvlab.paths, "count_families", rewritten(
+        lgvlab.paths.count_families, "if not mask & bit:", "if True:"))
+    report = verify_lgv((2, 1), 2, LIMIT)
+    assert "family-count-matches-permanent" in failed(report)
+
+
+def test_a_reversal_of_one_path_fails_zero_rows_become_max_rows(
+        monkeypatch):
+    def reverse_first(family):
+        paths = family.paths
+        return lgvlab.paths.SignedPathFamily._trusted(
+            family.endpoints, family.sigma,
+            (paths[0]._reverse(),) + paths[1:])
+
+    monkeypatch.setattr(lgvlab.bijections, "reverse_paths", reverse_first)
+    report = verify_bijection((2, 2), 2, LIMIT)
+    assert "zero-rows-become-max-rows" in failed(report)
+
+
+def test_steps_moved_by_the_inverse_fail_the_weight_map(monkeypatch):
+    monkeypatch.setattr(lgvlab.bijections, "_permute_steps", rewritten(
+        lgvlab.bijections._permute_steps,
+        "letters[positions[t]] = ch", "letters[t] = path.word[positions[t]]"))
+    report = verify_schur((2, 1), 3, (2, 3, 1), LIMIT)
+    assert "weight-map-permutes-weight" in failed(report)
+
+
+def test_a_cycle_check_that_never_fires_ends_at_the_hop_budget(monkeypatch):
+    # x and q chase each other forever once u0 enters; without its cycle
+    # check the walk is stopped by the hop budget, not left to spin
+    monkeypatch.setattr(Sijection, "_walk", rewritten(
+        Sijection._walk, "if landing == saved:", "if False:"))
+
+    def from_dict(name, source, target, mapping):
+        inverse = {v: k for k, v in mapping.items()}
+        return Sijection(name, source, target, mapping.__getitem__,
+                         inverse.__getitem__, 100)
+
+    empty = SignedSet("empty", lambda: ())
+    middle = SignedSet("t", lambda: [("x", 1), ("q", -1)])
+    far = SignedSet("u", lambda: [("u0", -1)])
+    phi = from_dict("phi", empty, middle,
+                    {(TARGET, -1, "q"): (TARGET, 1, "x")})
+    psi = from_dict("psi", middle, far, {
+        (SOURCE, 1, "x"): (SOURCE, -1, "q"),
+        (TARGET, -1, "u0"): (SOURCE, -1, "q"),
+    })
+    with pytest.raises(GuardExceeded) as info:
+        compose(phi, psi).forward((TARGET, -1, "u0"))
+    assert (info.value.what, info.value.projected, info.value.limit) == (
+        "ping-pong hops", 101, 100)

@@ -282,10 +282,13 @@ def test_grouped_walker_matches_seed_walker():
 
 
 @pytest.mark.parametrize("parts, bound", [
-    ((1,) * 10, 2), ((3,) * 5, 3), ((5, 4, 3, 2, 1), 2)])
+    ((1,) * 10, 2), ((3,) * 5, 3), ((5, 4, 3, 2, 1), 2),
+    ((2, 2, 2, 1, 1, 1), 4), ((1,) * 6, 6), ((3, 3, 2, 2, 1, 1), 3)])
 def test_grouped_walker_matches_seed_walker_on_tall_shapes(parts, bound):
     # five or more rows: the rows allowed beneath a row are reused from
-    # one level of the walk to the next
+    # one level of the walk to the next.  On the six-row shapes every row
+    # of a group's prefix can contain both 0 and the bound, so the prefix
+    # count is checked against the per-object tally.
     assert_plane_partitions_match_seed(Partition(parts), bound)
 
 

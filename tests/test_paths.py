@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import time
 from itertools import islice, permutations, product
 
 import pytest
@@ -271,9 +272,17 @@ def test_family_counts_frozen():
         assert sum(f.sign for f in families) == ni
 
 
+def permutation_sum(matrix) -> int:
+    """The permanent by its definition, one term per permutation."""
+    n = len(matrix)
+    return sum(math.prod(matrix[i][s[i]] for i in range(n))
+               for s in permutations(range(n)))
+
+
 def test_ryser_permanent_matches_permutation_sum(monkeypatch):
-    # the Gray-code Ryser walk against the plain permutation sum, on random
-    # matrices with many zeros (the early exit) and large entries
+    # the column-mask count against the plain permutation sum, on random
+    # matrices with many zeros (rows that start late, and empty rows) and
+    # large entries
     rng = random.Random(5)
     for _ in range(240):
         n = rng.randint(1, 7)
@@ -285,6 +294,49 @@ def test_ryser_permanent_matches_permutation_sum(monkeypatch):
         expected = sum(math.prod(matrix[i][s[i]] for i in range(n))
                        for s in permutations(range(n)))
         assert count_families(ep) == expected
+
+
+def test_family_count_matches_permutation_sum_on_small_shapes():
+    for shape in enumerate_partitions(8):
+        for bound in range(4):
+            ep = plane_partition_endpoints(shape, bound)
+            matrix = [[count_connection_paths(a, b) for b in ep.b]
+                      for a in ep.a]
+            assert count_families(ep) == permutation_sum(matrix)
+
+
+def test_family_count_matches_permutation_sum_with_negative_entries(
+        monkeypatch):
+    # the count is the permanent of any integer matrix, so signs that
+    # cancel between permutations must cancel in it too
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        matrix = [[rng.choice([0, 0, 1, -1, 2, -3, 5, -(10**9)])
+                   for _ in range(n)] for _ in range(n)]
+        monkeypatch.setattr(lgvlab.paths, "_connection_counts",
+                            lambda endpoints: matrix)
+        ep = Endpoints([(0, 0)] * n, [(0, 0)] * n)
+        assert count_families(ep) == permutation_sum(matrix)
+
+
+def test_family_count_of_a_column_bounded_by_one():
+    # on 1^n, m=1 every connection takes two steps, so the matrix is
+    # tridiagonal with 1, 2, 1, and its permanent P_n = 2 P_(n-1) + P_(n-2)
+    previous, current = 1, 1
+    for n in range(1, 31):
+        previous, current = current, 2 * current + previous * (n > 1)
+        ep = plane_partition_endpoints(Partition([1] * n), 1)
+        assert count_families(ep) == current
+    assert current == 259717522849
+
+
+def test_family_count_of_a_tall_column_is_quick():
+    # Ryser's formula takes 2^18 steps here for a count of one
+    ep = plane_partition_endpoints(Partition([1] * 18), 0)
+    started = time.process_time()
+    assert count_families(ep) == 1
+    assert time.process_time() - started < 0.01
 
 
 def test_nonintersecting_families_have_identity_permutation():
