@@ -86,18 +86,10 @@ class SwapCertificate(_Value):
         }
 
 
-def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertificate]:
-    """Swap the tails of two intersecting paths at a canonical point.
-
-    The point is the lexicographically smallest (by x, then y) point lying
-    on two or more paths, and the chosen paths are the two smallest indices
-    through it.  Exchanging everything after the common point produces a
-    family with the opposite sign but the same multiset of steps, so the
-    canonical point and path pair are unchanged and applying the swap again
-    restores the input.
-
-    Returns the swapped family together with the certificate; raises
-    ValueError on a non-intersecting family.
+def _swap_parts(family: SignedPathFamily) -> tuple[tuple, tuple, tuple]:
+    """The tail swap of ``family`` in parts: ``(sigma, paths, meet)``, the
+    swapped permutation and paths and the family's meet ``(point, i, j)``,
+    which places the swap.  Raises ValueError on a non-intersecting family.
     """
     meet = _family_meet(family)
     if meet is None:
@@ -114,16 +106,42 @@ def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertifica
     new_paths[j] = _path(paths[j].start, word_j[:cut_j] + word_i[cut_i:])
     new_sigma = list(family.sigma)
     new_sigma[i], new_sigma[j] = new_sigma[j], new_sigma[i]
-    # Path i now ends where path j did, at b_{sigma(j)}, and the other way
-    # round, so the swapped family is valid by construction.
-    swapped = SignedPathFamily._trusted(
-        family.endpoints, tuple(new_sigma), tuple(new_paths))
+    return tuple(new_sigma), tuple(new_paths), meet
+
+
+def _swapped(endpoints: Endpoints, sigma: tuple,
+             paths: tuple) -> SignedPathFamily:
+    """The family a swap core returned, built through ``_trusted``: path i
+    now ends where path j did, at b_{sigma(j)}, and the other way round, so
+    a correct core's image is valid by construction."""
+    swapped = SignedPathFamily._trusted(endpoints, sigma, paths)
     # Both new paths still pass through the common point, so the image
     # intersects too: recorded here, it is not scanned for again.  Its meet
     # is not copied from the input: swapping the image scans its own paths,
     # so the involution is checked, not assumed.
     object.__setattr__(swapped, "_ni", False)
-    return swapped, SwapCertificate._trusted(point, (i, j))
+    return swapped
+
+
+def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertificate]:
+    """Swap the tails of two intersecting paths at a canonical point.
+
+    The point is the lexicographically smallest (by x, then y) point lying
+    on two or more paths, and the chosen paths are the two smallest indices
+    through it.  Exchanging everything after the common point produces a
+    family with the opposite sign but the same multiset of steps, so the
+    canonical point and path pair are unchanged and applying the swap again
+    restores the input.
+
+    Returns a newly built swapped family together with the certificate;
+    raises ValueError on a non-intersecting family.  ``lgv_sijection``
+    runs the same swap core but keeps no certificate, and once its signed
+    families have been walked it returns the walked family equal to the
+    image instead of building one.
+    """
+    sigma, paths, (point, i, j) = _swap_parts(family)
+    return (_swapped(family.endpoints, sigma, paths),
+            SwapCertificate._trusted(point, (i, j)))
 
 
 def nonintersecting_set(endpoints: Endpoints,
@@ -166,31 +184,51 @@ def lgv_sijection(endpoints: Endpoints,
     signed count of all families equals the plain count of the
     non-intersecting ones.
 
-    Each family is swapped at most once per sijection: the swaps, image
-    and certificate, are kept by input family, and both directions (and
-    the inverse) share them.  The reverse entry is never filled in from the
-    involution, so backward still computes its own swap and a checker can
-    catch a swap that is not one.  ``verify_lgv`` reads the memo through
-    the sijection's ``_swap``, a closure: a bound method would make a
-    reference cycle that keeps the memo alive until the collector runs.
-    The non-intersecting side, walked after the signed families, reads its
-    families off their stream (see ``nonintersecting_set``).
+    Each family is swapped at most once per sijection: the images are
+    kept by input family, and both directions (and the inverse) share
+    them; no certificate is built.  The reverse entry is never filled in
+    from the involution, so backward still computes its own swap and a
+    checker can catch a swap that is not one.  Once the signed families
+    have been walked, an image is looked up, by its permutation and paths,
+    in an index of their stream built on the first swap after the walk,
+    and the walked family is returned: a correct swap's image is always
+    one of them, so nothing is built, hashed or scanned again.  Only an
+    image the walk does not hold is built, so a faulty swap is still seen.
+    Before the walk (a map's ping-pong) every image is built.  A family the
+    swap is undefined on is refused with ``SijectionError``, so a checker
+    reports it.  ``verify_lgv`` reads the memo through the sijection's
+    ``_swap``, a closure: a bound method would make a reference cycle that
+    keeps the memo alive until the collector runs.  The non-intersecting
+    side, walked after the signed families, reads its families off their
+    stream (see ``nonintersecting_set``).
     """
     target = signed_family_set(endpoints, guard_limit)
     source = nonintersecting_set(endpoints, guard_limit, target)
-    swaps = {}
+    images = {}
+    walked = None  # the index of the target's stream, once it has one
 
     def swap(family):
-        result = swaps.get(family)
-        if result is None:
-            result = swaps[family] = tail_swap(family)
-        return result
+        nonlocal walked
+        image = images.get(family)
+        if image is None:
+            try:
+                sigma, paths, _ = _swap_parts(family)
+            except ValueError as exc:
+                raise SijectionError(str(exc)) from None
+            if walked is None and target._stream is not None:
+                walked = {(f.sigma, f.paths): f for f, _ in target._stream}
+            if walked is not None:
+                image = walked.get((sigma, paths))
+            if image is None:
+                image = _swapped(family.endpoints, sigma, paths)
+            images[family] = image
+        return image
 
     def forward(tagged):
         side, sign, family = tagged
         if side == SOURCE:
             return (TARGET, 1, family)
-        return (TARGET, 1, swap(family)[0])
+        return (TARGET, 1, swap(family))
 
     def backward(tagged):
         side, sign, family = tagged
@@ -199,7 +237,7 @@ def lgv_sijection(endpoints: Endpoints,
                 "the non-intersecting side has no negative part")
         if is_nonintersecting(family):
             return (SOURCE, 1, family)
-        return (TARGET, -1, swap(family)[0])
+        return (TARGET, -1, swap(family))
 
     sijection = Sijection("lgv", source, target, forward, backward,
                           guard_limit)

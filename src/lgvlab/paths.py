@@ -654,13 +654,19 @@ def _reachable_permutations(counts, prefix=()) -> Iterator[tuple[int, ...]]:
 def _families(endpoints: Endpoints, sigmas) -> Iterator[SignedPathFamily]:
     """Yield the families over each permutation in ``sigmas`` in turn, the
     per-connection path streams in lexicographic product order.  Each
-    path joins its endpoints by construction, so no family is checked."""
+    path joins its endpoints by construction, so no family is checked.
+    Each connection's paths are listed once per walk, however many
+    permutations use it: at most n^2 lists, not n per permutation."""
     trusted = SignedPathFamily._trusted
+    connections = {}
     for sigma in sigmas:
-        streams = [
-            list(enumerate_connection_paths(a, endpoints.b[s]))
-            for a, s in zip(endpoints.a, sigma)
-        ]
+        streams = []
+        for i, s in enumerate(sigma):
+            paths = connections.get((i, s))
+            if paths is None:
+                paths = connections[i, s] = list(enumerate_connection_paths(
+                    endpoints.a[i], endpoints.b[s]))
+            streams.append(paths)
         for paths in product(*streams):
             yield trusted(endpoints, sigma, paths)
 

@@ -36,6 +36,7 @@ _DOMAIN = ((SOURCE, 1), (TARGET, -1))  # S+ |_| T-, which forward maps
 _CODOMAIN = ((SOURCE, -1), (TARGET, 1))  # S- |_| T+, which backward maps
 _SIGN_CHAR = {1: "+", -1: "-"}
 _MAX_PROBLEMS = 5
+_OUTSIDE = object()  # what ``_round_trips`` reads for an image off the codomain
 
 
 class SijectionError(Exception):
@@ -321,25 +322,26 @@ def _round_trips(sij: Sijection) -> tuple[list[str], list[tuple]]:
     problems: list[str] = []
     pairs: list[tuple] = []
     domain, codomain = _sides(sij)
-    codomain_set = set(codomain)
-    if len(codomain_set) != len(codomain):
+    # each codomain element mapped to its preimage, None until it has one
+    preimage: dict = dict.fromkeys(codomain)
+    if len(preimage) != len(codomain):
         problems.append("codomain contains repeated elements")
 
-    seen: dict = {}
     for x in domain:
         try:
             y = sij.forward(x)
         except SijectionError as exc:
             problems.append(f"forward failed on {x!r}: {exc}")
             continue
-        if y not in codomain_set:
+        earlier = preimage.get(y, _OUTSIDE)
+        if earlier is _OUTSIDE:
             problems.append(f"forward({x!r}) = {y!r} lies outside S- |_| T+")
             continue
-        if y in seen:
-            problems.append(f"forward is not injective: {seen[y]!r} and {x!r} "
+        if earlier is not None:
+            problems.append(f"forward is not injective: {earlier!r} and {x!r} "
                             f"both map to {y!r}")
             continue
-        seen[y] = x
+        preimage[y] = x
         try:
             back = sij.backward(y)
         except SijectionError as exc:
@@ -350,7 +352,7 @@ def _round_trips(sij: Sijection) -> tuple[list[str], list[tuple]]:
             continue
         pairs.append((x, y))
     for y in codomain:
-        if y not in seen:
+        if preimage[y] is None:
             problems.append(f"forward is not surjective: {y!r} has no preimage")
     return problems[:_MAX_PROBLEMS], pairs
 

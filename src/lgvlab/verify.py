@@ -18,6 +18,7 @@ from typing import Iterator
 
 from .algebra import MultiPoly, det_division_free, lgv_matrix
 from .bijections import (
+    SwapCertificate,
     lgv_sijection,
     tail_swap,
     variable_positions,
@@ -37,6 +38,7 @@ from .objects import (
 )
 from .paths import (
     _family_count,
+    _family_meet,
     count_families,
     count_ni_families,
     first_step_east_count,
@@ -44,7 +46,7 @@ from .paths import (
     last_step_east_count,
     plane_partition_endpoints,
 )
-from .sijections import _round_trips, _stat_changes
+from .sijections import SijectionError, _round_trips, _stat_changes
 
 
 def _check(name: str, passed: bool, witness=None) -> dict:
@@ -127,19 +129,29 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
 
     # The involution check swaps through the sijection's memo, so each
     # crossing family is swapped once here and the checkers below replay
-    # those swaps.  A correct swap's image is another crossing family,
-    # whose own swap is computed independently, never filled in from this.
+    # those swaps.  A correct swap's image is another walked crossing
+    # family, returned as that object, whose own swap is computed
+    # independently, never filled in from this.  The swap keeps no
+    # certificate: a family's kept meet is its certificate's point and
+    # path pair, so the two meets are compared, and a certificate is built
+    # only for a witness.
     swap = sijection._swap
     involution_witness = None
     for family in crossing:
-        swapped, cert = swap(family)
-        again, cert_back = swap(swapped)
-        if (again != family or cert_back != cert
+        swapped = swap(family)
+        try:
+            again = swap(swapped)
+        except SijectionError:  # the image is disjoint, so no swap undoes it
+            again = None
+        meet = _family_meet(family)
+        if (again != family or _family_meet(swapped) != meet
                 or swapped.sign != -family.sign):
+            point, i, j = meet
             involution_witness = {
                 "family": family.to_json(),
                 "swapped": swapped.to_json(),
-                "certificate": cert.to_json(),
+                "certificate": SwapCertificate._trusted(
+                    point, (i, j)).to_json(),
             }
             break
 

@@ -221,13 +221,13 @@ def test_checkers_enumerate_the_signed_families_once(monkeypatch):
 
 def test_lgv_sijection_and_its_inverse_share_one_swap_memo(monkeypatch):
     calls = []
-    real = lgvlab.bijections.tail_swap
+    real = lgvlab.bijections._swap_parts
 
     def counting(family):
         calls.append(family)
         return real(family)
 
-    monkeypatch.setattr(lgvlab.bijections, "tail_swap", counting)
+    monkeypatch.setattr(lgvlab.bijections, "_swap_parts", counting)
     ep = plane_partition_endpoints(Partition([2, 1]), 2)
     sij = lgv_sijection(ep)
     inv = sij.inverse()
@@ -235,7 +235,8 @@ def test_lgv_sijection_and_its_inverse_share_one_swap_memo(monkeypatch):
     negative = next(f for f in enumerate_families(ep) if f.sign == -1)
     image = sij.forward((TARGET, -1, negative))
     assert inv.backward((SOURCE, -1, negative)) == (SOURCE, 1, image[2])
-    assert sij._swap(negative) == real(negative)
+    sigma, paths, _ = real(negative)
+    assert sij._swap(negative) == SignedPathFamily(ep, sigma, paths)
     assert calls == [negative]
 
 
@@ -244,13 +245,15 @@ def test_lgv_sijection_check_catches_a_swap_that_does_not_undo_itself(
     # the swap stays right on negative families but is wrong on positive
     # crossing ones, so only backward(forward(x)) can see it; a memo that
     # recorded forward's swap as backward's answer would hide it
-    real = lgvlab.bijections.tail_swap
+    real = lgvlab.bijections._swap_parts
 
     def one_sided(family):
-        swapped, cert = real(family)
-        return (swapped if family.sign == -1 else family), cert
+        sigma, paths, meet = real(family)
+        if family.sign == -1:
+            return sigma, paths, meet
+        return family.sigma, family.paths, meet
 
-    monkeypatch.setattr(lgvlab.bijections, "tail_swap", one_sided)
+    monkeypatch.setattr(lgvlab.bijections, "_swap_parts", one_sided)
     ep = plane_partition_endpoints(Partition([2, 1]), 2)
     problems = check_sijection(lgv_sijection(ep))
     assert any(p.startswith("backward(forward(") for p in problems)
@@ -275,6 +278,26 @@ def test_lgv_source_walked_after_the_target_reads_its_stream(ep, monkeypatch):
     read = list(sij.source.elements())
     assert read == fresh and len(read) > 10
     assert all(id(family) in walked for family, _ in read)
+    assert check_sijection(sij) == []
+
+
+@pytest.mark.parametrize("ep", [
+    plane_partition_endpoints(Partition([3, 3, 2]), 2),
+    tableau_endpoints(Partition([3, 2]), 3),
+], ids=["plane-partition", "tableau"])
+def test_walked_lgv_sijection_swaps_onto_the_walked_families(ep):
+    # once the signed families are walked, every swap image, from the
+    # memo or through either map, is the walked family object itself
+    sij = lgv_sijection(ep)
+    walked = [family for family, _ in sij.target.elements()]
+    ids = set(map(id, walked))
+    crossing = [family for family in walked if not is_nonintersecting(family)]
+    assert len(crossing) > 10
+    for family in crossing:
+        assert id(sij._swap(family)) in ids
+        tagged = (TARGET, family.sign, family)
+        move = sij.forward if family.sign == -1 else sij.backward
+        assert id(move(tagged)[2]) in ids
     assert check_sijection(sij) == []
 
 

@@ -11,6 +11,7 @@ refused instead of hanging the suite.
 
 import __future__
 import inspect
+import json
 import textwrap
 
 import pytest
@@ -19,6 +20,7 @@ import lgvlab.algebra
 import lgvlab.bijections
 import lgvlab.objects
 import lgvlab.paths
+from lgvlab.cli import main
 from lgvlab.guards import GuardExceeded
 from lgvlab.sijections import (SOURCE, TARGET, Sijection, SignedSet,
                                compose)
@@ -107,6 +109,27 @@ def test_a_disjointness_test_blind_past_three_paths_fails_the_determinant_count(
                         lambda family: scan(family.paths[:3]))
     report = verify_lgv((1, 1, 1, 1), 1, LIMIT)
     assert "determinant-counts-nonintersecting" in failed(report)
+
+
+def test_a_scan_blind_past_three_paths_fails_the_sijection_check(
+        monkeypatch, capsys):
+    # the swap reads the faulty scan too, so a negative family that the
+    # scan calls disjoint reaches a swap undefined on it; the sijection
+    # refuses it, and the report, not a traceback, says so
+    scan = lgvlab.paths._meet_scan
+    monkeypatch.setattr(lgvlab.paths, "_meet_scan",
+                        lambda paths: scan(paths[:3]))
+    report = verify_lgv((1, 1, 1, 1), 1, LIMIT)
+    assert "sijection-bijective" in failed(report)
+    code = main(["verify-lgv", "--shape", "1,1,1,1", "--max", "1",
+                 "--guard-limit", str(LIMIT)])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert "sijection-bijective" in failed(report)
+    witness = next(check["witness"] for check in report["checks"]
+                   if check["name"] == "sijection-bijective")
+    assert all(problem.startswith("forward failed on ")
+               for problem in witness)
 
 
 def test_a_tail_swap_at_the_largest_pair_meet_fails_the_involution(

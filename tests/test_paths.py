@@ -395,6 +395,23 @@ def test_enumerate_families_skips_unreachable_permutations():
     assert families[0].is_identity()
 
 
+def test_enumerate_families_lists_each_connection_once(monkeypatch):
+    # each connection's paths are listed once per walk, not once per
+    # permutation that uses it, and the family order does not move
+    ep = plane_partition_endpoints(Partition([2, 2, 2, 2]), 1)
+    expected = _families_by_brute_force(ep)
+    listed = []
+    real = lgvlab.paths.enumerate_connection_paths
+
+    def counting(a, b):
+        listed.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(lgvlab.paths, "enumerate_connection_paths", counting)
+    assert list(enumerate_families(ep)) == expected
+    assert len(listed) == len(set(listed)) <= ep.n ** 2
+
+
 def test_enumerate_families_guard():
     ep = plane_partition_endpoints(Partition([2, 1]), 2)
     with pytest.raises(GuardExceeded):

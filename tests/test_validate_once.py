@@ -105,14 +105,13 @@ def test_validating_catches_a_swap_that_forgets_to_transpose_sigma(
         validating, monkeypatch):
     # built through the private path, the swapped paths keep the input's
     # sigma and no longer end where it says: only validation can tell
-    real = tail_swap
+    real = lgvlab.bijections._swap_parts
 
     def forgetful(family):
-        swapped, cert = real(family)
-        return (SignedPathFamily._trusted(
-            family.endpoints, family.sigma, swapped.paths), cert)
+        sigma, paths, meet = real(family)
+        return family.sigma, paths, meet
 
-    monkeypatch.setattr(lgvlab.bijections, "tail_swap", forgetful)
+    monkeypatch.setattr(lgvlab.bijections, "_swap_parts", forgetful)
     shape = Partition([2, 1])
     verify_lgv(shape, 2)
     with validating(), pytest.raises(ValueError, match=r"ends at .*, expected"):

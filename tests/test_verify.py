@@ -129,14 +129,13 @@ def test_verify_lgv_walks_the_families_once(monkeypatch):
         swapped[family] += 1
         return result
 
-    real_swap = lgvlab.bijections.tail_swap
+    real_swap = lgvlab.bijections._swap_parts
     monkeypatch.setattr(lgvlab.bijections, "enumerate_families", counting(
         "enumerate_families", lgvlab.bijections.enumerate_families))
     count = counting("count_families", lgvlab.paths.count_families)
     monkeypatch.setattr(lgvlab.paths, "count_families", count)
     monkeypatch.setattr(verify, "count_families", count)
-    monkeypatch.setattr(lgvlab.bijections, "tail_swap", counting_swap)
-    monkeypatch.setattr(verify, "tail_swap", counting_swap)
+    monkeypatch.setattr(lgvlab.bijections, "_swap_parts", counting_swap)
     report = verify_lgv((3, 3, 2), 2)
     assert report_passed(report)
     results = report["results"]
@@ -234,17 +233,19 @@ def test_verify_lgv_reports_one_broken_round_trip(monkeypatch):
     # family breaks exactly one round trip; the report says so, no traceback
     endpoints = lgvlab.paths.plane_partition_endpoints((2, 2), 1)
     families = list(lgvlab.paths.enumerate_families(endpoints))
-    real = lgvlab.bijections.tail_swap
+    real = lgvlab.bijections._swap_parts
     victim = next(f for f in families
                   if f.sign == 1 and not is_nonintersecting(f))
     wrong = next(f for f in families
-                 if f.sign == -1 and f != real(victim)[0])
+                 if f.sign == -1 and (f.sigma, f.paths) != real(victim)[:2])
 
     def faulty(family):
-        image, cert = real(family)
-        return (wrong if family == victim else image), cert
+        sigma, paths, meet = real(family)
+        if family == victim:
+            return wrong.sigma, wrong.paths, meet
+        return sigma, paths, meet
 
-    monkeypatch.setattr(lgvlab.bijections, "tail_swap", faulty)
+    monkeypatch.setattr(lgvlab.bijections, "_swap_parts", faulty)
     report = verify_lgv((2, 2), 1)
     check = _check_named(report, "sijection-bijective")
     assert not check["passed"]
@@ -258,7 +259,7 @@ def test_verify_lgv_swaps_each_crossing_family_once(monkeypatch):
     # one successful swap per crossing family, one refused swap per
     # non-intersecting family (the rejection check)
     swapped, rejected = collections.Counter(), collections.Counter()
-    real = lgvlab.bijections.tail_swap
+    real = lgvlab.bijections._swap_parts
 
     def counting_swap(family):
         try:
@@ -269,8 +270,7 @@ def test_verify_lgv_swaps_each_crossing_family_once(monkeypatch):
         swapped[family] += 1
         return result
 
-    monkeypatch.setattr(lgvlab.bijections, "tail_swap", counting_swap)
-    monkeypatch.setattr(verify, "tail_swap", counting_swap)
+    monkeypatch.setattr(lgvlab.bijections, "_swap_parts", counting_swap)
     report = verify_lgv((3, 3, 2), 2)
     assert report_passed(report)
     assert (sum(swapped.values()), len(swapped)) == (1020, 1020)
@@ -325,9 +325,10 @@ def test_verify_lgv_builds_no_value_through_a_validating_constructor(
 
 
 def test_verify_lgv_scans_each_family_for_disjointness_once(monkeypatch):
-    # 1,175 families and the swap images read back by the checkers; the
-    # scans used to number 3,770, about three per family.  One meet scan
-    # decides disjointness and places the swap.
+    # one scan per walked family: a swap's image is the walked family it
+    # equals, already scanned.  The scans used to number 3,770, about
+    # three per family.  One meet scan decides disjointness and places
+    # the swap.
     scans = collections.Counter()
     held = []  # keeps every scanned tuple alive, so no id is reused
     real = lgvlab.paths._meet_scan
@@ -340,22 +341,60 @@ def test_verify_lgv_scans_each_family_for_disjointness_once(monkeypatch):
     monkeypatch.setattr(lgvlab.paths, "_meet_scan", counting)
     assert report_passed(verify_lgv((3, 3, 2), 2))
     assert max(scans.values()) == 1
-    assert 1175 <= sum(scans.values()) < 3770
+    assert sum(scans.values()) == 1175
 
 
 def test_verify_lgv_reports_a_swap_that_does_not_undo_itself(monkeypatch):
     # the involution check reads its swaps through the sijection's memo, so
     # a broken swap shows in both the involution and the bijectivity checks
-    real = lgvlab.bijections.tail_swap
+    real = lgvlab.bijections._swap_parts
 
     def one_sided(family):
-        swapped, cert = real(family)
-        return (swapped if family.sign == -1 else family), cert
+        sigma, paths, meet = real(family)
+        if family.sign == -1:
+            return sigma, paths, meet
+        return family.sigma, family.paths, meet
 
-    monkeypatch.setattr(lgvlab.bijections, "tail_swap", one_sided)
+    monkeypatch.setattr(lgvlab.bijections, "_swap_parts", one_sided)
     report = verify_lgv((2, 1), 2)
     assert not _check_named(report, "tail-swap-involution")["passed"]
     assert not _check_named(report, "sijection-bijective")["passed"]
+
+
+def test_verify_lgv_reports_a_swap_image_outside_the_walk(monkeypatch):
+    # a swap that forgets to transpose sigma returns a family no walk
+    # holds, so it is built, and both checks see it
+    real = lgvlab.bijections._swap_parts
+
+    def forgetful(family):
+        sigma, paths, meet = real(family)
+        return family.sigma, paths, meet
+
+    monkeypatch.setattr(lgvlab.bijections, "_swap_parts", forgetful)
+    report = verify_lgv((2, 1), 2)
+    assert not _check_named(report, "tail-swap-involution")["passed"]
+    assert not _check_named(report, "sijection-bijective")["passed"]
+    witness = _check_named(report, "tail-swap-involution")["witness"]
+    assert witness["swapped"]["sigma"] == witness["family"]["sigma"]
+    json.dumps(report)
+
+
+def test_verify_lgv_reports_a_swap_onto_a_disjoint_family(monkeypatch):
+    # the image of one family is a non-intersecting family, which no swap
+    # undoes: the involution check fails with a witness, no traceback
+    real = lgvlab.bijections._swap_parts
+    endpoints = lgvlab.paths.plane_partition_endpoints((2, 1), 2)
+    disjoint = next(lgvlab.paths.enumerate_ni_families(endpoints))
+
+    def onto_disjoint(family):
+        sigma, paths, meet = real(family)
+        return disjoint.sigma, disjoint.paths, meet
+
+    monkeypatch.setattr(lgvlab.bijections, "_swap_parts", onto_disjoint)
+    report = verify_lgv((2, 1), 2)
+    assert not _check_named(report, "tail-swap-involution")["passed"]
+    assert not _check_named(report, "sijection-bijective")["passed"]
+    json.dumps(report)
 
 
 def test_verify_theorem1_counts_in_closed_form_once(monkeypatch):
