@@ -184,23 +184,25 @@ def lgv_sijection(endpoints: Endpoints,
     signed count of all families equals the plain count of the
     non-intersecting ones.
 
-    Each family is swapped at most once per sijection: the images are
-    kept by input family, and both directions (and the inverse) share
-    them; no certificate is built.  The reverse entry is never filled in
-    from the involution, so backward still computes its own swap and a
-    checker can catch a swap that is not one.  Once the signed families
-    have been walked, an image is looked up, by its permutation and paths,
-    in an index of their stream built on the first swap after the walk,
-    and the walked family is returned: a correct swap's image is always
-    one of them, so nothing is built, hashed or scanned again.  Only an
-    image the walk does not hold is built, so a faulty swap is still seen.
-    Before the walk (a map's ping-pong) every image is built.  A family the
-    swap is undefined on is refused with ``SijectionError``, so a checker
-    reports it.  ``verify_lgv`` reads the memo through the sijection's
-    ``_swap``, a closure: a bound method would make a reference cycle that
-    keeps the memo alive until the collector runs.  The non-intersecting
-    side, walked after the signed families, reads its families off their
-    stream (see ``nonintersecting_set``).
+    Each family is swapped at most once per sijection once its families
+    have been walked: from then on the images are kept by input family,
+    and both directions (and the inverse) share them; no certificate is
+    built.  The reverse entry is never filled in from the involution, so
+    backward still computes its own swap and a checker can catch a swap
+    that is not one.  After the walk, an image is looked up, by its
+    permutation and paths, in an index of their stream built on the first
+    swap after the walk, and the walked family is returned: a correct
+    swap's image is always one of them, so nothing is built, hashed or
+    scanned again.  Only an image the walk does not hold is built, so a
+    faulty swap is still seen.  Before the walk (a map's ping-pong) every
+    image is built and none is kept: an orbit never swaps the same family
+    twice, so a memo would only cost a hash per hop and hold every family
+    the orbit swaps.  A family the swap is undefined on is refused with
+    ``SijectionError``, so a checker reports it.  ``verify_lgv`` reads the
+    memo through the sijection's ``_swap``, a closure: a bound method would
+    make a reference cycle that keeps the memo alive until the collector
+    runs.  The non-intersecting side, walked after the signed families,
+    reads its families off their stream (see ``nonintersecting_set``).
     """
     target = signed_family_set(endpoints, guard_limit)
     source = nonintersecting_set(endpoints, guard_limit, target)
@@ -209,19 +211,22 @@ def lgv_sijection(endpoints: Endpoints,
 
     def swap(family):
         nonlocal walked
-        image = images.get(family)
+        if walked is None and target._stream is not None:
+            walked = {(f.sigma, f.paths): f for f, _ in target._stream}
+        if walked is not None:
+            image = images.get(family)
+            if image is not None:
+                return image
+        try:
+            sigma, paths, _ = _swap_parts(family)
+        except ValueError as exc:
+            raise SijectionError(str(exc)) from None
+        if walked is None:
+            return _swapped(family.endpoints, sigma, paths)
+        image = walked.get((sigma, paths))
         if image is None:
-            try:
-                sigma, paths, _ = _swap_parts(family)
-            except ValueError as exc:
-                raise SijectionError(str(exc)) from None
-            if walked is None and target._stream is not None:
-                walked = {(f.sigma, f.paths): f for f, _ in target._stream}
-            if walked is not None:
-                image = walked.get((sigma, paths))
-            if image is None:
-                image = _swapped(family.endpoints, sigma, paths)
-            images[family] = image
+            image = _swapped(family.endpoints, sigma, paths)
+        images[family] = image
         return image
 
     def forward(tagged):

@@ -200,9 +200,10 @@ class _Filling(_Value):
         return cls(*_filling_fields(data, cls._kind, cls._bound_field))
 
     @classmethod
-    def _groups(cls, shape: Partition, bound: int) -> Iterator[tuple]:
-        """The ``_fillings`` groups of this kind's fillings of the shape."""
-        return _fillings(shape, cls._check_bound(bound), cls._column_ok)
+    def _groups(cls, shape: Partition, bound: int, *fold) -> Iterator[tuple]:
+        """The ``_fillings`` groups of this kind's fillings of the shape;
+        ``fold``, if given, is the walk's ``start`` and ``fold``."""
+        return _fillings(shape, cls._check_bound(bound), cls._column_ok, *fold)
 
     @classmethod
     def _enumerate(cls, shape: Partition, bound: int) -> Iterator["_Filling"]:
@@ -262,16 +263,26 @@ def _filling_fields(data, kind: str, bound_field: str):
     return Partition(shape), bound, rows
 
 
-def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
+def _fillings(shape: Partition, values: range, column_ok,
+              start=(), fold=None) -> Iterator[tuple]:
     """Yield every filling of the shape, grouped by all rows but the last.
 
     A row is a multiset of ``values`` listed in their order, so it is weakly
     monotone, and each entry must satisfy ``column_ok(above, entry)``.  Each
-    group is ``(prefix, last_rows)``: ``prefix`` is a tuple of the first
-    len(shape) - 1 rows and ``last_rows`` an iterable of the rows allowed
-    beneath it, so the group's fillings are ``prefix + (row,)`` for each row
-    in turn.  Expanding the groups in order is lexicographic on the
-    row-major sequence, in the order of ``values``.
+    group is ``(state, last_rows)``: ``state`` folds the first
+    len(shape) - 1 rows, the prefix, from ``start`` by
+    ``fold(state, row)``, and ``last_rows`` is an iterable of the rows
+    allowed beneath the prefix.  Without a fold the state is the prefix
+    itself, a tuple of row tuples (``start`` + the rows, inline: a call per
+    node would slow enumeration), so the group's fillings are
+    ``prefix + (row,)`` for each row in turn.  Expanding the groups in
+    order is lexicographic on the row-major sequence, in the order of
+    ``values``.
+
+    The walk keeps one state per level beside its iterator stack, so each
+    node of the walk is folded once, when its row is reached, and a group
+    costs one fold however deep the shape is; a prefix shared by many
+    groups is never folded again.
 
     The rows allowed beneath a row depend only on that row cut to the
     length of the row below, so they are computed once per cut and shared:
@@ -285,10 +296,13 @@ def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
       rows are kept for the walk, as a list of references into the one
       list of candidate rows of that length.
 
-    The first row is a plain stream, so a one-row shape builds no list.  One
-    iterator per row sits on an explicit stack, so no recursion limit bounds
-    the shape.  The empty shape yields no group: its one filling, (), has no
-    last row.
+    The first row is a plain stream, so a one-row shape builds no list.
+    ``last_rows`` is a list exactly when its rows are kept; a stream (a
+    one-row shape's rows, or the filter beneath the first row of an
+    equal-length two-row shape) yields rows that a consumer which keeps
+    none of them may count without holding one.  One iterator per row
+    sits on an explicit stack, so no recursion limit bounds the shape.  The
+    empty shape yields no group: its one filling, (), has no last row.
     """
     parts = shape.parts
     if not parts:
@@ -296,7 +310,7 @@ def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
     first = combinations_with_replacement(values, parts[0])
     last = len(parts) - 1
     if not last:
-        yield (), first
+        yield start, first
         return
 
     def fits(above: tuple, rows) -> list[tuple[int, ...]]:
@@ -307,8 +321,10 @@ def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
     def beneath_first(above: tuple):
         nonlocal run_cut, run
         if parts[1] == parts[0]:
-            return (row for row in combinations_with_replacement(values, parts[1])
-                    if all(map(column_ok, above, row)))
+            # a filter keeps no row once it is passed on, so a consumer
+            # that keeps none lets the combinations reuse their tuple
+            return filter(lambda row: all(map(column_ok, above, row)),
+                          combinations_with_replacement(values, parts[1]))
         cut = above[:parts[1]]
         if cut != run_cut:
             run_cut = cut
@@ -329,24 +345,25 @@ def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
             found = allowed[cut] = fits(cut, pool)
         return found
 
-    rows: list[tuple[int, ...]] = []
+    # states[i] folds the rows above the row that stack[i] yields
+    states = [start]
     stack = [first]
     while stack:
         row = next(stack[-1], None)
         if row is None:
             stack.pop()
-            if rows:
-                rows.pop()
+            states.pop()
             continue
-        rows.append(row)
-        level = len(rows)
+        level = len(stack)
         below = (beneath_first(row) if level == 1
                  else beneath(row, parts[level]))
+        state = (states[-1] + (row,) if fold is None
+                 else fold(states[-1], row))
         if level == last:
-            yield tuple(rows), below
-            rows.pop()
+            yield state, below
         else:
             stack.append(iter(below))
+            states.append(state)
 
 
 def _expand(shape: Partition, groups) -> Iterator[tuple]:
@@ -407,27 +424,37 @@ def refined_genfuns_by_enumeration(
 
     Returns ``(zeros, maxes)``: the coefficient of x**k in ``zeros`` counts
     the plane partitions with k rows containing 0, in ``maxes`` those with
-    k rows containing the bound.  Every plane partition is visited and
-    counted on its own.  A ``_fillings`` group's prefix is counted once, by
-    one inline loop over its rows (a group holds few fillings on a shape of
-    many short rows, so a call per statistic per group would cost more than
-    the group's own tally), and each last row adds its own two tests.
+    k rows containing the bound.  Every plane partition is generated and
+    counted on its own, into one joint histogram indexed by
+    ``zeros + k * maxes`` (k = rows + 1); both polynomials are its
+    marginals.  A row folds to ``(row[-1] == 0) + k * (row[0] == bound)``,
+    and ``_fillings`` folds each prefix row once per node of its walk, so a
+    group's prefix costs one addition.  Each kept last row adds its own
+    index; a stream of last rows (a one-row shape's, or those beneath the
+    first row of an equal-length two-row shape) is counted by one C-level
+    pass over each row's last and first entries, which keeps no row, so
+    the combinations reuse their tuple and a long row is never copied.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     _guard_plane_partitions(shape, bound, guard_limit)
-    zeros = [0] * (len(shape) + 1)
-    maxes = [0] * (len(shape) + 1)
+    k = len(shape) + 1
+    joint = [0] * (k * k)
     if not shape.parts:
-        zeros[0] = maxes[0] = 1
-    for prefix, last_rows in PlanePartition._groups(shape, bound):
-        z = x = 0
-        for row in prefix:
-            z += row[-1] == 0
-            x += row[0] == bound
-        for row in last_rows:
-            zeros[z + (row[-1] == 0)] += 1
-            maxes[x + (row[0] == bound)] += 1
-    return UniPoly(zeros), UniPoly(maxes)
+        joint[0] = 1
+
+    def fold(index: int, row: tuple) -> int:
+        return index + (row[-1] == 0) + k * (row[0] == bound)
+
+    ends = operator.itemgetter(-1, 0)
+    for index, last_rows in PlanePartition._groups(shape, bound, 0, fold):
+        if last_rows.__class__ is list:
+            for row in last_rows:
+                joint[index + (row[-1] == 0) + k * (row[0] == bound)] += 1
+        else:
+            for (low, high), n in Counter(map(ends, last_rows)).items():
+                joint[index + (low == 0) + k * (high == bound)] += n
+    return (UniPoly(sum(joint[z::k]) for z in range(k)),
+            UniPoly(sum(joint[x * k:x * k + k]) for x in range(k)))
 
 
 def genfun_by_enumeration(
@@ -465,8 +492,8 @@ class Tableau(_Filling):
     _bad_column = "column not strictly increasing ({} >= {})"
 
     @classmethod
-    def _groups(cls, shape: Partition, varcount: int) -> Iterator[tuple]:
-        groups = super()._groups(shape, varcount)
+    def _groups(cls, shape: Partition, varcount: int, *fold) -> Iterator[tuple]:
+        groups = super()._groups(shape, varcount, *fold)
         # a strictly increasing column holds at most varcount entries
         return iter(()) if len(shape) > varcount else groups
 

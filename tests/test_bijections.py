@@ -1,9 +1,11 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 import lgvlab.bijections
+import lgvlab.paths
 from lgvlab.bijections import (
     SwapCertificate,
     lgv_sijection,
@@ -33,6 +35,7 @@ from lgvlab.paths import (
     is_nonintersecting,
     last_step_east_count,
     plane_partition_endpoints,
+    pp_encode,
     tableau_endpoints,
 )
 from lgvlab.sijections import (
@@ -232,6 +235,9 @@ def test_lgv_sijection_and_its_inverse_share_one_swap_memo(monkeypatch):
     sij = lgv_sijection(ep)
     inv = sij.inverse()
     assert type(sij) is Sijection and type(inv) is Sijection
+    # the memo is kept once the families have been walked; before the
+    # walk (a map's ping-pong) each swap is computed and not kept
+    list(sij.target.elements())
     negative = next(f for f in enumerate_families(ep) if f.sign == -1)
     image = sij.forward((TARGET, -1, negative))
     assert inv.backward((SOURCE, -1, negative)) == (SOURCE, 1, image[2])
@@ -453,6 +459,27 @@ def test_zero_to_max_hop_counts_are_pinned():
     text = json.dumps(traces, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "efdabf473558a3799167971369ef18de779031878eb17f96b1018a76ea661a50")
+
+
+def test_a_long_ping_pong_keeps_no_family_it_swaps():
+    # an orbit never swaps the same family twice, so before a walk the
+    # swaps are not kept: the 7,307-hop elements of 1^11, m=1 peak near a
+    # short orbit (about 0.07 MB against 0.02 MB), where a memo of every
+    # swapped family peaked at 2.2 MB
+    lgvlab.paths._path.cache_clear()
+    shape = Partition([1] * 11)
+    peaks = []
+    for _, pp in zip(range(10), enumerate_plane_partitions(shape, 1)):
+        sij = zero_to_max_sijection(shape, 1)
+        family = pp_encode(pp)
+        tracemalloc.start()
+        try:
+            sij.forward((SOURCE, 1, family))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(peaks) == 10
+    assert max(peaks) < 500_000
 
 
 @pytest.mark.parametrize("parts,bound", [((1, 1), 1), ((2, 1), 2), ((2, 2), 2)])

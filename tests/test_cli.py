@@ -243,9 +243,9 @@ def test_schur_with_perm_walks_the_tableaux_once(capsys, monkeypatch):
     walks = []
     real = lgvlab.objects._fillings
 
-    def counting(shape, values, column_ok):
+    def counting(shape, values, column_ok, *fold):
         walks.append((shape.parts, values))
-        return real(shape, values, column_ok)
+        return real(shape, values, column_ok, *fold)
 
     monkeypatch.setattr(lgvlab.objects, "_fillings", counting)
     code, out, err = run(capsys, "schur", "--shape", "3,2,1", "--vars", "4",

@@ -61,8 +61,8 @@ def test_a_determinant_off_by_one_fails_zeros_matches_determinant(
 def test_a_walk_that_drops_a_group_fails_determinant_at_one(monkeypatch):
     real = lgvlab.objects._fillings
 
-    def dropping(shape, values, column_ok):
-        groups = real(shape, values, column_ok)
+    def dropping(shape, values, column_ok, *fold):
+        groups = real(shape, values, column_ok, *fold)
         next(groups, None)
         return groups
 

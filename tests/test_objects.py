@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -318,6 +319,55 @@ def test_wide_two_row_walk_keeps_no_row_per_object():
     cut = traced_peak(
         lambda: refined_genfuns_by_enumeration(Partition([22, 21]), 2))
     assert cut < 2 * one_run + 16_384
+
+
+def one_row_genfun(length: int, bound: int) -> UniPoly:
+    """Either refined generating function of PP((length,); bound): a row
+    holds 0 or the bound unless all its entries lie strictly between."""
+    inner = comb(length + bound - 1, length)
+    return UniPoly([inner, comb(length + bound, length) - inner])
+
+
+@pytest.mark.parametrize("length, bound", [
+    (1000, 0), (1000, 1), (1000, 2), (1237, 0), (1237, 1), (1500, 0),
+    (1500, 1)])
+def test_one_row_tally_matches_the_closed_form_and_determinant(length, bound):
+    # a one-row shape's rows are a stream, counted in one C-level pass
+    shape = Partition([length])
+    expected = one_row_genfun(length, bound)
+    assert refined_genfuns_by_enumeration(shape, bound) == (expected, expected)
+    assert det_division_free(lgv_matrix(shape, bound)) == expected
+
+
+def test_one_row_tally_keeps_no_row_per_object():
+    # 845,651 rows of 1,300 entries: one list of them would hold about
+    # 8.8 GB; counted as a stream, the walk holds the combinations' one
+    # row and its index array
+    shape = Partition([1300])
+    refined_genfuns_by_enumeration(Partition([3]), 2)  # warm up untraced
+    one_row = sys.getsizeof(tuple(range(1300)))
+    tracemalloc.start()
+    try:
+        genfuns = refined_genfuns_by_enumeration(shape, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert genfuns == (one_row_genfun(1300, 2),) * 2
+    assert peak < 4 * one_row
+
+
+@pytest.mark.parametrize("parts, bound", [
+    ((22, 22), 2), ((7, 7), 5), ((5, 5), 3)])
+def test_equal_two_row_tally_matches_the_per_object_tally(parts, bound):
+    # beneath the first row of an equal-length two-row shape the last rows
+    # are a stream, counted in one C-level pass; the enumeration keeps
+    # each row in its object, so its tally counts them one by one
+    shape = Partition(parts)
+    pps = list(enumerate_plane_partitions(shape, bound))
+    zeros = tally(map(PlanePartition.zero_rows, pps))
+    maxes = tally(map(PlanePartition.max_rows, pps))
+    assert refined_genfuns_by_enumeration(shape, bound) == (zeros, maxes)
+    assert zeros == maxes == det_division_free(lgv_matrix(shape, bound))
 
 
 @settings(max_examples=25, deadline=None)

@@ -424,9 +424,9 @@ def count_walks(monkeypatch):
     walks = collections.Counter()
     real = lgvlab.objects._fillings
 
-    def counting(shape, values, column_ok):
+    def counting(shape, values, column_ok, *fold):
         walks[shape.parts, values] += 1
-        return real(shape, values, column_ok)
+        return real(shape, values, column_ok, *fold)
 
     monkeypatch.setattr(lgvlab.objects, "_fillings", counting)
     return walks
