@@ -37,8 +37,8 @@ def _perm(text: str) -> tuple[int, ...]:
 
 
 def _emit(data) -> None:
-    json.dump(data, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # one write: json.dump writes each encoder chunk on its own
+    sys.stdout.write(json.dumps(data, indent=2) + "\n")
 
 
 def _say(message: str) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from typing import Iterator
 
 from .algebra import (MultiPoly, UniPoly, _Value, binomial, det_int, _ints,
@@ -200,10 +200,9 @@ class _Filling(_Value):
         return cls(*_filling_fields(data, cls._kind, cls._bound_field))
 
     @classmethod
-    def _groups(cls, shape: Partition, bound: int, *fold) -> Iterator[tuple]:
-        """The ``_fillings`` groups of this kind's fillings of the shape;
-        ``fold``, if given, is the walk's ``start`` and ``fold``."""
-        return _fillings(shape, cls._check_bound(bound), cls._column_ok, *fold)
+    def _groups(cls, shape: Partition, bound: int) -> Iterator[tuple]:
+        """The ``_fillings`` groups of this kind's fillings of the shape."""
+        return _fillings(shape, cls._check_bound(bound), cls._column_ok)
 
     @classmethod
     def _enumerate(cls, shape: Partition, bound: int) -> Iterator["_Filling"]:
@@ -263,26 +262,16 @@ def _filling_fields(data, kind: str, bound_field: str):
     return Partition(shape), bound, rows
 
 
-def _fillings(shape: Partition, values: range, column_ok,
-              start=(), fold=None) -> Iterator[tuple]:
+def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
     """Yield every filling of the shape, grouped by all rows but the last.
 
     A row is a multiset of ``values`` listed in their order, so it is weakly
     monotone, and each entry must satisfy ``column_ok(above, entry)``.  Each
-    group is ``(state, last_rows)``: ``state`` folds the first
-    len(shape) - 1 rows, the prefix, from ``start`` by
-    ``fold(state, row)``, and ``last_rows`` is an iterable of the rows
-    allowed beneath the prefix.  Without a fold the state is the prefix
-    itself, a tuple of row tuples (``start`` + the rows, inline: a call per
-    node would slow enumeration), so the group's fillings are
-    ``prefix + (row,)`` for each row in turn.  Expanding the groups in
-    order is lexicographic on the row-major sequence, in the order of
-    ``values``.
-
-    The walk keeps one state per level beside its iterator stack, so each
-    node of the walk is folded once, when its row is reached, and a group
-    costs one fold however deep the shape is; a prefix shared by many
-    groups is never folded again.
+    group is ``(prefix, last_rows)``: ``prefix`` is a tuple of the first
+    len(shape) - 1 rows, and ``last_rows`` is an iterable of the rows
+    allowed beneath it, so the group's fillings are ``prefix + (row,)`` for
+    each row in turn.  Expanding the groups in order is lexicographic on
+    the row-major sequence, in the order of ``values``.
 
     The rows allowed beneath a row depend only on that row cut to the
     length of the row below, so they are computed once per cut and shared:
@@ -290,19 +279,16 @@ def _fillings(shape: Partition, values: range, column_ok,
     * beneath the first row, a lexicographic stream, the first rows with
       one cut come one after another, so only the current run's list is
       kept; if the second row is as long as the first, no cut comes back
-      and each first row gets a lazy filter, so memory stays that of one
+      and each first row gets a lazy stream, so memory stays that of one
       stack of rows, as on a wide two-row shape;
     * beneath any later row, a cut comes back under many prefixes, so its
       rows are kept for the walk, as a list of references into the one
       list of candidate rows of that length.
 
     The first row is a plain stream, so a one-row shape builds no list.
-    ``last_rows`` is a list exactly when its rows are kept; a stream (a
-    one-row shape's rows, or the filter beneath the first row of an
-    equal-length two-row shape) yields rows that a consumer which keeps
-    none of them may count without holding one.  One iterator per row
-    sits on an explicit stack, so no recursion limit bounds the shape.  The
-    empty shape yields no group: its one filling, (), has no last row.
+    One iterator per row sits on an explicit stack, so no recursion limit
+    bounds the shape.  The empty shape yields no group: its one filling,
+    (), has no last row.
     """
     parts = shape.parts
     if not parts:
@@ -310,7 +296,7 @@ def _fillings(shape: Partition, values: range, column_ok,
     first = combinations_with_replacement(values, parts[0])
     last = len(parts) - 1
     if not last:
-        yield start, first
+        yield (), first
         return
 
     def fits(above: tuple, rows) -> list[tuple[int, ...]]:
@@ -321,10 +307,8 @@ def _fillings(shape: Partition, values: range, column_ok,
     def beneath_first(above: tuple):
         nonlocal run_cut, run
         if parts[1] == parts[0]:
-            # a filter keeps no row once it is passed on, so a consumer
-            # that keeps none lets the combinations reuse their tuple
-            return filter(lambda row: all(map(column_ok, above, row)),
-                          combinations_with_replacement(values, parts[1]))
+            return (row for row in combinations_with_replacement(values, parts[1])
+                    if all(map(column_ok, above, row)))
         cut = above[:parts[1]]
         if cut != run_cut:
             run_cut = cut
@@ -345,25 +329,24 @@ def _fillings(shape: Partition, values: range, column_ok,
             found = allowed[cut] = fits(cut, pool)
         return found
 
-    # states[i] folds the rows above the row that stack[i] yields
-    states = [start]
+    rows: list[tuple[int, ...]] = []
     stack = [first]
     while stack:
         row = next(stack[-1], None)
         if row is None:
             stack.pop()
-            states.pop()
+            if rows:
+                rows.pop()
             continue
-        level = len(stack)
+        rows.append(row)
+        level = len(rows)
         below = (beneath_first(row) if level == 1
                  else beneath(row, parts[level]))
-        state = (states[-1] + (row,) if fold is None
-                 else fold(states[-1], row))
         if level == last:
-            yield state, below
+            yield tuple(rows), below
+            rows.pop()
         else:
             stack.append(iter(below))
-            states.append(state)
 
 
 def _expand(shape: Partition, groups) -> Iterator[tuple]:
@@ -420,41 +403,95 @@ def _guard_plane_partitions(shape: Partition, bound: int,
 def refined_genfuns_by_enumeration(
     shape: Partition, bound: int, guard_limit: int | None = None
 ) -> tuple[UniPoly, UniPoly]:
-    """Both refined generating functions of PP(shape; bound) from one walk.
+    """Both refined generating functions of PP(shape; bound) by brute tally.
 
     Returns ``(zeros, maxes)``: the coefficient of x**k in ``zeros`` counts
     the plane partitions with k rows containing 0, in ``maxes`` those with
-    k rows containing the bound.  Every plane partition is generated and
-    counted on its own, into one joint histogram indexed by
-    ``zeros + k * maxes`` (k = rows + 1); both polynomials are its
-    marginals.  A row folds to ``(row[-1] == 0) + k * (row[0] == bound)``,
-    and ``_fillings`` folds each prefix row once per node of its walk, so a
-    group's prefix costs one addition.  Each kept last row adds its own
-    index; a stream of last rows (a one-row shape's, or those beneath the
-    first row of an equal-length two-row shape) is counted by one C-level
-    pass over each row's last and first entries, which keeps no row, so
-    the combinations reuse their tuple and a long row is never copied.
+    k rows containing the bound.  Both are marginals of one joint
+    histogram indexed by ``zeros + k * maxes`` (k = rows + 1), to which a
+    row adds its step ``(row[-1] == 0) + k * (row[0] == bound)``.
+
+    The tally goes row by row.  The rows allowed beneath a row depend only
+    on that row cut to the length of the row below, so the plane
+    partitions whose placed rows end in one cut are counted together: a
+    layer maps each cut to the joint histogram of the rows placed above
+    it.  Every candidate row is still tried beneath every reachable cut,
+    and its step is added to that cut's histogram, times the number of
+    rows with its own cut and step; no determinant or closed form enters
+    beyond the guard.
+
+    * The first rows come in lexicographic order, so each cut is one run
+      of them, counted as it passes; beneath an uncut first row the rows
+      are a stream, beneath a cut one a list per run.
+    * Rows are grouped by their cut and step in one C-level count.  The
+      last row's cut is (), so a one-row shape's rows, and those beneath
+      the first row of an equal-length two-row shape, are counted without
+      holding one, and the combinations reuse their tuple.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     _guard_plane_partitions(shape, bound, guard_limit)
-    k = len(shape) + 1
-    joint = [0] * (k * k)
-    if not shape.parts:
-        joint[0] = 1
+    parts = shape.parts
+    k = len(parts) + 1
+    values = PlanePartition._values(bound)
+    ge, ends = operator.ge, operator.itemgetter(-1, 0)
 
-    def fold(index: int, row: tuple) -> int:
-        return index + (row[-1] == 0) + k * (row[0] == bound)
+    def move(layer: dict, hist: dict, rows, length: int) -> None:
+        """Add ``hist``, shifted by each row's step and times its count,
+        into ``layer`` at the row's cut to ``length``."""
+        if length:
+            counts = Counter(map(
+                operator.itemgetter(slice(0, length), -1, 0), rows)).items()
+        else:  # every last row has the cut (); count it by its ends alone
+            counts = [(((),) + key, n)
+                      for key, n in Counter(map(ends, rows)).items()]
+        for (cut, low, high), n in counts:
+            step = (low == 0) + k * (high == bound)
+            target = layer.get(cut)
+            if target is None:
+                layer[cut] = {i + step: c * n for i, c in hist.items()}
+            else:
+                get = target.get
+                for i, c in hist.items():
+                    i += step
+                    target[i] = get(i, 0) + c * n
 
-    ends = operator.itemgetter(-1, 0)
-    for index, last_rows in PlanePartition._groups(shape, bound, 0, fold):
-        if last_rows.__class__ is list:
-            for row in last_rows:
-                joint[index + (row[-1] == 0) + k * (row[0] == bound)] += 1
+    lengths = parts[1:] + (0,)  # the length each row is cut to
+    layer = {(): {0: 1}}  # the empty shape's one filling
+    if parts:
+        first = combinations_with_replacement(values, parts[0])
+        layer = {}
+        if len(parts) == 1:
+            move(layer, {0: 1}, first, 0)
         else:
-            for (low, high), n in Counter(map(ends, last_rows)).items():
-                joint[index + (low == 0) + k * (high == bound)] += n
-    return (UniPoly(sum(joint[z::k]) for z in range(k)),
-            UniPoly(sum(joint[x * k:x * k + k]) for x in range(k)))
+            below = parts[1]
+            for cut, run in groupby(first, operator.itemgetter(slice(0, below))):
+                steps = {}
+                for row in run:
+                    step = (row[-1] == 0) + k * (row[0] == bound)
+                    steps[step] = steps.get(step, 0) + 1
+                rows = combinations_with_replacement(values, below)
+                if below == parts[0]:
+                    # a filter holds no row once it is passed on, so the
+                    # combinations reuse their tuple
+                    rows = filter(lambda row: all(map(ge, cut, row)), rows)
+                else:
+                    rows = [row for row in rows if all(map(ge, cut, row))]
+                move(layer, steps, rows, lengths[1])
+        pool_length = None
+        for length, cut_to in zip(parts[2:], lengths[2:]):
+            if length != pool_length:
+                pool_length = length
+                pool = list(combinations_with_replacement(values, length))
+            above, layer = layer, {}
+            for cut, hist in above.items():
+                move(layer, hist,
+                     [row for row in pool if all(map(ge, cut, row))], cut_to)
+    zeros, maxes = [0] * k, [0] * k
+    for index, n in layer[()].items():
+        x, z = divmod(index, k)
+        zeros[z] += n
+        maxes[x] += n
+    return UniPoly(zeros), UniPoly(maxes)
 
 
 def genfun_by_enumeration(
@@ -492,8 +529,8 @@ class Tableau(_Filling):
     _bad_column = "column not strictly increasing ({} >= {})"
 
     @classmethod
-    def _groups(cls, shape: Partition, varcount: int, *fold) -> Iterator[tuple]:
-        groups = super()._groups(shape, varcount, *fold)
+    def _groups(cls, shape: Partition, varcount: int) -> Iterator[tuple]:
+        groups = super()._groups(shape, varcount)
         # a strictly increasing column holds at most varcount entries
         return iter(()) if len(shape) > varcount else groups
 

@@ -74,16 +74,18 @@ def report_passed(report: dict) -> bool:
 def verify_theorem1(shape, bound: int, guard_limit: int | None = None) -> dict:
     """Check that all three routes to the refined generating function agree.
 
-    Routes: brute-force enumeration weighted by rows containing 0,
-    brute-force weighted by rows containing the bound, and the binomial
-    determinant.
+    Routes: the brute tally weighted by rows containing 0, the same tally
+    weighted by rows containing the bound, and the binomial determinant.
+    The brute tally tries every row beneath every row above it and counts
+    the plane partitions that share a row cut together; it uses no
+    determinant, so the determinant checks it independently.
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     zeros, maxes = refined_genfuns_by_enumeration(shape, bound, guard_limit)
     det = det_division_free(lgv_matrix(shape, bound))
     # At x = 1 the determinant is the binomial determinant that guarded the
-    # walk, so the closed-form count is read off it instead of computed again.
+    # tally, so the closed-form count is read off it instead of computed again.
     total, enumerated = det(1), zeros(1)
     results = {
         "zeros": zeros.to_json(),

@@ -243,9 +243,9 @@ def test_schur_with_perm_walks_the_tableaux_once(capsys, monkeypatch):
     walks = []
     real = lgvlab.objects._fillings
 
-    def counting(shape, values, column_ok, *fold):
+    def counting(shape, values, column_ok):
         walks.append((shape.parts, values))
-        return real(shape, values, column_ok, *fold)
+        return real(shape, values, column_ok)
 
     monkeypatch.setattr(lgvlab.objects, "_fillings", counting)
     code, out, err = run(capsys, "schur", "--shape", "3,2,1", "--vars", "4",

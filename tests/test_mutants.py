@@ -20,6 +20,7 @@ import lgvlab.algebra
 import lgvlab.bijections
 import lgvlab.objects
 import lgvlab.paths
+import lgvlab.verify
 from lgvlab.cli import main
 from lgvlab.guards import GuardExceeded
 from lgvlab.sijections import (SOURCE, TARGET, Sijection, SignedSet,
@@ -58,15 +59,15 @@ def test_a_determinant_off_by_one_fails_zeros_matches_determinant(
     assert "zeros-matches-determinant" in failed(report)
 
 
-def test_a_walk_that_drops_a_group_fails_determinant_at_one(monkeypatch):
-    real = lgvlab.objects._fillings
-
-    def dropping(shape, values, column_ok, *fold):
-        groups = real(shape, values, column_ok, *fold)
-        next(groups, None)
-        return groups
-
-    monkeypatch.setattr(lgvlab.objects, "_fillings", dropping)
+def test_a_tally_that_drops_a_row_move_fails_determinant_at_one(
+        monkeypatch):
+    # a move that overwrites its target instead of adding to it drops the
+    # rows moved there before it: on (2, 1), m=2, the first rows (2, 2)
+    # and (2, 1) share the cut (2,) and the step of a row holding m, not 0
+    monkeypatch.setattr(lgvlab.verify, "refined_genfuns_by_enumeration",
+                        rewritten(lgvlab.objects.refined_genfuns_by_enumeration,
+                                  "target[i] = get(i, 0) + c * n",
+                                  "target[i] = c * n"))
     report = verify_theorem1((2, 1), 2, LIMIT)
     assert "determinant-at-one-counts-all" in failed(report)
 

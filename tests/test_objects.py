@@ -356,6 +356,14 @@ def test_one_row_tally_keeps_no_row_per_object():
     assert peak < 4 * one_row
 
 
+def per_object_tally(shape, bound):
+    """Both refined generating functions of PP(shape; bound), counted one
+    plane partition at a time from ``enumerate_plane_partitions``."""
+    pps = list(enumerate_plane_partitions(shape, bound))
+    return (tally(map(PlanePartition.zero_rows, pps)),
+            tally(map(PlanePartition.max_rows, pps)))
+
+
 @pytest.mark.parametrize("parts, bound", [
     ((22, 22), 2), ((7, 7), 5), ((5, 5), 3)])
 def test_equal_two_row_tally_matches_the_per_object_tally(parts, bound):
@@ -363,11 +371,41 @@ def test_equal_two_row_tally_matches_the_per_object_tally(parts, bound):
     # are a stream, counted in one C-level pass; the enumeration keeps
     # each row in its object, so its tally counts them one by one
     shape = Partition(parts)
-    pps = list(enumerate_plane_partitions(shape, bound))
-    zeros = tally(map(PlanePartition.zero_rows, pps))
-    maxes = tally(map(PlanePartition.max_rows, pps))
+    zeros, maxes = per_object_tally(shape, bound)
     assert refined_genfuns_by_enumeration(shape, bound) == (zeros, maxes)
     assert zeros == maxes == det_division_free(lgv_matrix(shape, bound))
+
+
+def test_row_tally_matches_the_per_object_tally():
+    # the tally counts the plane partitions that share a cut together;
+    # the enumeration builds and counts each one on its own
+    for shape in enumerate_partitions(8):
+        for bound in range(5):
+            assert (refined_genfuns_by_enumeration(shape, bound)
+                    == per_object_tally(shape, bound)), (shape, bound)
+
+
+@pytest.mark.parametrize("parts, bound", [
+    ((1,) * 200, 1), ((2,) * 12, 2), ((4,) * 5, 2)])
+def test_row_tally_matches_the_per_object_tally_on_tall_shapes(parts, bound):
+    # many layers, each cut reached from many cuts above it
+    shape = Partition(parts)
+    assert (refined_genfuns_by_enumeration(shape, bound)
+            == per_object_tally(shape, bound))
+
+
+def test_row_tally_keeps_one_histogram_per_cut():
+    # 457,380 plane partitions of (6, 6, 6), m=4.  The tally holds two
+    # layers of at most C(10, 4) = 210 cuts, each with a joint histogram
+    # of at most 16 cells, and the 210 candidate rows: about 120 kB
+    # traced.  One 6-entry row per object would hold about 47 MB.
+    shape = Partition([6, 6, 6])
+    refined_genfuns_by_enumeration(Partition([2, 2, 2]), 2)  # warm up untraced
+    genfuns = []
+    peak = traced_peak(
+        lambda: genfuns.append(refined_genfuns_by_enumeration(shape, 4)))
+    assert genfuns == [(det_division_free(lgv_matrix(shape, 4)),) * 2]
+    assert peak < 256 * 1024
 
 
 @settings(max_examples=25, deadline=None)

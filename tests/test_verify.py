@@ -424,27 +424,45 @@ def count_walks(monkeypatch):
     walks = collections.Counter()
     real = lgvlab.objects._fillings
 
-    def counting(shape, values, column_ok, *fold):
+    def counting(shape, values, column_ok):
         walks[shape.parts, values] += 1
-        return real(shape, values, column_ok, *fold)
+        return real(shape, values, column_ok)
 
     monkeypatch.setattr(lgvlab.objects, "_fillings", counting)
     return walks
 
 
+def count_tallies(monkeypatch):
+    """Count the brute tallies of PP(shape; bound), keyed by (shape, bound),
+    whether called directly or through ``genfun_by_enumeration``."""
+    tallies = collections.Counter()
+    real = lgvlab.objects.refined_genfuns_by_enumeration
+
+    def counting(shape, bound, *guard):
+        tallies[Partition(shape).parts, bound] += 1
+        return real(shape, bound, *guard)
+
+    monkeypatch.setattr(lgvlab.objects, "refined_genfuns_by_enumeration",
+                        counting)
+    monkeypatch.setattr(verify, "refined_genfuns_by_enumeration", counting)
+    return tallies
+
+
 def test_verify_theorem1_walks_the_plane_partitions_once(monkeypatch):
-    walks = count_walks(monkeypatch)
+    walks = count_tallies(monkeypatch)
+    fillings = count_walks(monkeypatch)
     assert report_passed(verify_theorem1((3, 2, 1), 2))
-    assert walks == {((3, 2, 1), range(2, -1, -1)): 1}
+    assert walks == {((3, 2, 1), 2): 1}
+    assert not fillings  # the tally counts rows, not fillings
 
 
 def test_sweep_walks_each_instance_once(monkeypatch):
-    walks = count_walks(monkeypatch)
+    walks = count_tallies(monkeypatch)
     report = sweep(4, 2)
     assert report_passed(report)
     assert report["results"]["instances"] == len(walks) == 36
     assert set(walks.values()) == {1}
-    assert set(walks) == {(shape.parts, range(bound, -1, -1))
+    assert set(walks) == {(shape.parts, bound)
                           for shape in enumerate_partitions(4)
                           for bound in range(3)}
 
