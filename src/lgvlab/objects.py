@@ -421,30 +421,24 @@ def refined_genfuns_by_enumeration(
     beyond the guard.
 
     * The first rows come in lexicographic order, so each cut is one run
-      of them, counted as it passes; beneath an uncut first row the rows
-      are a stream, beneath a cut one a list per run.
+      of them, counted as it passes, and the rows beneath it are a stream.
     * Rows are grouped by their cut and step in one C-level count.  The
-      last row's cut is (), so a one-row shape's rows, and those beneath
-      the first row of an equal-length two-row shape, are counted without
-      holding one, and the combinations reuse their tuple.
+      last row's cut is the shared empty tuple, so a one-row shape's rows,
+      and those beneath the first row of a two-row shape, are counted
+      without holding one, and the combinations reuse their tuple.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     _guard_plane_partitions(shape, bound, guard_limit)
     parts = shape.parts
     k = len(parts) + 1
     values = PlanePartition._values(bound)
-    ge, ends = operator.ge, operator.itemgetter(-1, 0)
+    ge = operator.ge
 
     def move(layer: dict, hist: dict, rows, length: int) -> None:
         """Add ``hist``, shifted by each row's step and times its count,
         into ``layer`` at the row's cut to ``length``."""
-        if length:
-            counts = Counter(map(
-                operator.itemgetter(slice(0, length), -1, 0), rows)).items()
-        else:  # every last row has the cut (); count it by its ends alone
-            counts = [(((),) + key, n)
-                      for key, n in Counter(map(ends, rows)).items()]
-        for (cut, low, high), n in counts:
+        counts = Counter(map(operator.itemgetter(slice(0, length), -1, 0), rows))
+        for (cut, low, high), n in counts.items():
             step = (low == 0) + k * (high == bound)
             target = layer.get(cut)
             if target is None:
@@ -469,13 +463,8 @@ def refined_genfuns_by_enumeration(
                 for row in run:
                     step = (row[-1] == 0) + k * (row[0] == bound)
                     steps[step] = steps.get(step, 0) + 1
-                rows = combinations_with_replacement(values, below)
-                if below == parts[0]:
-                    # a filter holds no row once it is passed on, so the
-                    # combinations reuse their tuple
-                    rows = filter(lambda row: all(map(ge, cut, row)), rows)
-                else:
-                    rows = [row for row in rows if all(map(ge, cut, row))]
+                rows = filter(lambda row: all(map(ge, cut, row)),
+                              combinations_with_replacement(values, below))
                 move(layer, steps, rows, lengths[1])
         pool_length = None
         for length, cut_to in zip(parts[2:], lengths[2:]):

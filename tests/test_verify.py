@@ -458,8 +458,10 @@ def test_verify_theorem1_walks_the_plane_partitions_once(monkeypatch):
 
 def test_sweep_walks_each_instance_once(monkeypatch):
     walks = count_tallies(monkeypatch)
+    fillings = count_walks(monkeypatch)
     report = sweep(4, 2)
     assert report_passed(report)
+    assert not fillings  # the tally counts rows, not fillings
     assert report["results"]["instances"] == len(walks) == 36
     assert set(walks.values()) == {1}
     assert set(walks) == {(shape.parts, bound)
