@@ -376,13 +376,17 @@ def count_plane_partitions(shape: Partition, bound: int) -> int:
 
     Entry (i, j), 1-based, is C(shape_j + bound, bound + j - i); the
     determinant equals the number of non-intersecting path families, which
-    equals the number of plane partitions.  The shape is read through
-    ``Partition``; a bound that is not a nonnegative int is refused with
-    ValueError.
+    equals the number of plane partitions.  Transposing a filling is a
+    bijection PP(shape; bound) -> PP(shape'; bound), so the determinant is
+    taken on whichever of the shape and its transpose has fewer parts.
+    The shape is read through ``Partition``; a bound that is not a
+    nonnegative int is refused with ValueError.
     """
     PlanePartition._check_bound(bound)
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     parts = shape.parts
+    if parts and parts[0] < len(parts):  # the transpose has parts[0] parts
+        parts = shape.transpose().parts
     n = len(parts)
     return det_int(
         [

@@ -1,5 +1,6 @@
 import operator
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, product
@@ -14,6 +15,7 @@ from lgvlab.algebra import (
     PolyMatrix,
     UniPoly,
     det_division_free,
+    det_int,
     lgv_matrix,
 )
 from lgvlab.bijections import SwapCertificate
@@ -115,6 +117,35 @@ def test_enumeration_counts_match_determinant():
             shape = Partition(parts)
             enumerated = sum(1 for _ in enumerate_plane_partitions(shape, bound))
             assert enumerated == count_plane_partitions(shape, bound)
+
+
+def _binomial_det(parts, bound):
+    """The binomial determinant on the shape's own parts, untransposed."""
+    n = len(parts)
+    return det_int([[comb(parts[j] + bound, bound + j - i) if
+                     0 <= bound + j - i <= parts[j] + bound else 0
+                     for j in range(n)] for i in range(n)])
+
+
+def test_count_takes_the_determinant_of_the_shorter_of_shape_and_transpose():
+    # transposing a filling is a bijection PP(shape; m) -> PP(shape'; m)
+    instances = 0
+    for shape in enumerate_partitions(10):
+        for bound in range(5):
+            count = count_plane_partitions(shape, bound)
+            assert count == _binomial_det(shape.parts, bound)
+            assert count == count_plane_partitions(shape.transpose(), bound)
+            instances += 1
+    assert instances == 695  # 139 shapes, 5 bounds
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_count_of_a_tall_shape_is_quick(bound):
+    # 1^1000 takes a 1x1 determinant, not a 1000x1000 one (about 0.2 s)
+    started = time.process_time()
+    assert count_plane_partitions(Partition([1] * 1000), bound) == comb(
+        1000 + bound, bound)
+    assert time.process_time() - started < 0.05
 
 
 def test_enumeration_order_and_extremes():
