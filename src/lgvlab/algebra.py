@@ -70,14 +70,15 @@ def _json_coefficient(value, where: str) -> int:
 class _Value:
     """Base of the package's immutable value classes.
 
-    It refuses assignment and deletion of attributes, so a subclass sets
-    its slots through ``object.__setattr__``.  ``_trusted(*fields)`` builds
-    a value through the subclass's ``_fill(*fields)`` without the checks of
-    its constructor; it is for values the library built from parts it had
-    already checked.  A class built on a hot path replaces it with a
-    fixed-arity ``_trusted`` of its own, whose calls CPython specialises
-    where it does not specialise the varargs one.  Equality and hash read the subclass's ``_key()``, and
-    a value equals only values of its own exact type.
+    It refuses assignment and deletion of attributes, so a subclass fills
+    its slots through the setters ``_slot_setters`` returns.
+    ``_trusted(*fields)`` builds a value through the subclass's
+    ``_fill(*fields)`` without the checks of its constructor; it is for
+    values the library built from parts it had already checked.  A class
+    built on a hot path replaces it with a fixed-arity ``_trusted`` of its
+    own, whose calls CPython specialises where it does not specialise the
+    varargs one.  Equality and hash read the subclass's ``_key()``, and a
+    value equals only values of its own exact type.
     """
 
     __slots__ = ()
@@ -103,6 +104,13 @@ class _Value:
         return hash(self._key())
 
 
+def _slot_setters(cls: type, *names: str) -> tuple:
+    """The ``__set__`` of each named slot of ``cls``: ``set(value, field)``
+    fills the slot directly, which ``_Value.__setattr__`` refuses to do,
+    and costs about half an ``object.__setattr__`` call."""
+    return tuple(getattr(cls, name).__set__ for name in names)
+
+
 class UniPoly(_Value):
     """Univariate polynomial with integer coefficients.
 
@@ -118,7 +126,7 @@ class UniPoly(_Value):
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1
-        object.__setattr__(self, "coeffs", coeffs[:end])
+        _set_coeffs(self, coeffs[:end])
 
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
@@ -161,6 +169,9 @@ class UniPoly(_Value):
                    for k, c in enumerate(data["coeffs"]))
 
 
+(_set_coeffs,) = _slot_setters(UniPoly, "coeffs")
+
+
 class MultiPoly(_Value):
     """Polynomial in n variables with integer coefficients.
 
@@ -193,8 +204,8 @@ class MultiPoly(_Value):
                 clean[exp] = clean.get(exp, 0) + coef
                 if clean[exp] == 0:
                     del clean[exp]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        _set_nvars(self, nvars)
+        _set_terms(self, clean)
 
     def coefficient(self, exp: tuple[int, ...]) -> int:
         return self.terms.get(tuple(exp), 0)
@@ -255,6 +266,9 @@ class MultiPoly(_Value):
         return cls(data["vars"], terms)
 
 
+_set_nvars, _set_terms = _slot_setters(MultiPoly, "nvars", "terms")
+
+
 class PolyMatrix(_Value):
     """Square matrix of UniPoly entries, equal only to itself.
 
@@ -272,9 +286,9 @@ class PolyMatrix(_Value):
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_layers", None)
+        _set_n(self, n)
+        _set_entries(self, rows)
+        _set_layers(self, None)
 
     def __getitem__(self, key: tuple[int, int]) -> UniPoly:
         i, j = key
@@ -292,12 +306,16 @@ class PolyMatrix(_Value):
                         + [1])
             layers = [[[p.coeffs[k] if k < len(p.coeffs) else 0 for p in row]
                        for row in self.entries] for k in range(width)]
-            object.__setattr__(self, "_layers", layers)
+            _set_layers(self, layers)
         acc = [list(row) for row in layers[-1]]
         for layer in reversed(layers[:-1]):
             acc = [[e * value + c for e, c in zip(row, coeffs)]
                    for row, coeffs in zip(acc, layer)]
         return acc
+
+
+_set_n, _set_entries, _set_layers = _slot_setters(
+    PolyMatrix, "n", "entries", "_layers")
 
 
 def det_division_free(matrix: PolyMatrix) -> UniPoly:

@@ -11,7 +11,7 @@ plane partitions (exchanging the zero-row and max-row statistics) and on
 tableaux (permuting the weight).
 """
 
-from .algebra import _Value, _ints
+from .algebra import _Value, _ints, _slot_setters
 from .objects import PlanePartition, Tableau
 from .paths import (
     Endpoints,
@@ -19,6 +19,7 @@ from .paths import (
     _family_meet,
     _path,
     _point,
+    _set_ni,
     enumerate_families,
     enumerate_ni_families,
     is_nonintersecting,
@@ -63,8 +64,8 @@ class SwapCertificate(_Value):
 
     def _fill(self, point: tuple, paths: tuple) -> None:
         """Set the slots: an integer point and integer indices i < j."""
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "paths", paths)
+        _set_point(self, point)
+        _set_swap_paths(self, paths)
 
     # fixed arity, unlike ``_Value._trusted``, so the calls specialise
     @classmethod
@@ -85,6 +86,8 @@ class SwapCertificate(_Value):
             "paths": [self.paths[0] + 1, self.paths[1] + 1],
         }
 
+
+_set_point, _set_swap_paths = _slot_setters(SwapCertificate, "point", "paths")
 
 def _swap_parts(family: SignedPathFamily) -> tuple[tuple, tuple, tuple]:
     """The tail swap of ``family`` in parts: ``(sigma, paths, meet)``, the
@@ -119,7 +122,7 @@ def _swapped(endpoints: Endpoints, sigma: tuple,
     # intersects too: recorded here, it is not scanned for again.  Its meet
     # is not copied from the input: swapping the image scans its own paths,
     # so the involution is checked, not assumed.
-    object.__setattr__(swapped, "_ni", False)
+    _set_ni(swapped, False)
     return swapped
 
 

@@ -23,8 +23,8 @@ from collections import Counter
 from itertools import combinations_with_replacement, groupby
 from typing import Iterator
 
-from .algebra import (MultiPoly, UniPoly, _Value, binomial, det_int, _ints,
-                      _is_int)
+from .algebra import (MultiPoly, UniPoly, _Value, _slot_setters, binomial,
+                      det_int, _ints, _is_int)
 from .guards import check_guard
 
 
@@ -46,7 +46,7 @@ class Partition(_Value):
                     f"parts[{i}]: parts must be weakly decreasing "
                     f"({parts[i - 1]} < {p})"
                 )
-        object.__setattr__(self, "parts", parts)
+        _set_parts(self, parts)
 
     def __len__(self) -> int:
         """Number of parts (rows)."""
@@ -87,6 +87,9 @@ class Partition(_Value):
         except ValueError as exc:
             raise ValueError(f"cannot parse partition from {text!r}") from exc
         return cls(parts)
+
+
+(_set_parts,) = _slot_setters(Partition, "parts")
 
 
 def enumerate_partitions(max_size: int) -> Iterator[Partition]:
@@ -162,9 +165,9 @@ class _Filling(_Value):
     def _fill(self, shape: Partition, bound: int, rows: tuple) -> None:
         """Set the slots; ``rows`` is a tuple of row tuples that obeys this
         kind's rule on the shape and the int bound."""
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_bound", bound)
-        object.__setattr__(self, "rows", rows)
+        _set_shape(self, shape)
+        _set_bound(self, bound)
+        _set_rows(self, rows)
 
     def _key(self) -> tuple:
         return (self.shape, self._bound, self.rows)
@@ -211,6 +214,10 @@ class _Filling(_Value):
         trusted = cls._trusted
         for rows in _expand(shape, cls._groups(shape, bound)):
             yield trusted(shape, bound, rows)
+
+
+_set_shape, _set_bound, _set_rows = _slot_setters(
+    _Filling, "shape", "_bound", "rows")
 
 
 class PlanePartition(_Filling):

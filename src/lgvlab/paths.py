@@ -30,7 +30,8 @@ from functools import lru_cache
 from itertools import combinations, count, product
 from typing import Iterator
 
-from .algebra import _Value, _ints, _is_int, binomial, det_int, perm_sign
+from .algebra import (_Value, _ints, _is_int, _slot_setters, binomial,
+                      det_int, perm_sign)
 from .guards import check_guard
 from .objects import Partition, PlanePartition, Tableau
 
@@ -73,14 +74,14 @@ class Path(_Value):
                         f"word[{i}]: invalid step {ch!r}, expected 'E' or 'S'")
         east = word.count("E")
         end = (start[0] + east, start[1] - (len(word) - east))
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "_hash", hash((start, word)))
-        object.__setattr__(self, "_points", None)
-        object.__setattr__(self, "_reversed", None)
-        object.__setattr__(self, "_meets", None)
-        object.__setattr__(self, "_serial", next(_serials))
+        _set_start(self, start)
+        _set_word(self, word)
+        _set_end(self, end)
+        _set_path_hash(self, hash((start, word)))
+        _set_points(self, None)
+        _set_reversed(self, None)
+        _set_meets(self, None)
+        _set_serial(self, next(_serials))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -100,7 +101,7 @@ class Path(_Value):
     def _point_set(self) -> frozenset:
         """The visited points as a frozenset, built once per path."""
         if self._points is None:
-            object.__setattr__(self, "_points", frozenset(self.points()))
+            _set_points(self, frozenset(self.points()))
         return self._points
 
     def _reverse(self) -> "Path":
@@ -109,9 +110,9 @@ class Path(_Value):
         reverse = self._reversed
         if reverse is None:
             reverse = _path(self.start, self.word[::-1])
-            object.__setattr__(self, "_reversed", reverse)
+            _set_reversed(self, reverse)
             if reverse._reversed is None:
-                object.__setattr__(reverse, "_reversed", self)
+                _set_reversed(reverse, self)
         return reverse
 
     # hand-written rather than a ``_key()``: no extra call on this hot path
@@ -139,6 +140,11 @@ class Path(_Value):
             raise ValueError(f"start {start!r} is not a point with integer coordinates")
         return cls((start[0], start[1]), data["word"])
 
+
+(_set_start, _set_word, _set_end, _set_path_hash, _set_points, _set_reversed,
+ _set_meets, _set_serial) = _slot_setters(
+    Path, "start", "word", "end", "_hash", "_points", "_reversed", "_meets",
+    "_serial")
 
 # Paths are immutable, so the family enumeration and the transforms share
 # one instance per (start, word): each distinct path is validated, and its
@@ -173,9 +179,9 @@ class Endpoints(_Value):
         b = tuple(_point(p, f"b[{i}]") for i, p in enumerate(b))
         if len(a) != len(b):
             raise ValueError(f"{len(a)} start points but {len(b)} end points")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_count", None)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_count(self, None)
 
     @property
     def n(self) -> int:
@@ -195,6 +201,8 @@ class Endpoints(_Value):
     def __repr__(self) -> str:
         return f"Endpoints(a={list(self.a)}, b={list(self.b)})"
 
+
+_set_a, _set_b, _set_count = _slot_setters(Endpoints, "a", "b", "_count")
 
 def plane_partition_endpoints(shape: Partition, bound: int) -> Endpoints:
     """Endpoint configuration for PP(shape; bound): a_i = (-i, -i),
@@ -268,12 +276,12 @@ class SignedPathFamily(_Value):
     def _fill(self, endpoints: Endpoints, sigma: tuple, paths: tuple) -> None:
         """Set the slots; ``sigma`` is a tuple of ints and ``paths`` a tuple
         of paths that run from each a_i to b_{sigma(i)}."""
-        object.__setattr__(self, "endpoints", endpoints)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_ni", None)
-        object.__setattr__(self, "_meet", _UNSCANNED)
+        _set_endpoints(self, endpoints)
+        _set_sigma(self, sigma)
+        _set_paths(self, paths)
+        _set_family_hash(self, None)
+        _set_ni(self, None)
+        _set_meet(self, _UNSCANNED)
 
     # fixed arity, unlike ``_Value._trusted``, so the calls specialise
     @classmethod
@@ -304,7 +312,7 @@ class SignedPathFamily(_Value):
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.sigma, self.paths)))
+            _set_family_hash(self, hash((self.sigma, self.paths)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -330,6 +338,10 @@ class SignedPathFamily(_Value):
         paths = [Path.from_json(p) for p in paths]
         return cls(endpoints, sigma, paths)
 
+
+(_set_endpoints, _set_sigma, _set_paths, _set_family_hash, _set_ni,
+ _set_meet) = _slot_setters(SignedPathFamily, "endpoints", "sigma", "paths",
+                            "_hash", "_ni", "_meet")
 
 # Each path memoises its meets with the partners it has been scanned
 # against, keyed by their serials.  A serial is never reused, so an entry
@@ -369,7 +381,7 @@ def _meet_scan(paths) -> tuple | None:
         meets = p._meets
         if meets is None:
             meets = {}
-            object.__setattr__(p, "_meets", meets)
+            _set_meets(p, meets)
         for j in range(i + 1, n):
             q = paths[j]
             point = meets.get(q._serial, _UNSCANNED)
@@ -386,7 +398,7 @@ def _family_meet(family: SignedPathFamily) -> tuple | None:
     meet = family._meet
     if meet is _UNSCANNED:
         meet = _meet_scan(family.paths)
-        object.__setattr__(family, "_meet", meet)
+        _set_meet(family, meet)
     return meet
 
 
@@ -397,7 +409,7 @@ def is_nonintersecting(family: SignedPathFamily) -> bool:
     ni = family._ni
     if ni is None:
         ni = _family_meet(family) is None
-        object.__setattr__(family, "_ni", ni)
+        _set_ni(family, ni)
     return ni
 
 
@@ -629,7 +641,7 @@ def _family_count(endpoints: Endpoints) -> int:
     count = endpoints._count
     if count is None:
         count = count_families(endpoints)
-        object.__setattr__(endpoints, "_count", count)
+        _set_count(endpoints, count)
     return count
 
 

@@ -1,4 +1,5 @@
 import operator
+import pathlib
 import sys
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lgvlab.algebra
 from lgvlab.algebra import (
     MultiPoly,
     PolyMatrix,
@@ -591,6 +593,14 @@ def test_value_classes_refuse_del(make, field):
     with pytest.raises(AttributeError, match=refusal):
         obj.new_attribute = 1
     assert (repr(obj), hash(obj)) == before
+
+
+def test_value_classes_fill_their_slots_through_slot_setters():
+    # a slot's own setter costs about half an object.__setattr__ call, and
+    # families and paths are built on every ping-pong hop
+    package = pathlib.Path(lgvlab.algebra.__file__).parent
+    assert [module.name for module in sorted(package.glob("*.py"))
+            if "object.__setattr__(" in module.read_text()] == []
 
 
 @pytest.mark.parametrize("make, fields", [
