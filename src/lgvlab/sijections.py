@@ -155,8 +155,9 @@ class Sijection:
                 raise GuardExceeded("ping-pong hops", hops, limit)
             stage = stages[k]
             tagged = stage[which](tagged)
-            _check_domain(tagged, image, stage[0] + label)
             side, sign, payload = tagged
+            if (side, sign) not in image:
+                _check_domain(tagged, image, stage[0] + label)
             if trace is not None:
                 trace.append((sign, payload))
             boundary = k + 1 if side == TARGET else k  # it lands in X_boundary
@@ -169,8 +170,12 @@ class Sijection:
                     f"{payload!r} with sign {_SIGN_CHAR[sign]}")
             if hops & (hops - 1) == 0:
                 saved = landing
-            k += 1 if side == TARGET else -1
-            tagged = _flip(tagged)
+            if side == TARGET:
+                k += 1
+                tagged = (SOURCE, sign, payload)
+            else:
+                k -= 1
+                tagged = (TARGET, sign, payload)
 
     def inverse(self) -> "Sijection":
         """The sijection T => S: the stages in reverse order, each with its
