@@ -11,7 +11,10 @@ plane partitions (exchanging the zero-row and max-row statistics) and on
 tableaux (permuting the weight).
 """
 
+from functools import lru_cache
+
 from .algebra import _Value, _ints, _slot_setters
+from .guards import resolve_guard_limit
 from .objects import PlanePartition, Tableau
 from .paths import (
     Endpoints,
@@ -364,6 +367,12 @@ def _apply(sij: Sijection, obj, family: SignedPathFamily, decode,
     return result, trace
 
 
+def _zero_to_max(shape, bound: int, guard_limit: int | None) -> Sijection:
+    endpoints = plane_partition_endpoints(shape, bound)
+    return _conjugate(endpoints, reversal_sijection(endpoints, guard_limit),
+                      guard_limit)
+
+
 def zero_to_max_sijection(shape, bound: int,
                           guard_limit: int | None = None) -> Sijection:
     """The conjugated word reversal on non-intersecting families.
@@ -371,11 +380,17 @@ def zero_to_max_sijection(shape, bound: int,
     Composite: embed the non-intersecting families into the signed set,
     reverse all words, then cancel back down.  Restricted to the positive
     parts this is an honest bijection that exchanges the last-step-east
-    and first-step-east statistics.
+    and first-step-east statistics.  Each call builds a new sijection.
     """
-    endpoints = plane_partition_endpoints(shape, bound)
-    return _conjugate(endpoints, reversal_sijection(endpoints, guard_limit),
-                      guard_limit)
+    return _zero_to_max(shape, bound, guard_limit)
+
+
+# A map call sends one element through a conjugated sijection, which
+# depends only on the instance and the hop limit, so the maps keep the
+# last _MAP_CACHE_SIZE they built.  A map never walks a signed set, so a
+# kept sijection holds no stream and no swap memo.
+_MAP_CACHE_SIZE = 64
+_kept_zero_to_max = lru_cache(maxsize=_MAP_CACHE_SIZE)(_zero_to_max)
 
 
 def zero_to_max_map(pp: PlanePartition, with_trace: bool = False,
@@ -387,7 +402,8 @@ def zero_to_max_map(pp: PlanePartition, with_trace: bool = False,
     the full itinerary of the underlying family through the composed
     sijection.
     """
-    sij = zero_to_max_sijection(pp.shape, pp.bound, guard_limit)
+    sij = _kept_zero_to_max(pp.shape, pp.bound,
+                            resolve_guard_limit(guard_limit))
     return _apply(sij, pp, pp_encode(pp),
                   lambda image: pp_decode(image, pp.shape, pp.bound),
                   with_trace)
@@ -409,11 +425,23 @@ def variable_positions(perm) -> tuple[int, ...]:
 
 def weight_permutation_sijection(shape, varcount: int, perm,
                                  guard_limit: int | None = None) -> Sijection:
-    """Conjugate the step permutation by the LGV sijection (tableau model)."""
+    """Conjugate the step permutation by the LGV sijection (tableau model).
+    Each call builds a new sijection."""
     endpoints = tableau_endpoints(shape, varcount)
-    positions = variable_positions(perm)
+    return _permuted_weight(endpoints, variable_positions(perm), guard_limit)
+
+
+def _permuted_weight(endpoints: Endpoints, positions: tuple[int, ...],
+                     guard_limit: int | None) -> Sijection:
     middle = step_permutation_sijection(endpoints, positions, guard_limit)
     return _conjugate(endpoints, middle, guard_limit)
+
+
+@lru_cache(maxsize=_MAP_CACHE_SIZE)
+def _kept_weight_permutation(shape, varcount: int, positions: tuple[int, ...],
+                             hop_limit: int) -> Sijection:
+    return _permuted_weight(tableau_endpoints(shape, varcount), positions,
+                            hop_limit)
 
 
 def weight_permutation_map(tableau: Tableau, perm, with_trace: bool = False,
@@ -424,8 +452,9 @@ def weight_permutation_map(tableau: Tableau, perm, with_trace: bool = False,
     of occurrences of perm[i-1] in the image equals the number of
     occurrences of i in the input.
     """
-    sij = weight_permutation_sijection(tableau.shape, tableau.varcount, perm,
-                                       guard_limit)
+    sij = _kept_weight_permutation(tableau.shape, tableau.varcount,
+                                   variable_positions(perm),
+                                   resolve_guard_limit(guard_limit))
     return _apply(
         sij, tableau, ssyt_encode(tableau),
         lambda image: ssyt_decode(image, tableau.shape, tableau.varcount),
