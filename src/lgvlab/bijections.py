@@ -22,15 +22,15 @@ from .paths import (
     _family_meet,
     _path,
     _point,
+    _pp_decode,
+    _pp_encode,
     _set_ni,
+    _ssyt_decode,
+    _ssyt_encode,
     enumerate_families,
     enumerate_ni_families,
     is_nonintersecting,
     plane_partition_endpoints,
-    pp_decode,
-    pp_encode,
-    ssyt_decode,
-    ssyt_encode,
     tableau_endpoints,
 )
 from .sijections import (
@@ -367,10 +367,13 @@ def _apply(sij: Sijection, obj, family: SignedPathFamily, decode,
     return result, trace
 
 
-def _zero_to_max(shape, bound: int, guard_limit: int | None) -> Sijection:
+def _zero_to_max(shape, bound: int,
+                 guard_limit: int | None) -> tuple[Endpoints, Sijection]:
+    """The endpoints of PP(shape; bound) and ``zero_to_max_sijection`` on
+    them."""
     endpoints = plane_partition_endpoints(shape, bound)
-    return _conjugate(endpoints, reversal_sijection(endpoints, guard_limit),
-                      guard_limit)
+    return endpoints, _conjugate(
+        endpoints, reversal_sijection(endpoints, guard_limit), guard_limit)
 
 
 def zero_to_max_sijection(shape, bound: int,
@@ -382,13 +385,14 @@ def zero_to_max_sijection(shape, bound: int,
     parts this is an honest bijection that exchanges the last-step-east
     and first-step-east statistics.  Each call builds a new sijection.
     """
-    return _zero_to_max(shape, bound, guard_limit)
+    return _zero_to_max(shape, bound, guard_limit)[1]
 
 
 # A map call sends one element through a conjugated sijection, which
 # depends only on the instance and the hop limit, so the maps keep the
-# last _MAP_CACHE_SIZE they built.  A map never walks a signed set, so a
-# kept sijection holds no stream and no swap memo.
+# last _MAP_CACHE_SIZE they built, each with its endpoints, which encode
+# and decode read.  A map never walks a signed set, so a kept sijection
+# holds no stream and no swap memo.
 _MAP_CACHE_SIZE = 64
 _kept_zero_to_max = lru_cache(maxsize=_MAP_CACHE_SIZE)(_zero_to_max)
 
@@ -402,10 +406,11 @@ def zero_to_max_map(pp: PlanePartition, with_trace: bool = False,
     the full itinerary of the underlying family through the composed
     sijection.
     """
-    sij = _kept_zero_to_max(pp.shape, pp.bound,
-                            resolve_guard_limit(guard_limit))
-    return _apply(sij, pp, pp_encode(pp),
-                  lambda image: pp_decode(image, pp.shape, pp.bound),
+    endpoints, sij = _kept_zero_to_max(pp.shape, pp.bound,
+                                       resolve_guard_limit(guard_limit))
+    return _apply(sij, pp, _pp_encode(pp, endpoints),
+                  lambda image: _pp_decode(image, pp.shape, pp.bound,
+                                           endpoints),
                   with_trace)
 
 
@@ -438,10 +443,11 @@ def _permuted_weight(endpoints: Endpoints, positions: tuple[int, ...],
 
 
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _kept_weight_permutation(shape, varcount: int, positions: tuple[int, ...],
-                             hop_limit: int) -> Sijection:
-    return _permuted_weight(tableau_endpoints(shape, varcount), positions,
-                            hop_limit)
+def _kept_weight_permutation(
+        shape, varcount: int, positions: tuple[int, ...],
+        hop_limit: int) -> tuple[Endpoints, Sijection]:
+    endpoints = tableau_endpoints(shape, varcount)
+    return endpoints, _permuted_weight(endpoints, positions, hop_limit)
 
 
 def weight_permutation_map(tableau: Tableau, perm, with_trace: bool = False,
@@ -452,10 +458,11 @@ def weight_permutation_map(tableau: Tableau, perm, with_trace: bool = False,
     of occurrences of perm[i-1] in the image equals the number of
     occurrences of i in the input.
     """
-    sij = _kept_weight_permutation(tableau.shape, tableau.varcount,
-                                   variable_positions(perm),
-                                   resolve_guard_limit(guard_limit))
+    endpoints, sij = _kept_weight_permutation(
+        tableau.shape, tableau.varcount, variable_positions(perm),
+        resolve_guard_limit(guard_limit))
     return _apply(
-        sij, tableau, ssyt_encode(tableau),
-        lambda image: ssyt_decode(image, tableau.shape, tableau.varcount),
+        sij, tableau, _ssyt_encode(tableau, endpoints),
+        lambda image: _ssyt_decode(image, tableau.shape, tableau.varcount,
+                                   endpoints),
         with_trace)

@@ -421,7 +421,12 @@ def pp_encode(pp: PlanePartition) -> SignedPathFamily:
     entries travel east earlier (higher).  The result is always
     vertex-disjoint.
     """
-    endpoints = plane_partition_endpoints(pp.shape, pp.bound)
+    return _pp_encode(pp, plane_partition_endpoints(pp.shape, pp.bound))
+
+
+def _pp_encode(pp: PlanePartition, endpoints: Endpoints) -> SignedPathFamily:
+    """``pp_encode`` onto ``endpoints``, those of the plane partition's
+    instance."""
     paths = []
     for i, row in enumerate(pp.rows, start=1):
         word = []
@@ -457,7 +462,14 @@ def pp_decode(
     (shape, bound), and vertex-disjointness; raises ValueError otherwise.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    _check_decodable(family, plane_partition_endpoints(shape, bound), "(shape, bound)")
+    return _pp_decode(family, shape, bound,
+                      plane_partition_endpoints(shape, bound))
+
+
+def _pp_decode(family: SignedPathFamily, shape: Partition, bound: int,
+               expected: Endpoints) -> PlanePartition:
+    """``pp_decode`` with the ``expected`` endpoints of (shape, bound)."""
+    _check_decodable(family, expected, "(shape, bound)")
     rows = []
     for path in family.paths:
         souths = 0
@@ -478,7 +490,13 @@ def ssyt_encode(tableau: Tableau) -> SignedPathFamily:
     positions listed in column j of the tableau.  The result is always
     vertex-disjoint.
     """
-    endpoints = tableau_endpoints(tableau.shape, tableau.varcount)
+    return _ssyt_encode(tableau,
+                        tableau_endpoints(tableau.shape, tableau.varcount))
+
+
+def _ssyt_encode(tableau: Tableau, endpoints: Endpoints) -> SignedPathFamily:
+    """``ssyt_encode`` onto ``endpoints``, those of the tableau's
+    instance."""
     n = tableau.varcount
     paths = []
     for j in range(endpoints.n):
@@ -495,7 +513,15 @@ def ssyt_decode(
     """Invert ssyt_encode; same preconditions as pp_decode, plus every path
     must have exactly ``varcount`` steps."""
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    _check_decodable(family, tableau_endpoints(shape, varcount), "(shape, varcount)")
+    return _ssyt_decode(family, shape, varcount,
+                        tableau_endpoints(shape, varcount))
+
+
+def _ssyt_decode(family: SignedPathFamily, shape: Partition, varcount: int,
+                 expected: Endpoints) -> Tableau:
+    """``ssyt_decode`` with the ``expected`` endpoints of (shape,
+    varcount)."""
+    _check_decodable(family, expected, "(shape, varcount)")
     columns = []
     for j, path in enumerate(family.paths):
         if len(path.word) != varcount:
