@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from itertools import permutations
 
 import pytest
 
@@ -16,9 +17,11 @@ from lgvlab.bijections import (
     tail_swap,
     variable_positions,
     weight_permutation_map,
+    weight_permutation_sijection,
     zero_to_max_map,
     zero_to_max_sijection,
 )
+from lgvlab.guards import GuardExceeded, resolve_guard_limit
 from lgvlab.objects import (
     Partition,
     PlanePartition,
@@ -35,7 +38,10 @@ from lgvlab.paths import (
     is_nonintersecting,
     last_step_east_count,
     plane_partition_endpoints,
+    pp_decode,
     pp_encode,
+    ssyt_decode,
+    ssyt_encode,
     tableau_endpoints,
 )
 from lgvlab.sijections import (
@@ -555,3 +561,118 @@ def test_weight_map_trace_shape():
     assert trace["steps"][0]["set"] == "source"
     assert trace["steps"][-1]["set"] == "target"
     assert all(s["set"] == "middle" for s in trace["steps"][1:-1])
+
+
+# --- the sijections the maps keep -----------------------------------------
+
+def _cells(fn) -> dict:
+    """The variables a closure reads from its enclosing function."""
+    return dict(zip(fn.__code__.co_freevars,
+                    (cell.cell_contents for cell in fn.__closure__)))
+
+
+def _fresh_kept_maps():
+    lgvlab.bijections._kept_zero_to_max.cache_clear()
+    lgvlab.bijections._kept_weight_permutation.cache_clear()
+
+
+def test_the_maps_keep_at_most_their_constant_number_of_sijections():
+    _fresh_kept_maps()
+    size = lgvlab.bijections._MAP_CACHE_SIZE
+    instances = 0
+    for shape in enumerate_partitions(6):
+        for bound in range(3):
+            zero_to_max_map(next(enumerate_plane_partitions(shape, bound)))
+            instances += 1
+        if len(shape) <= 3:
+            tableau = next(enumerate_tableaux(shape, 3))
+            for perm in permutations((1, 2, 3)):
+                weight_permutation_map(tableau, perm)
+                instances += 1
+    assert instances > 2 * size
+    for kept in (lgvlab.bijections._kept_zero_to_max,
+                 lgvlab.bijections._kept_weight_permutation):
+        info = kept.cache_info()
+        assert info.maxsize == size
+        assert info.currsize == size
+
+
+def test_a_kept_sijection_still_refuses_past_a_smaller_hop_limit(
+        monkeypatch):
+    # the (4,4,4), m=4 element whose orbit takes 215 hops, mapped first
+    # under the default limit and then under smaller ones
+    monkeypatch.delenv("LGVLAB_GUARD_LIMIT", raising=False)
+    pp = PlanePartition(Partition([4, 4, 4]), 4,
+                        [[4, 4, 4, 4], [4, 4, 4, 2], [1, 1, 1, 1]])
+    image = zero_to_max_map(pp)
+    with pytest.raises(GuardExceeded, match=(
+            r"^ping-pong hops: projected size 215 exceeds guard limit 214$")):
+        zero_to_max_map(pp, guard_limit=214)
+    monkeypatch.setenv("LGVLAB_GUARD_LIMIT", "100")
+    with pytest.raises(GuardExceeded, match=(
+            r"^ping-pong hops: projected size 101 exceeds guard limit 100$")):
+        zero_to_max_map(pp)
+    monkeypatch.setenv("LGVLAB_GUARD_LIMIT", "215")
+    assert zero_to_max_map(pp) == image
+    monkeypatch.delenv("LGVLAB_GUARD_LIMIT")
+    assert zero_to_max_map(pp, guard_limit=215) == image
+
+
+def test_a_kept_sijection_holds_no_stream_and_no_swap_memo(monkeypatch):
+    monkeypatch.delenv("LGVLAB_GUARD_LIMIT", raising=False)
+    _fresh_kept_maps()
+    shape, bound = Partition([4, 4, 4]), 4
+    tableau_shape, varcount, perm = Partition([3, 2, 1]), 4, (2, 4, 1, 3)
+    calls = 0
+    for _, pp in zip(range(800), enumerate_plane_partitions(shape, bound)):
+        zero_to_max_map(pp)
+        calls += 1
+    tableaux = list(enumerate_tableaux(tableau_shape, varcount))
+    for tableau in tableaux * 3 + tableaux[:8]:
+        weight_permutation_map(tableau, perm)
+        calls += 1
+    assert calls == 1000
+    limit = resolve_guard_limit()
+    kept = [lgvlab.bijections._kept_zero_to_max(shape, bound, limit),
+            lgvlab.bijections._kept_weight_permutation(
+                tableau_shape, varcount, variable_positions(perm), limit)]
+    for kept_map in (lgvlab.bijections._kept_zero_to_max,
+                     lgvlab.bijections._kept_weight_permutation):
+        assert kept_map.cache_info().misses == 1
+    for _, sij in kept:
+        assert sij.source._stream is None and sij.target._stream is None
+        swap = _cells(sij._stages[0][1])["swap"]
+        lgv = _cells(swap)
+        assert lgv["target"]._stream is None
+        assert lgv["walked"] is None
+        assert lgv["images"] == {}
+
+
+def test_kept_zero_to_max_maps_match_freshly_built_sijections():
+    _fresh_kept_maps()
+    maps = 0
+    for shape in enumerate_partitions(8):
+        for bound in range(4):
+            fresh = zero_to_max_sijection(shape, bound)
+            for pp in enumerate_plane_partitions(shape, bound):
+                _, _, image = fresh.forward((SOURCE, 1, pp_encode(pp)))
+                assert zero_to_max_map(pp) == pp_decode(image, shape, bound)
+                maps += 1
+    assert maps == 33049
+
+
+def test_kept_weight_maps_match_freshly_built_sijections():
+    _fresh_kept_maps()
+    maps = 0
+    for shape in enumerate_partitions(6):
+        for varcount in range(1, 5):
+            tableaux = list(enumerate_tableaux(shape, varcount))
+            for perm in permutations(range(1, varcount + 1)):
+                fresh = weight_permutation_sijection(shape, varcount, perm)
+                for tableau in tableaux:
+                    _, _, image = fresh.forward(
+                        (SOURCE, 1, ssyt_encode(tableau)))
+                    assert weight_permutation_map(tableau, perm) == (
+                        ssyt_decode(image, shape, varcount))
+                    maps += 1
+    assert maps == 25685
