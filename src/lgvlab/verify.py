@@ -204,8 +204,11 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
 def verify_bijection(shape, bound: int, guard_limit: int | None = None) -> dict:
     """Run the zero-to-max map over a whole instance.
 
-    Checks that it is a bijection of the plane partitions onto themselves
-    and that it sends the zero-row count to the max-row count.
+    Checks that it is a bijection of the plane partitions onto themselves,
+    that it sends the zero-row count to the max-row count, and that it is
+    an involution: the chain lgv . rev . lgv^-1 is its own inverse, and so
+    is its ping-pong.  The last check looks each image's image up among
+    the images already computed, so it runs no map of its own.
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
@@ -222,11 +225,23 @@ def verify_bijection(shape, bound: int, guard_limit: int | None = None) -> dict:
                 "zero_rows": pp.zero_rows(), "max_rows": image.max_rows(),
             }
     bijective = len(set(images)) == len(pps) and set(images) == set(pps)
+    image_of = dict(zip(pps, images))
+    involution_witness = None
+    for pp, image in zip(pps, images):
+        again = image_of.get(image)
+        if again != pp:
+            involution_witness = {
+                "input": pp.to_json(), "output": image.to_json(),
+                "output_of_output": None if again is None else again.to_json(),
+            }
+            break
     checks = [
         _check("map-is-bijection", bijective,
                {"distinct_images": len(set(images)), "objects": len(pps)}),
         _check("zero-rows-become-max-rows", crossing_witness is None,
                crossing_witness),
+        _check("map-is-involution", involution_witness is None,
+               involution_witness),
     ]
     results = {"objects": len(pps)}
     instance = {"shape": list(shape.parts), "max": bound}

@@ -176,6 +176,25 @@ def test_a_reversal_of_one_path_fails_zero_rows_become_max_rows(
     assert "zero-rows-become-max-rows" in failed(report)
 
 
+def test_a_map_that_is_no_involution_fails_only_map_is_involution(
+        monkeypatch):
+    # the map followed by a cyclic shift within each max-row class: still a
+    # bijection that sends zero rows to max rows, but no longer its own
+    # inverse
+    shape, bound = lgvlab.objects.Partition((2, 1)), 2
+    classes = {}
+    for pp in lgvlab.objects.enumerate_plane_partitions(shape, bound):
+        classes.setdefault(pp.max_rows(), []).append(pp)
+    shift = {pp: group[(k + 1) % len(group)]
+             for group in classes.values() for k, pp in enumerate(group)}
+    real = lgvlab.verify.zero_to_max_map
+    monkeypatch.setattr(lgvlab.verify, "zero_to_max_map",
+                        lambda pp, **kwargs: shift[real(pp, **kwargs)])
+    report = verify_bijection(shape, bound, LIMIT)
+    assert failed(report) == {"map-is-involution"}
+    assert report["checks"][-1]["witness"]["output_of_output"] is not None
+
+
 def test_steps_moved_by_the_inverse_fail_the_weight_map(monkeypatch):
     monkeypatch.setattr(lgvlab.bijections, "_permute_steps", rewritten(
         lgvlab.bijections._permute_steps,

@@ -474,6 +474,8 @@ def test_verify_bijection_passes():
     assert_report_shape(report)
     assert report_passed(report)
     assert report["results"]["objects"] == 14
+    assert [check["name"] for check in report["checks"]] == [
+        "map-is-bijection", "zero-rows-become-max-rows", "map-is-involution"]
 
 
 def test_verify_bijection_guards_its_own_enumeration(monkeypatch):
