@@ -105,9 +105,9 @@ class _Value:
 
 
 def _slot_setters(cls: type, *names: str) -> tuple:
-    """The ``__set__`` of each named slot of ``cls``: ``set(value, field)``
-    fills the slot directly, which ``_Value.__setattr__`` refuses to do,
-    and costs about half an ``object.__setattr__`` call."""
+    """Each named slot's own setter, ``set(obj, value)``: it fills the slot
+    past ``_Value.__setattr__`` at about half the cost of
+    ``object.__setattr__``."""
     return tuple(getattr(cls, name).__set__ for name in names)
 
 

@@ -92,6 +92,7 @@ class SwapCertificate(_Value):
 
 _set_point, _set_swap_paths = _slot_setters(SwapCertificate, "point", "paths")
 
+
 def _swap_parts(family: SignedPathFamily) -> tuple[tuple, tuple, tuple]:
     """The tail swap of ``family`` in parts: ``(sigma, paths, meet)``, the
     swapped permutation and paths and the family's meet ``(point, i, j)``,

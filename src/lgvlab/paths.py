@@ -146,6 +146,7 @@ class Path(_Value):
     Path, "start", "word", "end", "_hash", "_points", "_reversed", "_meets",
     "_serial")
 
+
 # Paths are immutable, so the family enumeration and the transforms share
 # one instance per (start, word): each distinct path is validated, and its
 # point set built, once, and a swap's image holds the very paths of the
@@ -203,6 +204,7 @@ class Endpoints(_Value):
 
 
 _set_a, _set_b, _set_count = _slot_setters(Endpoints, "a", "b", "_count")
+
 
 def plane_partition_endpoints(shape: Partition, bound: int) -> Endpoints:
     """Endpoint configuration for PP(shape; bound): a_i = (-i, -i),
@@ -342,6 +344,7 @@ class SignedPathFamily(_Value):
 (_set_endpoints, _set_sigma, _set_paths, _set_family_hash, _set_ni,
  _set_meet) = _slot_setters(SignedPathFamily, "endpoints", "sigma", "paths",
                             "_hash", "_ni", "_meet")
+
 
 # Each path memoises its meets with the partners it has been scanned
 # against, keyed by their serials.  A serial is never reused, so an entry
