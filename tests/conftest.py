@@ -3,6 +3,7 @@ import contextlib
 import pytest
 
 import lgvlab  # noqa: F401  (imports every module, hence every value class)
+import lgvlab.bijections
 from lgvlab.algebra import _Value
 
 
@@ -41,3 +42,11 @@ def validating():
 def trusted_builders():
     """The classes whose ``_trusted`` the ``validating`` fixture patches."""
     return _trusted_builders()
+
+
+@pytest.fixture
+def fresh_maps():
+    """No conjugated sijection kept by the maps: each is built again, with
+    the stage maps the module holds now."""
+    lgvlab.bijections._kept_zero_to_max.cache_clear()
+    lgvlab.bijections._kept_weight_permutation.cache_clear()

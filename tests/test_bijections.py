@@ -571,13 +571,7 @@ def _cells(fn) -> dict:
                     (cell.cell_contents for cell in fn.__closure__)))
 
 
-def _fresh_kept_maps():
-    lgvlab.bijections._kept_zero_to_max.cache_clear()
-    lgvlab.bijections._kept_weight_permutation.cache_clear()
-
-
-def test_the_maps_keep_at_most_their_constant_number_of_sijections():
-    _fresh_kept_maps()
+def test_the_maps_keep_at_most_their_constant_number_of_sijections(fresh_maps):
     size = lgvlab.bijections._MAP_CACHE_SIZE
     instances = 0
     for shape in enumerate_partitions(6):
@@ -618,9 +612,9 @@ def test_a_kept_sijection_still_refuses_past_a_smaller_hop_limit(
     assert zero_to_max_map(pp, guard_limit=215) == image
 
 
-def test_a_kept_sijection_holds_no_stream_and_no_swap_memo(monkeypatch):
+def test_a_kept_sijection_holds_no_stream_and_no_swap_memo(monkeypatch,
+                                                          fresh_maps):
     monkeypatch.delenv("LGVLAB_GUARD_LIMIT", raising=False)
-    _fresh_kept_maps()
     shape, bound = Partition([4, 4, 4]), 4
     tableau_shape, varcount, perm = Partition([3, 2, 1]), 4, (2, 4, 1, 3)
     calls = 0
@@ -648,8 +642,7 @@ def test_a_kept_sijection_holds_no_stream_and_no_swap_memo(monkeypatch):
         assert lgv["images"] == {}
 
 
-def test_kept_zero_to_max_maps_match_freshly_built_sijections():
-    _fresh_kept_maps()
+def test_kept_zero_to_max_maps_match_freshly_built_sijections(fresh_maps):
     maps = 0
     for shape in enumerate_partitions(8):
         for bound in range(4):
@@ -661,8 +654,7 @@ def test_kept_zero_to_max_maps_match_freshly_built_sijections():
     assert maps == 33049
 
 
-def test_kept_weight_maps_match_freshly_built_sijections():
-    _fresh_kept_maps()
+def test_kept_weight_maps_match_freshly_built_sijections(fresh_maps):
     maps = 0
     for shape in enumerate_partitions(6):
         for varcount in range(1, 5):

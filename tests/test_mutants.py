@@ -30,14 +30,9 @@ from lgvlab.verify import (verify_bijection, verify_lgv, verify_schur,
 
 LIMIT = 10_000
 
-
-@pytest.fixture(autouse=True)
-def fresh_maps():
-    """The maps keep their conjugated sijections per instance, and a kept
-    one holds the stage maps it was built with, so each case starts with
-    none kept: a fault planted in a stage map reaches its map."""
-    lgvlab.bijections._kept_zero_to_max.cache_clear()
-    lgvlab.bijections._kept_weight_permutation.cache_clear()
+# A sijection the maps keep holds the stage maps it was built with, so each
+# case starts with none kept: a fault planted in a stage map reaches its map.
+pytestmark = pytest.mark.usefixtures("fresh_maps")
 
 
 def rewritten(func, old: str, new: str):
