@@ -10,11 +10,15 @@ since no route of the package adds or multiplies polynomials.
 Determinants have one algorithm, the fraction-free (Bareiss) integer
 elimination ``_bareiss``, which leaves alone the rows that elimination
 would only rescale (those still zero up to the pivot column); ``det_int``
-is its public entry point, refusing anything but int entries.  A
-polynomial determinant is ``_bareiss`` on the matrix evaluated at d + 1
+is its public entry point, refusing anything but int entries.  The
+refined determinant of a shape, det ``lgv_matrix(shape, bound)``, is
+n + 1 binomial minors, one ``_bareiss`` per coefficient (``_refined_det``,
+the route of the library).  ``det_division_free``, the general and slower
+polynomial determinant, is ``_bareiss`` on the matrix evaluated at d + 1
 points, d a bound on its degree, followed by exact interpolation; the
 evaluation is Horner over the matrix's integer coefficient layers, kept on
-the ``PolyMatrix``.  There is no size cap.
+the ``PolyMatrix``.  It is the oracle the refined route is tested against.
+There is no size cap.
 
 All values are immutable once constructed and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
@@ -329,6 +333,8 @@ def det_division_free(matrix: PolyMatrix) -> UniPoly:
     coefficients.  The cost is d + 1 integer determinants, so there is no
     size cap.  The evaluated matrices are ints by construction (a UniPoly
     holds only ints), so they go to ``_bareiss`` without a second scan.
+    No library route calls it: the refined determinant of a shape is
+    ``_refined_det``, and this stays public as its general, slow oracle.
     """
     d = sum(max([0] + [p.degree() for p in row]) for row in matrix.entries)
     values = [_bareiss(matrix.evaluate(x)) for x in range(d + 1)]
@@ -466,11 +472,7 @@ def lgv_matrix(shape, bound: int) -> PolyMatrix:
     number of rows containing 0.  The shape is read through ``Partition``;
     a bound that is not a nonnegative int is refused with ValueError.
     """
-    from .objects import Partition, PlanePartition  # objects imports this module
-
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    PlanePartition._check_bound(bound)
-    parts = shape.parts
+    parts = _checked_parts(shape, bound)
     n = len(parts)
     return PolyMatrix(
         [
@@ -478,3 +480,32 @@ def lgv_matrix(shape, bound: int) -> PolyMatrix:
             for i in range(n)
         ]
     )
+
+
+def _refined_det(shape, bound: int) -> UniPoly:
+    """``det_division_free(lgv_matrix(shape, bound))``, as n + 1 minors.
+
+    Entry (i, j) of ``lgv_matrix`` is x * B[i][j] + B[i+1][j] for the
+    (n+1) x n binomial matrix B[r][j] = C(part_j + bound - 1, bound + j - r)
+    (0-based), so by Cauchy-Binet its determinant is the sum over t of
+    x^t * det(B without row t): the coefficient of x^t, the number of
+    plane partitions with t rows containing 0, is one integer binomial
+    determinant (Gessel and Viennot 1985).  ``_bareiss`` consumes its rows,
+    so each minor gets fresh copies.  Shape and bound are refused as
+    ``lgv_matrix`` refuses them.
+    """
+    parts = _checked_parts(shape, bound)
+    b = [[binomial(part + bound - 1, bound + j - r)
+          for j, part in enumerate(parts)] for r in range(len(parts) + 1)]
+    return UniPoly([_bareiss([list(row) for row in b[:t] + b[t + 1:]])
+                    for t in range(len(b))])
+
+
+def _checked_parts(shape, bound: int) -> tuple:
+    """The parts of ``shape``, read through ``Partition``, once ``bound``
+    is checked as a plane-partition bound."""
+    from .objects import Partition, PlanePartition  # objects imports this module
+
+    shape = shape if isinstance(shape, Partition) else Partition(shape)
+    PlanePartition._check_bound(bound)
+    return shape.parts

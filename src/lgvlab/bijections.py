@@ -18,6 +18,7 @@ from .guards import resolve_guard_limit
 from .objects import PlanePartition, Tableau
 from .paths import (
     Endpoints,
+    Path,
     SignedPathFamily,
     _family_meet,
     _path,
@@ -267,7 +268,7 @@ def reverse_paths(family: SignedPathFamily) -> SignedPathFamily:
     return SignedPathFamily._trusted(
         family.endpoints,
         family.sigma,
-        tuple(p._reverse() for p in family.paths),
+        tuple(map(Path._reverse, family.paths)),
     )
 
 

@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .algebra import det_division_free, lgv_matrix
+from .algebra import _refined_det
 from .bijections import zero_to_max_map
 from .guards import GuardExceeded, resolve_guard_limit
 from .objects import Partition, PlanePartition, genfun_by_enumeration, schur_by_enumeration
@@ -71,7 +71,7 @@ def _report(report: dict) -> int:
 
 def _cmd_genfun(args) -> int:
     if args.method == "det":
-        poly = det_division_free(lgv_matrix(args.shape, args.max))
+        poly = _refined_det(args.shape, args.max)
     else:
         statistic = "zeros" if args.method == "brute-zeros" else "maxes"
         poly = genfun_by_enumeration(args.shape, args.max, statistic,

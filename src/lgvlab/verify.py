@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import count
 from typing import Iterator
 
-from .algebra import MultiPoly, det_division_free, lgv_matrix
+from .algebra import MultiPoly, _refined_det
 from .bijections import (
     SwapCertificate,
     lgv_sijection,
@@ -75,15 +75,18 @@ def verify_theorem1(shape, bound: int, guard_limit: int | None = None) -> dict:
     """Check that all three routes to the refined generating function agree.
 
     Routes: the brute tally weighted by rows containing 0, the same tally
-    weighted by rows containing the bound, and the binomial determinant.
-    The brute tally tries every row beneath every row above it and counts
-    the plane partitions that share a row cut together; it uses no
-    determinant, so the determinant checks it independently.
+    weighted by rows containing the bound, and the binomial determinant,
+    computed as n + 1 integer binomial minors, one per coefficient
+    (``algebra._refined_det``; ``det_division_free`` is the general, slow
+    oracle it is tested against).  The brute tally tries every row beneath
+    every row above it and counts the plane partitions that share a row
+    cut together; it uses no determinant, so the determinant checks it
+    independently.
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     zeros, maxes = refined_genfuns_by_enumeration(shape, bound, guard_limit)
-    det = det_division_free(lgv_matrix(shape, bound))
+    det = _refined_det(shape, bound)
     # At x = 1 the determinant is the binomial determinant that guarded the
     # tally, so the closed-form count is read off it instead of computed again.
     total, enumerated = det(1), zeros(1)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import permutations, zip_longest
 
 import pytest
@@ -10,6 +11,7 @@ from lgvlab.algebra import (
     MultiPoly,
     PolyMatrix,
     UniPoly,
+    _refined_det,
     binomial,
     det_division_free,
     det_int,
@@ -20,6 +22,7 @@ from lgvlab.algebra import (
 from lgvlab.objects import (
     Partition,
     count_plane_partitions,
+    enumerate_partitions,
     genfun_by_enumeration,
 )
 
@@ -461,3 +464,42 @@ def test_lgv_matrix_empty_shape():
     m = lgv_matrix(Partition([]), 3)
     assert m.n == 0
     assert det_division_free(m) == UniPoly([1])
+
+
+# --- the refined determinant as n + 1 binomial minors ---------------------
+
+def _refined_cases():
+    for shape in enumerate_partitions(10):
+        for bound in range(5):
+            yield shape, bound
+    for rows in (12, 16, 20):
+        for part in (1, rows, 20):
+            for bound in (1, 3, 6):
+                yield Partition([part] * rows), bound
+    for cells in (1000, 1237, 1500):
+        for bound in (0, 1):
+            yield Partition([cells]), bound
+
+
+def test_refined_det_matches_the_polynomial_determinant():
+    # the slow oracle evaluates lgv_matrix at d + 1 points and
+    # interpolates; the route under test never builds that matrix
+    started = time.process_time()
+    cases = list(_refined_cases())
+    for shape, bound in cases:
+        assert _refined_det(shape, bound) == det_division_free(
+            lgv_matrix(shape, bound)), (shape, bound)
+    assert len(cases) == 695 + 27 + 6
+    assert _refined_det((), 3) == UniPoly([1])
+    assert time.process_time() - started < 1
+
+
+@pytest.mark.parametrize("shape, bound, message", [
+    ((3, 5), 1, r"^parts\[1\]: parts must be weakly decreasing \(3 < 5\)$"),
+    ((2,), 1.5, r"^bound 1.5 is not an integer$"),
+    ((2, 1), -1, r"^bound must be nonnegative$"),
+])
+def test_refined_det_refuses_what_lgv_matrix_refuses(shape, bound, message):
+    for route in (_refined_det, lgv_matrix):
+        with pytest.raises(ValueError, match=message):
+            route(shape, bound)

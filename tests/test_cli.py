@@ -11,6 +11,8 @@ import pytest
 import lgvlab
 import lgvlab.objects
 import lgvlab.paths
+from golden_reports import line, pinned
+from lgvlab.algebra import PolyMatrix
 from lgvlab.bijections import zero_to_max_map
 from lgvlab.cli import build_parser, main
 from lgvlab.objects import (
@@ -418,7 +420,7 @@ def test_brute_routes_never_call_a_determinant(capsys, monkeypatch):
     document = json.dumps({"shape": [2, 1], "max": 2, "rows": [[2, 1], [0]]})
     monkeypatch.setattr("sys.stdin", io.StringIO(document))
     _, expected_image, _ = run(capsys, "bijection")
-    _forbid(monkeypatch, "det_division_free", "lgv_matrix")
+    _forbid(monkeypatch, "det_division_free", "lgv_matrix", "_refined_det")
     for method in ("brute-zeros", "brute-maxes"):
         code, out, _ = run(capsys, "genfun", "--shape", "2,1", "--max", "2",
                            "--method", method)
@@ -428,6 +430,34 @@ def test_brute_routes_never_call_a_determinant(capsys, monkeypatch):
     code, out, _ = run(capsys, "bijection")
     assert code == 0
     assert out == expected_image
+
+
+def test_determinant_routes_never_evaluate_a_polynomial_matrix(
+        monkeypatch):
+    # the refined determinant is n + 1 integer minors; the evaluate-and-
+    # interpolate route is the tests' oracle, not the library's
+    _forbid(monkeypatch, "det_division_free", "lgv_matrix")
+    monkeypatch.setattr(PolyMatrix, "evaluate", lambda *args: pytest.fail(
+        "a determinant route evaluated a polynomial matrix"))
+    monkeypatch.delenv("LGVLAB_GUARD_LIMIT", raising=False)
+    common = ["--shape", "3,2,1", "--max", "2"]
+    for argv in (["verify-theorem1", *common],
+                 ["genfun", *common, "--method", "det"]):
+        got = line({"argv": argv})
+        assert got.startswith("0 ")
+        assert got in pinned()
+
+
+def test_genfun_det_on_twenty_rows_within_a_tenth_of_a_second(capsys):
+    # 21 integer minors of order 20 take about 19 ms of CPU time (16-23 ms
+    # over 15 runs on 2 loaded cores, Python 3.11)
+    started = time.process_time()
+    code, out, _ = run(capsys, "genfun", "--shape", ",".join(["20"] * 20),
+                       "--max", "10", "--method", "det")
+    assert time.process_time() - started < 0.1
+    assert code == 0
+    assert sum(map(int, json.loads(out)["coeffs"])) == (
+        lgvlab.objects.count_plane_partitions((20,) * 20, 10))
 
 
 def test_bijection_never_consults_a_generating_function(monkeypatch):

@@ -63,6 +63,21 @@ def test_a_determinant_off_by_one_fails_zeros_matches_determinant(
     assert "zeros-matches-determinant" in failed(report)
 
 
+def test_minors_that_share_their_rows_fail_zeros_matches_determinant(
+        monkeypatch):
+    # ``_bareiss`` consumes its rows, so a minor built on B's own rows sees
+    # what the minors before it left there: (2, 1), m=2 gives
+    # 5 + 15x + 3x^2 (on (2, 2), m=1 the fault happens to give the right
+    # answer)
+    monkeypatch.setattr(lgvlab.verify, "_refined_det",
+                        rewritten(lgvlab.algebra._refined_det,
+                                  "[list(row) for row in b[:t] + b[t + 1:]]",
+                                  "b[:t] + b[t + 1:]"))
+    report = verify_theorem1((2, 1), 2, LIMIT)
+    assert "zeros-matches-determinant" in failed(report)
+    assert report["results"]["determinant"]["coeffs"] == ["5", "15", "3"]
+
+
 def test_a_tally_that_drops_a_row_move_fails_determinant_at_one(
         monkeypatch):
     # a move that overwrites its target instead of adding to it drops the
