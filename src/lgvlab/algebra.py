@@ -182,7 +182,8 @@ class MultiPoly(_Value):
     Stored as a map from exponent vector (length-n tuple of nonnegative ints)
     to nonzero coefficient.  All exponent vectors in one polynomial have the
     same length.  An ``nvars``, exponent or coefficient that is not an int
-    is refused with ValueError.
+    is refused with ValueError.  ``_trusted(nvars, terms)`` keeps a dict the
+    library built itself, such as a tableau tally, without checking it.
     """
 
     __slots__ = ("nvars", "terms")
@@ -208,8 +209,13 @@ class MultiPoly(_Value):
                 clean[exp] = clean.get(exp, 0) + coef
                 if clean[exp] == 0:
                     del clean[exp]
+        self._fill(nvars, clean)
+
+    def _fill(self, nvars: int, terms: dict) -> None:
+        """Set the slots; ``terms`` maps int tuples of length ``nvars`` to
+        nonzero ints."""
         _set_nvars(self, nvars)
-        _set_terms(self, clean)
+        _set_terms(self, terms)
 
     def coefficient(self, exp: tuple[int, ...]) -> int:
         return self.terms.get(tuple(exp), 0)

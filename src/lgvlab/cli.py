@@ -4,6 +4,7 @@ Every subcommand writes a single JSON document to stdout and a short
 human-readable summary to stderr, so output can be piped and inspected at
 the same time.  Exit codes: 0 when all checks pass, 1 on a mathematical
 disagreement or an exceeded enumeration guard, 2 on bad usage or input.
+Stdout is exactly ``json.dumps(document, indent=2)`` plus a newline.
 """
 
 import argparse
@@ -36,9 +37,57 @@ def _perm(text: str) -> tuple[int, ...]:
     return values
 
 
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# each leaf's text as json.dumps writes it; a key that is not a str is
+# its leaf text in quotes
+_LEAVES = {str: _quote, int: int.__repr__, float: _float,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): lambda value: "null"}
+
+
+def _indented(value, newline: str = "\n") -> str:
+    # json.dumps(value, indent=2) for exact plain JSON types; a value or
+    # key of any other type raises KeyError
+    kind = type(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [(_quote(k) if type(k) is str
+                  else '"' + _LEAVES[type(k)](k) + '"') + ": "
+                 + (_LEAVES[t](v) if (t := type(v)) in _LEAVES
+                    else _indented(v, inner)) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is not list and kind is not tuple:
+        return _LEAVES[kind](value)
+    if not value:
+        return "[]"
+    items = [_LEAVES[t](v) if (t := type(v)) in _LEAVES
+             else _indented(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
 def _emit(data) -> None:
-    # one write: json.dump writes each encoder chunk on its own
-    sys.stdout.write(json.dumps(data, indent=2) + "\n")
+    # one write; the stdlib's indented encoder is pure Python, so it only
+    # writes what _indented does not handle exactly (and raises its errors)
+    try:
+        text = _indented(data)
+    except (KeyError, RecursionError):
+        text = json.dumps(data, indent=2)
+    sys.stdout.write(text + "\n")
 
 
 def _say(message: str) -> None:

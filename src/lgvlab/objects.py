@@ -599,6 +599,6 @@ def schur_by_enumeration(
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     _guard_tableaux(shape, varcount, guard_limit)
-    return MultiPoly(varcount, Counter(
+    return MultiPoly._trusted(varcount, dict(Counter(
         _weight(rows, varcount)
-        for rows in _expand(shape, Tableau._groups(shape, varcount))))
+        for rows in _expand(shape, Tableau._groups(shape, varcount)))))

@@ -268,7 +268,8 @@ def verify_schur(shape, varcount: int, perm=None,
         range(varcount, 0, -1) if perm is None else perm))
     perm = tuple(p + 1 for p in positions)
     tableaux = list(enumerate_tableaux(shape, varcount))
-    poly = MultiPoly(varcount, Counter(t.weight() for t in tableaux))
+    poly = MultiPoly._trusted(varcount,
+                              dict(Counter(t.weight() for t in tableaux)))
 
     symmetry_witness = None
     for k in range(varcount - 1):

@@ -1,12 +1,17 @@
+import contextlib
 import io
 import json
+import json.encoder
 import os
 import pathlib
 import subprocess
 import sys
 import time
+from collections import Counter, OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lgvlab
 import lgvlab.objects
@@ -14,7 +19,7 @@ import lgvlab.paths
 from golden_reports import line, pinned
 from lgvlab.algebra import PolyMatrix
 from lgvlab.bijections import zero_to_max_map
-from lgvlab.cli import build_parser, main
+from lgvlab.cli import _emit, _indented, build_parser, main
 from lgvlab.objects import (
     Partition,
     enumerate_plane_partitions,
@@ -482,3 +487,92 @@ def test_python_dash_m_runs_the_cli(capsys):
          "--max", "2"], env=env, capture_output=True, text=True, timeout=60)
     assert (code, done.returncode) == (0, 0)
     assert done.stdout == expected
+
+
+def _emitted(value) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(value)
+    return out.getvalue()
+
+
+_json_keys = (st.text() | st.integers() | st.floats() | st.booleans()
+              | st.none())
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-10**400, 10**400) | st.floats() | st.just(-0.0)
+    | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_json_keys, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+def test_emit_writes_what_json_dumps_with_indent_writes(value):
+    assert _emitted(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], {"a": {}}, (), [(1, ()), {"b": [[], {}]}],
+    {1: 2, 2.5: 3, False: 4, None: 5},
+    {"nan": float("nan"), "inf": [float("inf"), -float("inf"), -0.0]},
+    "\u00e9\x00\n\"\\\U0001f600",
+])
+def test_emit_on_edge_values(value):
+    assert _emitted(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {"a": {"b": Counter(x=2, y=1)}}, [[OrderedDict(z=[1, 2])]],
+], ids=["Counter", "OrderedDict"])
+def test_emit_hands_other_types_to_the_stdlib(value):
+    with pytest.raises(KeyError):
+        _indented(value)
+    assert _emitted(value) == json.dumps(value, indent=2) + "\n"
+
+
+def _circular():
+    value = []
+    value.append(value)
+    return value
+
+
+def _outcome(write, value):
+    try:
+        return write(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, {(1, 2): 3}, [10**5000], _circular(),
+], ids=["set", "tuple-key", "int-past-the-digit-limit", "circular"])
+def test_emit_fails_where_json_dumps_fails(value):
+    want = _outcome(lambda v: json.dumps(v, indent=2) + "\n", value)
+    assert _outcome(_emitted, value) == want
+
+
+def test_reports_skip_the_stdlib_indented_encoder(capsys, monkeypatch):
+    # json.dumps(indent=2) runs the stdlib's pure-Python encoder, which
+    # cost a fifth of the brute routes' time; a report must not reach it
+    monkeypatch.delenv("LGVLAB_GUARD_LIMIT", raising=False)
+    schur = ["schur", "--shape", "3,2,2,1", "--vars", "6"]
+    _, expected, _ = run(capsys, *schur)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a report took the stdlib's indented encoder")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
+    with pytest.raises(AssertionError):
+        json.dumps([], indent=2)
+    assert run(capsys, *schur)[:2] == (0, expected)
+    stdin = json.dumps({"shape": [2, 2, 1], "max": 2,
+                        "rows": [[2, 1], [1, 0], [0]]})
+    common = ["--shape", "3,2,1", "--max", "2"]
+    for case in ({"argv": ["verify-theorem1", *common]},
+                 {"argv": ["genfun", *common, "--method", "det"]},
+                 {"argv": ["bijection", "--trace"], "stdin": stdin}):
+        got = line(case)
+        assert got.startswith("0 ")
+        assert got in pinned()

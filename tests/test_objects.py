@@ -681,6 +681,23 @@ def test_schur_frozen_values():
     assert sum(s21.terms.values()) == 8
 
 
+def test_trusted_schur_polynomial_equals_the_validated_one():
+    # the tally's keys are int tuples of length varcount and its counts
+    # are positive, so MultiPoly's checks would pass it unchanged
+    for shape in enumerate_partitions(7):
+        for varcount in range(1, 5):
+            tally = Counter(
+                t.weight() for t in enumerate_tableaux(shape, varcount))
+            validated = MultiPoly(varcount, tally)
+            assert MultiPoly._trusted(varcount, dict(tally)) == validated
+            poly = schur_by_enumeration(shape, varcount)
+            assert poly == validated
+            assert type(poly.terms) is dict
+            assert all(type(exp) is tuple and len(exp) == varcount
+                       and all(type(e) is int for e in exp)
+                       for exp in poly.terms)
+
+
 def test_schur_empty_shape():
     s = schur_by_enumeration(Partition([]), 3)
     assert s.terms == {(0, 0, 0): 1}
