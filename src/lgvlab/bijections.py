@@ -20,14 +20,12 @@ from .paths import (
     Endpoints,
     Path,
     SignedPathFamily,
+    _decode,
+    _encode,
     _family_meet,
     _path,
     _point,
-    _pp_decode,
-    _pp_encode,
     _set_ni,
-    _ssyt_decode,
-    _ssyt_encode,
     enumerate_families,
     enumerate_ni_families,
     is_nonintersecting,
@@ -355,18 +353,20 @@ def _conjugate(endpoints: Endpoints, middle: Sijection,
     return compose_all(lgv, middle, lgv.inverse())
 
 
-def _apply(sij: Sijection, obj, family: SignedPathFamily, decode,
-           with_trace: bool):
-    """Send ``family``, the encoding of ``obj``, forward through ``sij`` and
-    decode the image; with ``with_trace`` also return the JSON itinerary."""
-    if not with_trace:
+def _apply(sij: Sijection, endpoints: Endpoints, obj, with_trace: bool):
+    """Encode ``obj`` onto ``endpoints``, those of its instance, send the
+    family forward through ``sij`` and decode the image as a filling of
+    the same kind; with ``with_trace`` also return the JSON itinerary."""
+    family = _encode(obj, endpoints)
+    if with_trace:
+        image, steps = evaluate_with_trace(sij, family)
+    else:
         _, _, image = sij.forward((SOURCE, 1, family))
-        return decode(image)
-    image, steps = evaluate_with_trace(sij, family)
-    result = decode(image)
-    trace = {"input": obj.to_json(), "steps": trace_to_json(steps),
-             "output": result.to_json()}
-    return result, trace
+    result = _decode(image, type(obj), obj.shape, obj._bound, endpoints)
+    if not with_trace:
+        return result
+    return result, {"input": obj.to_json(), "steps": trace_to_json(steps),
+                    "output": result.to_json()}
 
 
 def _zero_to_max(shape, bound: int,
@@ -410,10 +410,7 @@ def zero_to_max_map(pp: PlanePartition, with_trace: bool = False,
     """
     endpoints, sij = _kept_zero_to_max(pp.shape, pp.bound,
                                        resolve_guard_limit(guard_limit))
-    return _apply(sij, pp, _pp_encode(pp, endpoints),
-                  lambda image: _pp_decode(image, pp.shape, pp.bound,
-                                           endpoints),
-                  with_trace)
+    return _apply(sij, endpoints, pp, with_trace)
 
 
 def variable_positions(perm) -> tuple[int, ...]:
@@ -463,8 +460,4 @@ def weight_permutation_map(tableau: Tableau, perm, with_trace: bool = False,
     endpoints, sij = _kept_weight_permutation(
         tableau.shape, tableau.varcount, variable_positions(perm),
         resolve_guard_limit(guard_limit))
-    return _apply(
-        sij, tableau, _ssyt_encode(tableau, endpoints),
-        lambda image: _ssyt_decode(image, tableau.shape, tableau.varcount,
-                                   endpoints),
-        with_trace)
+    return _apply(sij, endpoints, tableau, with_trace)

@@ -126,6 +126,15 @@ class _Filling(_Value):
     refusal texts.  A bound that is not an int is refused by ``_alphabet``,
     one out of range also by ``_check_bound``.
 
+    Each kind also declares once how a filling becomes lattice paths, one
+    path per line, for the encoder, the decoder, the endpoints and the
+    closed-form count: ``_line_steps(shape, bound)``, each line's east and
+    total step counts (k, L); ``_lines(rows)``, the filling's lines from its
+    rows and back (its own inverse); and ``_reading(bound)``, a triple
+    (start, south, east) such that the t-th east step of a line, after s
+    south steps in all, records the entry start + south * s + east * t.
+    ``south`` is 1 or -1, so s is south * (entry - start - east * t).
+
     The constructor and ``from_json`` check every cell; the walker's rows
     are valid by construction, so ``_enumerate`` builds its fillings
     through ``_Value._trusted``, which passes them to ``_fill`` without
@@ -188,6 +197,14 @@ class _Filling(_Value):
             raise ValueError(cls._no_values)
         return values
 
+    @classmethod
+    def _checked_line_steps(cls, shape, bound) -> list[tuple[int, int]]:
+        """``_line_steps`` of the shape, read through ``Partition`` first,
+        and the bound, then checked by ``_check_bound``."""
+        shape = shape if isinstance(shape, Partition) else Partition(shape)
+        cls._check_bound(bound)
+        return cls._line_steps(shape, bound)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.shape.parts)}, {self._bound}, {[list(r) for r in self.rows]})"
 
@@ -234,6 +251,11 @@ class PlanePartition(_Filling):
     _no_values = "bound must be nonnegative"
     _bad_row = "row not weakly decreasing ({} < {})"
     _bad_column = "column not weakly decreasing ({} < {})"
+    # path rule: a line is a row, k = its length, L = bound + k, s = bound - e
+    _line_steps = staticmethod(
+        lambda shape, bound: [(k, bound + k) for k in shape.parts])
+    _lines = staticmethod(lambda rows: rows)
+    _reading = staticmethod(lambda bound: (bound, -1, 0))
 
     def zero_rows(self) -> int:
         """Number of rows containing the entry 0: a weakly decreasing row
@@ -378,29 +400,31 @@ def enumerate_plane_partitions(
     return PlanePartition._enumerate(shape, bound)
 
 
-def count_plane_partitions(shape: Partition, bound: int) -> int:
-    """Closed-form count of PP(shape; bound): determinant of binomial path counts.
+def _binomial_det(lines: list[tuple[int, int]]) -> int:
+    """det[C(L_j, k_j - j + i)] over the lines (k_j, L_j) of a filling
+    kind's path rule: entry (i, j) counts the paths from a_i to b_j, so by
+    Lindstrom-Gessel-Viennot the determinant counts the non-intersecting
+    families, which are the encoded fillings."""
+    return det_int([[binomial(steps, k - j + i)
+                     for j, (k, steps) in enumerate(lines)]
+                    for i in range(len(lines))])
 
-    Entry (i, j), 1-based, is C(shape_j + bound, bound + j - i); the
-    determinant equals the number of non-intersecting path families, which
-    equals the number of plane partitions.  Transposing a filling is a
-    bijection PP(shape; bound) -> PP(shape'; bound), so the determinant is
-    taken on whichever of the shape and its transpose has fewer parts.
-    The shape is read through ``Partition``; a bound that is not a
-    nonnegative int is refused with ValueError.
+
+def count_plane_partitions(shape: Partition, bound: int) -> int:
+    """Closed-form count of PP(shape; bound): ``_binomial_det`` of its rows.
+
+    Entry (i, j), 1-based, is C(shape_j + bound, shape_j - j + i).
+    Transposing a filling is a bijection PP(shape; bound) ->
+    PP(shape'; bound), so the determinant is taken on whichever of the
+    shape and its transpose has fewer parts.  The shape is read through
+    ``Partition``; a bound that is not a nonnegative int is then refused
+    with ValueError.
     """
-    PlanePartition._check_bound(bound)
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     parts = shape.parts
     if parts and parts[0] < len(parts):  # the transpose has parts[0] parts
-        parts = shape.transpose().parts
-    n = len(parts)
-    return det_int(
-        [
-            [binomial(parts[j] + bound, bound + j + 1 - (i + 1)) for j in range(n)]
-            for i in range(n)
-        ]
-    )
+        shape = shape.transpose()
+    return _binomial_det(PlanePartition._checked_line_steps(shape, bound))
 
 
 def _guard_plane_partitions(shape: Partition, bound: int,
@@ -513,6 +537,12 @@ def genfun_by_enumeration(
     return zeros if statistic == "zeros" else maxes
 
 
+def _transpose(rows) -> list[tuple[int, ...]]:
+    """The columns of a filling's rows, or the rows of its columns."""
+    return [tuple(row[j] for row in rows if len(row) > j)
+            for j in range(len(rows[0]) if rows else 0)]
+
+
 class Tableau(_Filling):
     """Semistandard Young tableau: rows weakly increase, columns strictly
     increase, entries in [1, varcount]."""
@@ -527,6 +557,11 @@ class Tableau(_Filling):
     _no_values = "varcount must be at least 1"
     _bad_row = "row not weakly increasing ({} > {})"
     _bad_column = "column not strictly increasing ({} >= {})"
+    # path rule: a line is a column, k = its length, L = varcount, s = c - t
+    _line_steps = staticmethod(
+        lambda shape, varcount: [(k, varcount) for k in shape.transpose()])
+    _lines = staticmethod(_transpose)
+    _reading = staticmethod(lambda varcount: (0, 1, 1))
 
     @classmethod
     def _groups(cls, shape: Partition, varcount: int) -> Iterator[tuple]:
@@ -562,23 +597,13 @@ def enumerate_tableaux(shape: Partition, varcount: int) -> Iterator[Tableau]:
 
 
 def count_tableaux(shape: Partition, varcount: int) -> int:
-    """Closed-form tableau count: determinant of binomial path counts.
+    """Closed-form tableau count: ``_binomial_det`` of the columns.
 
     Entry (i, j), 1-based, is C(varcount, mu_j - j + i) where mu is the
-    transposed shape; the determinant counts non-intersecting path families,
-    which are in bijection with the tableaux.  A varcount that is not a
-    positive int is refused with ValueError.
+    transposed shape.  The shape is read through ``Partition``; a varcount
+    that is not a positive int is then refused with ValueError.
     """
-    Tableau._check_bound(varcount)
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    mu = shape.transpose()
-    n = len(mu)
-    return det_int(
-        [
-            [binomial(varcount, mu[j] - (j + 1) + (i + 1)) for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    return _binomial_det(Tableau._checked_line_steps(shape, varcount))
 
 
 def _guard_tableaux(shape: Partition, varcount: int,

@@ -9,18 +9,19 @@ A signed family connects start points a_1..a_n to end points b_1..b_n
 through a permutation sigma (path i runs from a_i to b_{sigma(i)}); its
 sign is the sign of sigma.
 
-Two endpoint configurations are built here:
+A filling (see ``objects``) becomes one path per line under one rule,
+which each filling kind declares: line i has k_i east steps among L_i
+steps, and runs from a_i = (-i, -i) to b_i = (k_i - i, k_i - i - L_i);
+its t-th east step comes after s_t south steps in all.
 
-* bounded plane partitions of shape lambda with entries in [0, m]:
-  a_i = (-i, -i), b_j = (lambda_j - j, -m - j); path i records row i,
-  the k-th east step of path i at height y encoding the entry m + i + y;
-* semistandard tableaux with entries at most n:
-  a_j = (-j, -j), b_j = (mu_j - j, mu_j - j - n) with mu the transposed
-  shape, so every path has exactly n steps; the positions of the east
-  steps of path j are the entries of column j.
-
-Under the first encoding, a row contains 0 exactly when its path ends
-with an east step, and contains m exactly when its path starts with one.
+* A plane partition of shape lambda with entries in [0, m] has a line
+  per row: k_i = lambda_i, L_i = m + lambda_i, and an entry e has
+  s = m - e.  So b_i = (lambda_i - i, -m - i), and a row contains 0
+  exactly when its path ends with an east step, and contains m exactly
+  when its path starts with one.
+* A semistandard tableau with entries at most n has a line per column:
+  k_j = mu_j (mu the transposed shape), L_j = n, and an entry c has
+  s = c - t, so the east steps of path j sit at the entries of column j.
 """
 
 from __future__ import annotations
@@ -206,19 +207,21 @@ class Endpoints(_Value):
 _set_a, _set_b, _set_count = _slot_setters(Endpoints, "a", "b", "_count")
 
 
+def _endpoints(kind, shape: Partition, bound: int) -> Endpoints:
+    """The endpoints of the ``kind`` fillings of (shape, bound): line i,
+    1-based, runs from a_i = (-i, -i) to b_i = (k_i - i, k_i - i - L_i).
+    The shape is read through ``Partition``; a bound that is not valid for
+    the kind is then refused with ValueError."""
+    lines = kind._checked_line_steps(shape, bound)
+    return Endpoints(
+        [(-i, -i) for i in range(1, len(lines) + 1)],
+        [(k - i, k - i - steps) for i, (k, steps) in enumerate(lines, 1)])
+
+
 def plane_partition_endpoints(shape: Partition, bound: int) -> Endpoints:
     """Endpoint configuration for PP(shape; bound): a_i = (-i, -i),
-    b_j = (shape_j - j, -bound - j), 1-based.  The shape is read through
-    ``Partition``; a bound that is not a nonnegative int is refused with
-    ValueError."""
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    PlanePartition._check_bound(bound)
-    parts = shape.parts
-    n = len(parts)
-    return Endpoints(
-        [(-i, -i) for i in range(1, n + 1)],
-        [(parts[j - 1] - j, -bound - j) for j in range(1, n + 1)],
-    )
+    b_j = (shape_j - j, -bound - j), 1-based."""
+    return _endpoints(PlanePartition, shape, bound)
 
 
 def tableau_endpoints(shape: Partition, varcount: int) -> Endpoints:
@@ -226,17 +229,9 @@ def tableau_endpoints(shape: Partition, varcount: int) -> Endpoints:
 
     With mu the transposed shape, a_j = (-j, -j) and
     b_j = (mu_j - j, mu_j - j - varcount), so every connection takes exactly
-    varcount steps, mu_j of them east.  A varcount that is not a positive
-    int is refused with ValueError.
+    varcount steps, mu_j of them east.
     """
-    Tableau._check_bound(varcount)
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    mu = shape.transpose()
-    n = len(mu)
-    return Endpoints(
-        [(-j, -j) for j in range(1, n + 1)],
-        [(mu[j - 1] - j, mu[j - 1] - j - varcount) for j in range(1, n + 1)],
-    )
+    return _endpoints(Tableau, shape, varcount)
 
 
 class SignedPathFamily(_Value):
@@ -416,6 +411,59 @@ def is_nonintersecting(family: SignedPathFamily) -> bool:
     return ni
 
 
+def _encode(filling, endpoints: Endpoints) -> SignedPathFamily:
+    """The identity family of the filling's lines on ``endpoints``, those of
+    its instance, by its kind's ``_reading``: between two entries of a
+    line, the south steps that turn the first into the second, then an
+    east step; the line's remaining south steps end its path.  The result
+    is always vertex-disjoint."""
+    start, south, east = filling._reading(filling._bound)
+    paths = []
+    for line, a, b in zip(filling._lines(filling.rows), endpoints.a,
+                          endpoints.b):
+        word = ""
+        done = 0
+        previous = start
+        for entry in line:
+            souths = south * (entry - previous - east)  # south is 1 or -1
+            word += "S" * souths + "E"
+            done += souths
+            previous = entry
+        paths.append(_path(a, word + "S" * (a[1] - b[1] - done)))
+    return SignedPathFamily._trusted(
+        endpoints, tuple(range(len(paths))), tuple(paths))
+
+
+def _decode(family: SignedPathFamily, kind, shape: Partition, bound: int,
+            expected: Endpoints):
+    """The ``kind`` filling of (shape, bound) that ``_encode`` sends to
+    ``family``, built through its validating constructor.
+
+    Requires the ``expected`` endpoints of (shape, bound), the identity
+    permutation, and vertex-disjointness; raises ValueError otherwise.
+    """
+    if family.endpoints != expected:
+        raise ValueError("family endpoints do not match the "
+                         f"(shape, {kind._bound_name}) instance")
+    if not family.is_identity():
+        raise ValueError(f"family permutation {family.sigma} is not the identity")
+    if not is_nonintersecting(family):
+        raise ValueError("family is intersecting; only disjoint families decode")
+    start, south, east = kind._reading(bound)
+    lines = []
+    for path in family.paths:
+        line = []
+        entry = start
+        for step in path.word:
+            if step == "S":
+                entry += south
+            else:
+                entry += east
+                line.append(entry)
+        lines.append(line)
+    return kind(shape, bound, kind._lines(lines))
+
+
 def pp_encode(pp: PlanePartition) -> SignedPathFamily:
     """Encode a plane partition as an identity-permutation path family.
 
@@ -424,36 +472,7 @@ def pp_encode(pp: PlanePartition) -> SignedPathFamily:
     entries travel east earlier (higher).  The result is always
     vertex-disjoint.
     """
-    return _pp_encode(pp, plane_partition_endpoints(pp.shape, pp.bound))
-
-
-def _pp_encode(pp: PlanePartition, endpoints: Endpoints) -> SignedPathFamily:
-    """``pp_encode`` onto ``endpoints``, those of the plane partition's
-    instance."""
-    paths = []
-    for i, row in enumerate(pp.rows, start=1):
-        word = []
-        souths = 0
-        for entry in row:
-            need = pp.bound - entry
-            word.append("S" * (need - souths))
-            word.append("E")
-            souths = need
-        word.append("S" * (pp.bound - souths))
-        paths.append(_path((-i, -i), "".join(word)))
-    return SignedPathFamily._trusted(
-        endpoints, tuple(range(len(paths))), tuple(paths))
-
-
-def _check_decodable(family: SignedPathFamily, expected: Endpoints, instance: str):
-    """The decoders' preconditions: the ``expected`` endpoints of the
-    ``instance``, the identity permutation, and vertex-disjointness."""
-    if family.endpoints != expected:
-        raise ValueError(f"family endpoints do not match the {instance} instance")
-    if not family.is_identity():
-        raise ValueError(f"family permutation {family.sigma} is not the identity")
-    if not is_nonintersecting(family):
-        raise ValueError("family is intersecting; only disjoint families decode")
+    return _encode(pp, plane_partition_endpoints(pp.shape, pp.bound))
 
 
 def pp_decode(
@@ -464,26 +483,8 @@ def pp_decode(
     Requires the identity permutation, the endpoint configuration of
     (shape, bound), and vertex-disjointness; raises ValueError otherwise.
     """
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    return _pp_decode(family, shape, bound,
-                      plane_partition_endpoints(shape, bound))
-
-
-def _pp_decode(family: SignedPathFamily, shape: Partition, bound: int,
-               expected: Endpoints) -> PlanePartition:
-    """``pp_decode`` with the ``expected`` endpoints of (shape, bound)."""
-    _check_decodable(family, expected, "(shape, bound)")
-    rows = []
-    for path in family.paths:
-        souths = 0
-        row = []
-        for ch in path.word:
-            if ch == "S":
-                souths += 1
-            else:
-                row.append(bound - souths)
-        rows.append(row)
-    return PlanePartition(shape, bound, rows)
+    return _decode(family, PlanePartition, shape, bound,
+                   plane_partition_endpoints(shape, bound))
 
 
 def ssyt_encode(tableau: Tableau) -> SignedPathFamily:
@@ -493,50 +494,17 @@ def ssyt_encode(tableau: Tableau) -> SignedPathFamily:
     positions listed in column j of the tableau.  The result is always
     vertex-disjoint.
     """
-    return _ssyt_encode(tableau,
-                        tableau_endpoints(tableau.shape, tableau.varcount))
-
-
-def _ssyt_encode(tableau: Tableau, endpoints: Endpoints) -> SignedPathFamily:
-    """``ssyt_encode`` onto ``endpoints``, those of the tableau's
-    instance."""
-    n = tableau.varcount
-    paths = []
-    for j in range(endpoints.n):
-        entries = set(tableau.column(j))
-        word = "".join("E" if t in entries else "S" for t in range(1, n + 1))
-        paths.append(_path((-(j + 1), -(j + 1)), word))
-    return SignedPathFamily._trusted(
-        endpoints, tuple(range(len(paths))), tuple(paths))
+    return _encode(tableau, tableau_endpoints(tableau.shape, tableau.varcount))
 
 
 def ssyt_decode(
     family: SignedPathFamily, shape: Partition, varcount: int
 ) -> Tableau:
-    """Invert ssyt_encode; same preconditions as pp_decode, plus every path
-    must have exactly ``varcount`` steps."""
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    return _ssyt_decode(family, shape, varcount,
-                        tableau_endpoints(shape, varcount))
-
-
-def _ssyt_decode(family: SignedPathFamily, shape: Partition, varcount: int,
-                 expected: Endpoints) -> Tableau:
-    """``ssyt_decode`` with the ``expected`` endpoints of (shape,
-    varcount)."""
-    _check_decodable(family, expected, "(shape, varcount)")
-    columns = []
-    for j, path in enumerate(family.paths):
-        if len(path.word) != varcount:
-            raise ValueError(
-                f"paths[{j}] has {len(path.word)} steps, expected {varcount}"
-            )
-        columns.append([t for t, ch in enumerate(path.word, start=1) if ch == "E"])
-    rows = [
-        [columns[j][i] for j in range(len(columns)) if len(columns[j]) > i]
-        for i in range(len(shape))
-    ]
-    return Tableau(shape, varcount, rows)
+    """Invert ssyt_encode; same preconditions as pp_decode.  Every path
+    then has exactly ``varcount`` steps, as every path from a_j to b_j
+    does."""
+    return _decode(family, Tableau, shape, varcount,
+                   tableau_endpoints(shape, varcount))
 
 
 def last_step_east_count(family: SignedPathFamily) -> int:

@@ -141,6 +141,16 @@ def test_count_takes_the_determinant_of_the_shorter_of_shape_and_transpose():
     assert instances == 695  # 139 shapes, 5 bounds
 
 
+def test_tableau_count_is_the_binomial_determinant_of_the_columns():
+    # entry (i, j), 0-based, is C(n, mu_j - j + i), mu the transposed shape
+    for shape in enumerate_partitions(10):
+        mu = shape.transpose().parts
+        for n in range(1, 7):
+            assert count_tableaux(shape, n) == det_int(
+                [[comb(n, mu[j] - j + i) if 0 <= mu[j] - j + i <= n else 0
+                  for j in range(len(mu))] for i in range(len(mu))])
+
+
 @pytest.mark.parametrize("bound", [0, 1, 2])
 def test_count_of_a_tall_shape_is_quick(bound):
     # 1^1000 takes a 1x1 determinant, not a 1000x1000 one (about 0.2 s)

@@ -439,12 +439,26 @@ def test_pp_statistics_transfer_to_path_words():
             assert first_step_east_count(family) == pp.max_rows()
 
 
+def _reference_word(east_positions, length: int) -> str:
+    """The word of ``length`` steps with its east steps at the 1-based
+    ``east_positions``."""
+    return "".join("E" if t in east_positions else "S"
+                   for t in range(1, length + 1))
+
+
 def test_pp_roundtrip_exhaustive():
-    for parts, bound in [((2, 1), 2), ((3, 1), 1), ((1, 1, 1), 2), ((), 3)]:
-        shape = Partition(parts)
-        for pp in enumerate_plane_partitions(shape, bound):
-            family = pp_encode(pp)
-            assert pp_decode(family, shape, bound) == pp
+    # every shape of at most 7 cells with m <= 3; row i's path has m + k
+    # steps, and its t-th east step comes after m - e_t south steps, so it
+    # is step m - e_t + t
+    for shape in enumerate_partitions(7):
+        for bound in range(4):
+            for pp in enumerate_plane_partitions(shape, bound):
+                family = pp_encode(pp)
+                assert [p.word for p in family.paths] == [
+                    _reference_word({bound - e + t for t, e in enumerate(row, 1)},
+                                    bound + len(row))
+                    for row in pp.rows]
+                assert pp_decode(family, shape, bound) == pp
 
 
 def test_pp_decode_is_inverse_on_ni_families():
@@ -466,6 +480,47 @@ def test_pp_decode_rejects_intersecting():
         pp_decode(crossed, Partition([1, 1]), 1)
 
 
+def _family(sigma, words) -> SignedPathFamily:
+    """A family on the endpoints that (1, 1) with m = 1 and (2,) with n = 2
+    share: a_1 = (-1, -1), a_2 = (-2, -2), b_1 = (0, -2), b_2 = (-1, -3)."""
+    ep = plane_partition_endpoints(Partition([1, 1]), 1)
+    return SignedPathFamily(ep, sigma,
+                            [Path(a, w) for a, w in zip(ep.a, words)])
+
+
+@pytest.mark.parametrize("decode, shape, bound, family, message", [
+    (pp_decode, (1, 1), 1, lambda: pp_encode(PlanePartition((1,), 1, [[0]])),
+     r"^family endpoints do not match the \(shape, bound\) instance$"),
+    (pp_decode, (1, 1), 1, lambda: _family((1, 0), ["SS", "EE"]),
+     r"^family permutation \(1, 0\) is not the identity$"),
+    (pp_decode, (1, 1), 1, lambda: _family((0, 1), ["SE", "ES"]),
+     r"^family is intersecting; only disjoint families decode$"),
+    (ssyt_decode, (2,), 2, lambda: ssyt_encode(Tableau((2,), 3, [[1, 3]])),
+     r"^family endpoints do not match the \(shape, varcount\) instance$"),
+    (ssyt_decode, (2,), 2, lambda: _family((1, 0), ["SS", "EE"]),
+     r"^family permutation \(1, 0\) is not the identity$"),
+    (ssyt_decode, (2,), 2, lambda: _family((0, 1), ["SE", "ES"]),
+     r"^family is intersecting; only disjoint families decode$"),
+], ids=["pp-endpoints", "pp-permutation", "pp-intersecting",
+        "ssyt-endpoints", "ssyt-permutation", "ssyt-intersecting"])
+def test_decoders_name_their_refusal(decode, shape, bound, family, message):
+    with pytest.raises(ValueError, match=message):
+        decode(family(), Partition(shape), bound)
+
+
+def test_a_wrong_length_tableau_family_is_refused_when_built():
+    # every path from a_j to b_j has exactly varcount steps, so a family
+    # with a longer or shorter word never reaches ssyt_decode
+    ep = tableau_endpoints(Partition([2]), 2)
+    for words in (["ESS", "ES"], ["E", "ES"]):
+        paths = [Path(a, w) for a, w in zip(ep.a, words)]
+        with pytest.raises(ValueError, match=r"^paths\[0\] ends at "):
+            SignedPathFamily(ep, (0, 1), paths)
+        data = {"sigma": [1, 2], "paths": [p.to_json() for p in paths]}
+        with pytest.raises(ValueError, match=r"^paths\[0\] ends at "):
+            SignedPathFamily.from_json(data, ep)
+
+
 # --- tableau encoding -------------------------------------------------------
 
 def test_ssyt_encode_frozen_words():
@@ -477,12 +532,17 @@ def test_ssyt_encode_frozen_words():
 
 
 def test_ssyt_roundtrip_exhaustive():
-    for parts, n in [((2, 1), 3), ((2, 2), 3), ((3,), 2), ((1, 1), 4)]:
-        shape = Partition(parts)
-        for t in enumerate_tableaux(shape, n):
-            family = ssyt_encode(t)
-            assert east_step_labels(family, n) == t.weight()
-            assert ssyt_decode(family, shape, n) == t
+    # every shape of at most 6 cells with at most 4 variables; column j's
+    # path has n steps, and its east steps are the column's entries
+    for shape in enumerate_partitions(6):
+        for n in range(1, 5):
+            for t in enumerate_tableaux(shape, n):
+                family = ssyt_encode(t)
+                assert [p.word for p in family.paths] == [
+                    _reference_word(set(t.column(j)), n)
+                    for j in range(shape[0] if shape.parts else 0)]
+                assert east_step_labels(family, n) == t.weight()
+                assert ssyt_decode(family, shape, n) == t
 
 
 def test_ssyt_decode_is_inverse_on_ni_families():

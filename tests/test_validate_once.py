@@ -209,6 +209,19 @@ def test_path_model_entry_points_read_their_shape_and_bound(build, message):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: plane_partition_endpoints((1, 3), -1),
+    lambda: tableau_endpoints((1, 3), 0),
+    lambda: count_plane_partitions((1, 3), -1),
+    lambda: count_tableaux((1, 3), 0),
+], ids=["pp-endpoints", "tableau-endpoints", "pp-count", "tableau-count"])
+def test_a_bad_shape_is_reported_before_a_bad_bound(build):
+    # as the filling constructors do
+    with pytest.raises(ValueError,
+                       match=r"^parts\[1\]: parts must be weakly decreasing"):
+        build()
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: count_plane_partitions((1,), -1), r"^bound must be nonnegative$"),
     (lambda: count_tableaux((1,), 0), r"^varcount must be at least 1$"),
