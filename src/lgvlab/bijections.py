@@ -25,7 +25,6 @@ from .paths import (
     _family_meet,
     _path,
     _point,
-    _set_ni,
     enumerate_families,
     enumerate_ni_families,
     is_nonintersecting,
@@ -92,41 +91,50 @@ class SwapCertificate(_Value):
 _set_point, _set_swap_paths = _slot_setters(SwapCertificate, "point", "paths")
 
 
-def _swap_parts(family: SignedPathFamily) -> tuple[tuple, tuple, tuple]:
+def _swap_tails(p: Path, q: Path, point: tuple) -> tuple[Path, Path]:
+    """The pair core of the tail swap: ``p`` and ``q``, both through
+    ``point``, with everything after it exchanged."""
+    # A south-east path reaches (x, y) after (x - x0) + (y0 - y) steps.
+    cut_p = point[0] - p.start[0] + p.start[1] - point[1]
+    cut_q = point[0] - q.start[0] + q.start[1] - point[1]
+    return (_path(p.start, p.word[:cut_p] + q.word[cut_q:]),
+            _path(q.start, q.word[:cut_q] + p.word[cut_p:]))
+
+
+def _swap_parts(family: SignedPathFamily,
+                pairs: dict | None) -> tuple[tuple, tuple, tuple]:
     """The tail swap of ``family`` in parts: ``(sigma, paths, meet)``, the
     swapped permutation and paths and the family's meet ``(point, i, j)``,
     which places the swap.  Raises ValueError on a non-intersecting family.
+
+    The swap changes paths i and j alone, and the point is their own first
+    meet, so their swapped pair depends on those two paths alone.
+    ``pairs``, when not None, is a pair memo: it keeps each pair's
+    ``_swap_tails`` keyed by the two paths' serials, which no other path
+    object is ever given.  It holds only computed pairs: the swap of an
+    image's pair is computed when that image is swapped, never filled in
+    from the pair it came from.
     """
     meet = _family_meet(family)
     if meet is None:
         raise ValueError("tail swap is undefined on a non-intersecting family")
     point, i, j = meet
     paths = family.paths
-    # A south-east path reaches (x, y) after (x - x0) + (y0 - y) steps.
-    cut_i = point[0] - paths[i].start[0] + paths[i].start[1] - point[1]
-    cut_j = point[0] - paths[j].start[0] + paths[j].start[1] - point[1]
-    word_i = paths[i].word
-    word_j = paths[j].word
+    p, q = paths[i], paths[j]
+    if pairs is None:
+        new_p, new_q = _swap_tails(p, q, point)
+    else:
+        key = (p._serial, q._serial)
+        swapped = pairs.get(key)
+        if swapped is None:
+            swapped = pairs[key] = _swap_tails(p, q, point)
+        new_p, new_q = swapped
     new_paths = list(paths)
-    new_paths[i] = _path(paths[i].start, word_i[:cut_i] + word_j[cut_j:])
-    new_paths[j] = _path(paths[j].start, word_j[:cut_j] + word_i[cut_i:])
+    new_paths[i] = new_p
+    new_paths[j] = new_q
     new_sigma = list(family.sigma)
     new_sigma[i], new_sigma[j] = new_sigma[j], new_sigma[i]
     return tuple(new_sigma), tuple(new_paths), meet
-
-
-def _swapped(endpoints: Endpoints, sigma: tuple,
-             paths: tuple) -> SignedPathFamily:
-    """The family a swap core returned, built through ``_trusted``: path i
-    now ends where path j did, at b_{sigma(j)}, and the other way round, so
-    a correct core's image is valid by construction."""
-    swapped = SignedPathFamily._trusted(endpoints, sigma, paths)
-    # Both new paths still pass through the common point, so the image
-    # intersects too: recorded here, it is not scanned for again.  Its meet
-    # is not copied from the input: swapping the image scans its own paths,
-    # so the involution is checked, not assumed.
-    _set_ni(swapped, False)
-    return swapped
 
 
 def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertificate]:
@@ -145,8 +153,12 @@ def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertifica
     families have been walked it returns the walked family equal to the
     image instead of building one.
     """
-    sigma, paths, (point, i, j) = _swap_parts(family)
-    return (_swapped(family.endpoints, sigma, paths),
+    # Path i now ends where path j did, at b_{sigma(j)}, and the other way
+    # round, so a correct core's image is valid by construction.  Its meet
+    # is not copied from the input: swapping the image scans its own paths,
+    # so the involution is checked, not assumed.
+    sigma, paths, (point, i, j) = _swap_parts(family, None)
+    return (SignedPathFamily._trusted(family.endpoints, sigma, paths),
             SwapCertificate._trusted(point, (i, j)))
 
 
@@ -195,24 +207,29 @@ def lgv_sijection(endpoints: Endpoints,
     and both directions (and the inverse) share them; no certificate is
     built.  The reverse entry is never filled in from the involution, so
     backward still computes its own swap and a checker can catch a swap
-    that is not one.  After the walk, an image is looked up, by its
-    permutation and paths, in an index of their stream built on the first
-    swap after the walk, and the walked family is returned: a correct
-    swap's image is always one of them, so nothing is built, hashed or
-    scanned again.  Only an image the walk does not hold is built, so a
-    faulty swap is still seen.  Before the walk (a map's ping-pong) every
-    image is built and none is kept: an orbit never swaps the same family
-    twice, so a memo would only cost a hash per hop and hold every family
-    the orbit swaps.  A family the swap is undefined on is refused with
-    ``SijectionError``, so a checker reports it.  ``verify_lgv`` reads the
-    memo through the sijection's ``_swap``, a closure: a bound method would
-    make a reference cycle that keeps the memo alive until the collector
-    runs.  The non-intersecting side, walked after the signed families,
-    reads its families off their stream (see ``nonintersecting_set``).
+    that is not one.  After the walk the swap core also keeps a pair memo
+    (see ``_swap_parts``): the many families that cross at one pair of
+    paths share one swapped pair.  An image is looked up, by its
+    permutation and paths, in an index of the walked stream built on the
+    first swap after the walk, and the walked family is returned: a
+    correct swap's image is always one of them, so nothing is built,
+    hashed or scanned again.  Only an image the walk does not hold is
+    built, so a faulty swap is still seen.  Before the walk (a map's
+    ping-pong) every image is built and nothing is kept: an orbit never
+    swaps the same family twice, so a memo would only cost a hash per hop
+    and hold every family and pair the orbit swaps.  A family the swap is
+    undefined on is refused with ``SijectionError``, so a checker reports
+    it.  ``verify_lgv`` reads the memos through the sijection's ``_swap``,
+    a closure: a bound method would make a reference cycle that keeps them
+    alive until the collector runs, while a closure's memos go with the
+    sijection.  The non-intersecting side, walked after the signed
+    families, reads its families off their stream (see
+    ``nonintersecting_set``).
     """
     target = signed_family_set(endpoints, guard_limit)
     source = nonintersecting_set(endpoints, guard_limit, target)
     images = {}
+    pairs = {}  # the pair memo of ``_swap_parts``, used after the walk
     walked = None  # the index of the target's stream, once it has one
 
     def swap(family):
@@ -224,14 +241,15 @@ def lgv_sijection(endpoints: Endpoints,
             if image is not None:
                 return image
         try:
-            sigma, paths, _ = _swap_parts(family)
+            sigma, paths, _ = _swap_parts(
+                family, None if walked is None else pairs)
         except ValueError as exc:
             raise SijectionError(str(exc)) from None
         if walked is None:
-            return _swapped(family.endpoints, sigma, paths)
+            return SignedPathFamily._trusted(family.endpoints, sigma, paths)
         image = walked.get((sigma, paths))
         if image is None:
-            image = _swapped(family.endpoints, sigma, paths)
+            image = SignedPathFamily._trusted(family.endpoints, sigma, paths)
         images[family] = image
         return image
 

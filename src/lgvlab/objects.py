@@ -427,12 +427,14 @@ def count_plane_partitions(shape: Partition, bound: int) -> int:
     return _binomial_det(PlanePartition._checked_line_steps(shape, bound))
 
 
-def _guard_plane_partitions(shape: Partition, bound: int,
-                            guard_limit: int | None) -> int:
-    """Refuse PP(shape; bound) if it exceeds the guard; return its count."""
-    count = count_plane_partitions(shape, bound)
-    check_guard(f"PP({list(shape.parts)}; {bound})", count, guard_limit)
-    return count
+def _guarded_count(count, label: str, shape: Partition, bound: int,
+                   guard_limit: int | None) -> int:
+    """Refuse the fillings of (shape, bound) if ``count(shape, bound)``,
+    their closed-form count, exceeds the guard, which names them
+    ``label(parts; bound)``; return the count."""
+    total = count(shape, bound)
+    check_guard(f"{label}({list(shape.parts)}; {bound})", total, guard_limit)
+    return total
 
 
 def refined_genfuns_by_enumeration(
@@ -463,7 +465,7 @@ def refined_genfuns_by_enumeration(
       without holding one, and the combinations reuse their tuple.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    _guard_plane_partitions(shape, bound, guard_limit)
+    _guarded_count(count_plane_partitions, "PP", shape, bound, guard_limit)
     parts = shape.parts
     k = len(parts) + 1
     values = PlanePartition._values(bound)
@@ -606,14 +608,6 @@ def count_tableaux(shape: Partition, varcount: int) -> int:
     return _binomial_det(Tableau._checked_line_steps(shape, varcount))
 
 
-def _guard_tableaux(shape: Partition, varcount: int,
-                    guard_limit: int | None) -> int:
-    """Refuse SSYT(shape; varcount) if it exceeds the guard; return its count."""
-    count = count_tableaux(shape, varcount)
-    check_guard(f"SSYT({list(shape.parts)}; {varcount})", count, guard_limit)
-    return count
-
-
 def schur_by_enumeration(
     shape: Partition, varcount: int, guard_limit: int | None = None
 ) -> MultiPoly:
@@ -623,7 +617,7 @@ def schur_by_enumeration(
     shape with entries at most varcount.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    _guard_tableaux(shape, varcount, guard_limit)
+    _guarded_count(count_tableaux, "SSYT", shape, varcount, guard_limit)
     return MultiPoly._trusted(varcount, dict(Counter(
         _weight(rows, varcount)
         for rows in _expand(shape, Tableau._groups(shape, varcount)))))

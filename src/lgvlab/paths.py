@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, count, product
+from operator import attrgetter
 from typing import Iterator
 
 from .algebra import (_Value, _ints, _is_int, _slot_setters, binomial,
@@ -53,16 +54,18 @@ def _point(value, field: str) -> Point:
 class Path(_Value):
     """Monotone south-east lattice path: a start point and a word over {E, S}.
 
-    ``end`` and the hash are computed once, when the path is built, and
-    stored.  The set of visited points is computed on first use and cached
-    (``_point_set``), as is the reversed path (``_reverse``); ``points()``
-    still builds the ordered tuple on every call.  ``_meets`` memoises this
+    ``end``, the hash and whether the first and the last step are east
+    (``_first_east``, ``_last_east``) are computed once, when the path is
+    built, and stored.  The set of visited points is computed on first
+    use and cached (``_point_set``), as is the reversed path
+    (``_reverse``); ``points()`` still builds the ordered tuple on every
+    call.  ``_meets`` memoises this
     path's meets with its partners (see ``_pair_meet``), keyed by each
     partner's ``_serial``, a number no other path object is ever given.
     """
 
-    __slots__ = ("start", "word", "end", "_hash", "_points", "_reversed",
-                 "_meets", "_serial")
+    __slots__ = ("start", "word", "end", "_hash", "_first_east", "_last_east",
+                 "_points", "_reversed", "_meets", "_serial")
 
     def __init__(self, start: Point, word: str):
         start = _point(start, "start")
@@ -79,6 +82,8 @@ class Path(_Value):
         _set_word(self, word)
         _set_end(self, end)
         _set_path_hash(self, hash((start, word)))
+        _set_first_east(self, word[:1] == "E")
+        _set_last_east(self, word[-1:] == "E")
         _set_points(self, None)
         _set_reversed(self, None)
         _set_meets(self, None)
@@ -142,10 +147,11 @@ class Path(_Value):
         return cls((start[0], start[1]), data["word"])
 
 
-(_set_start, _set_word, _set_end, _set_path_hash, _set_points, _set_reversed,
- _set_meets, _set_serial) = _slot_setters(
-    Path, "start", "word", "end", "_hash", "_points", "_reversed", "_meets",
-    "_serial")
+(_set_start, _set_word, _set_end, _set_path_hash, _set_first_east,
+ _set_last_east, _set_points, _set_reversed, _set_meets,
+ _set_serial) = _slot_setters(
+    Path, "start", "word", "end", "_hash", "_first_east", "_last_east",
+    "_points", "_reversed", "_meets", "_serial")
 
 
 # Paths are immutable, so the family enumeration and the transforms share
@@ -238,8 +244,8 @@ class SignedPathFamily(_Value):
     """Paths p_1..p_n with p_i running from a_i to b_{sigma(i)}.
 
     ``sigma`` is stored 0-based; the sign of the family is the sign of sigma
-    and is computed, never stored.  The hash, the meet (see ``_family_meet``)
-    and the disjointness (see ``is_nonintersecting``) are computed on first
+    and is computed, never stored.  The hash and the meet (see
+    ``_family_meet``), which decides disjointness, are computed on first
     use and cached.
 
     The constructor checks every path against its endpoints; so does
@@ -249,7 +255,7 @@ class SignedPathFamily(_Value):
     which passes them to ``_fill`` without checking them again.
     """
 
-    __slots__ = ("endpoints", "sigma", "paths", "_hash", "_ni", "_meet")
+    __slots__ = ("endpoints", "sigma", "paths", "_hash", "_meet")
 
     def __init__(self, endpoints: Endpoints, sigma, paths):
         sigma = _ints(sigma, "sigma")
@@ -277,7 +283,6 @@ class SignedPathFamily(_Value):
         _set_sigma(self, sigma)
         _set_paths(self, paths)
         _set_family_hash(self, None)
-        _set_ni(self, None)
         _set_meet(self, _UNSCANNED)
 
     # fixed arity, unlike ``_Value._trusted``, so the calls specialise
@@ -336,9 +341,9 @@ class SignedPathFamily(_Value):
         return cls(endpoints, sigma, paths)
 
 
-(_set_endpoints, _set_sigma, _set_paths, _set_family_hash, _set_ni,
+(_set_endpoints, _set_sigma, _set_paths, _set_family_hash,
  _set_meet) = _slot_setters(SignedPathFamily, "endpoints", "sigma", "paths",
-                            "_hash", "_ni", "_meet")
+                            "_hash", "_meet")
 
 
 # Each path memoises its meets with the partners it has been scanned
@@ -402,13 +407,9 @@ def _family_meet(family: SignedPathFamily) -> tuple | None:
 
 def is_nonintersecting(family: SignedPathFamily) -> bool:
     """True when no lattice point lies on two distinct paths of the family,
-    that is, when no pair of its paths meets.  The answer is kept on the
-    family."""
-    ni = family._ni
-    if ni is None:
-        ni = _family_meet(family) is None
-        _set_ni(family, ni)
-    return ni
+    that is, when no pair of its paths meets: the family's ``_family_meet``,
+    kept on it, is None."""
+    return _family_meet(family) is None
 
 
 def _encode(filling, endpoints: Endpoints) -> SignedPathFamily:
@@ -507,23 +508,29 @@ def ssyt_decode(
                    tableau_endpoints(shape, varcount))
 
 
+_last_step_east = attrgetter("_last_east")
+_first_step_east = attrgetter("_first_east")
+
+
 def last_step_east_count(family: SignedPathFamily) -> int:
-    """Number of paths whose final step is east.
+    """Number of paths whose final step is east, summed from the flags each
+    path set when it was built.
 
     On an encoded plane partition this equals the number of rows containing
     0: the entry recorded by the final east step is 0 exactly when no south
     steps follow it.
     """
-    return [p.word[-1:] for p in family.paths].count("E")
+    return sum(map(_last_step_east, family.paths))
 
 
 def first_step_east_count(family: SignedPathFamily) -> int:
-    """Number of paths whose first step is east.
+    """Number of paths whose first step is east, summed from the flags each
+    path set when it was built.
 
     On an encoded plane partition this equals the number of rows containing
     the bound: a first east step means the first entry lost no height.
     """
-    return [p.word[:1] for p in family.paths].count("E")
+    return sum(map(_first_step_east, family.paths))
 
 
 def east_step_labels(family: SignedPathFamily, varcount: int) -> tuple[int, ...]:

@@ -28,9 +28,9 @@ from .bijections import (
 from .guards import check_guard
 from .objects import (
     Partition,
-    _guard_plane_partitions,
-    _guard_tableaux,
+    _guarded_count,
     count_plane_partitions,
+    count_tableaux,
     enumerate_partitions,
     enumerate_plane_partitions,
     enumerate_tableaux,
@@ -69,6 +69,20 @@ def _finish(instance: dict, results: dict, checks: list, started: float) -> dict
 
 def report_passed(report: dict) -> bool:
     return all(c["passed"] for c in report["checks"])
+
+
+def _involution_witness(objects: list, images: list) -> dict | None:
+    """The first object whose image's image is not itself, as a witness,
+    or None when the map is its own inverse.  Each image's image is looked
+    up among the images already computed, so no map runs again."""
+    image_of = dict(zip(objects, images))
+    for obj, image in zip(objects, images):
+        again = image_of.get(image)
+        if again != obj:
+            return {"input": obj.to_json(), "output": image.to_json(),
+                    "output_of_output": None if again is None
+                    else again.to_json()}
+    return None
 
 
 def verify_theorem1(shape, bound: int, guard_limit: int | None = None) -> dict:
@@ -139,10 +153,15 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
     # independently, never filled in from this.  The swap keeps no
     # certificate: a family's kept meet is its certificate's point and
     # path pair, so the two meets are compared, and a certificate is built
-    # only for a witness.
+    # only for a witness.  Each orbit {f, swap(f)} is checked once: once f
+    # has passed, its image's check would read the same two kept swaps and
+    # the same two meets, so it is skipped.
     swap = sijection._swap
     involution_witness = None
+    passed = set()  # the ids of the images of the families that passed
     for family in crossing:
+        if id(family) in passed:
+            continue
         swapped = swap(family)
         try:
             again = swap(swapped)
@@ -159,6 +178,7 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
                     point, (i, j)).to_json(),
             }
             break
+        passed.add(id(swapped))
 
     rejects_witness = None
     for family in ni:
@@ -215,7 +235,7 @@ def verify_bijection(shape, bound: int, guard_limit: int | None = None) -> dict:
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    _guard_plane_partitions(shape, bound, guard_limit)
+    _guarded_count(count_plane_partitions, "PP", shape, bound, guard_limit)
     pps = list(enumerate_plane_partitions(shape, bound))
     images = []
     crossing_witness = None
@@ -228,16 +248,7 @@ def verify_bijection(shape, bound: int, guard_limit: int | None = None) -> dict:
                 "zero_rows": pp.zero_rows(), "max_rows": image.max_rows(),
             }
     bijective = len(set(images)) == len(pps) and set(images) == set(pps)
-    image_of = dict(zip(pps, images))
-    involution_witness = None
-    for pp, image in zip(pps, images):
-        again = image_of.get(image)
-        if again != pp:
-            involution_witness = {
-                "input": pp.to_json(), "output": image.to_json(),
-                "output_of_output": None if again is None else again.to_json(),
-            }
-            break
+    involution_witness = _involution_witness(pps, images)
     checks = [
         _check("map-is-bijection", bijective,
                {"distinct_images": len(set(images)), "objects": len(pps)}),
@@ -258,11 +269,14 @@ def verify_schur(shape, varcount: int, perm=None,
     Symmetry is verified on every adjacent transposition (which generate
     the full symmetric group) and on ``perm`` itself; the bijection is run
     over all tableaux for ``perm`` (default: the reversal), which is read
-    through ``variable_positions``.
+    through ``variable_positions``.  When ``perm`` is its own inverse, as
+    the reversal is, the map is checked to be an involution too, as in
+    ``verify_bijection``.
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    det_count = _guard_tableaux(shape, varcount, guard_limit)
+    det_count = _guarded_count(count_tableaux, "SSYT", shape, varcount,
+                               guard_limit)
     # a list, as the refusal of permute_variables prints it
     positions = list(variable_positions(
         range(varcount, 0, -1) if perm is None else perm))
@@ -311,6 +325,10 @@ def verify_schur(shape, varcount: int, perm=None,
         _check("weight-map-permutes-weight", weight_witness is None,
                weight_witness),
     ]
+    if all(positions[p] == k for k, p in enumerate(positions)):
+        involution_witness = _involution_witness(tableaux, images)
+        checks.append(_check("weight-map-is-involution",
+                             involution_witness is None, involution_witness))
     results = {
         "schur": poly.to_json(),
         "tableaux": len(tableaux),

@@ -179,8 +179,10 @@ def test_tail_swap_and_disjointness_match_the_dict_oracle():
             expected, point, pair = _oracle_tail_swap(family)
             assert cert.point == point and cert.paths == pair
             assert swapped == expected
-            # the image comes marked intersecting, and so the oracle finds it
-            assert swapped._ni is False
+            # the image is not marked: its own scan, run when first asked,
+            # meets where the input did, and the oracle finds it too
+            assert swapped._meet is lgvlab.paths._UNSCANNED
+            assert lgvlab.paths._family_meet(swapped) == (point, *pair)
             assert not _oracle_is_nonintersecting(swapped)
             triple += sum(point in p.points() for p in family.paths) > 2
     assert crossing > 50_000 and triple > 0
@@ -232,9 +234,9 @@ def test_lgv_sijection_and_its_inverse_share_one_swap_memo(monkeypatch):
     calls = []
     real = lgvlab.bijections._swap_parts
 
-    def counting(family):
+    def counting(family, pairs):
         calls.append(family)
-        return real(family)
+        return real(family, pairs)
 
     monkeypatch.setattr(lgvlab.bijections, "_swap_parts", counting)
     ep = plane_partition_endpoints(Partition([2, 1]), 2)
@@ -247,7 +249,7 @@ def test_lgv_sijection_and_its_inverse_share_one_swap_memo(monkeypatch):
     negative = next(f for f in enumerate_families(ep) if f.sign == -1)
     image = sij.forward((TARGET, -1, negative))
     assert inv.backward((SOURCE, -1, negative)) == (SOURCE, 1, image[2])
-    sigma, paths, _ = real(negative)
+    sigma, paths, _ = real(negative, None)
     assert sij._swap(negative) == SignedPathFamily(ep, sigma, paths)
     assert calls == [negative]
 
@@ -259,8 +261,8 @@ def test_lgv_sijection_check_catches_a_swap_that_does_not_undo_itself(
     # recorded forward's swap as backward's answer would hide it
     real = lgvlab.bijections._swap_parts
 
-    def one_sided(family):
-        sigma, paths, meet = real(family)
+    def one_sided(family, pairs):
+        sigma, paths, meet = real(family, pairs)
         if family.sign == -1:
             return sigma, paths, meet
         return family.sigma, family.paths, meet
@@ -311,6 +313,62 @@ def test_walked_lgv_sijection_swaps_onto_the_walked_families(ep):
         move = sij.forward if family.sign == -1 else sij.backward
         assert id(move(tagged)[2]) in ids
     assert check_sijection(sij) == []
+
+
+def test_walked_swaps_through_the_pair_memo_match_the_tail_swap(monkeypatch):
+    # after the walk the swap core keeps one swapped pair per crossing
+    # pair of paths: on every shape of at most 6 cells with 1 <= m <= 3,
+    # each crossing family's image equals the tail swap's and meets where
+    # it does, and the core ran once per distinct pair, not per family
+    real = lgvlab.bijections._swap_tails
+    cores = []
+
+    def counting(p, q, point):
+        cores.append((p, q))
+        return real(p, q, point)
+
+    crossing = shared = 0
+    for shape in enumerate_partitions(6):
+        for bound in range(1, 4):
+            sij = lgv_sijection(plane_partition_endpoints(shape, bound))
+            walked = [family for family, _ in sij.target.elements()]
+            families = [f for f in walked if not is_nonintersecting(f)]
+            cores.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(lgvlab.bijections, "_swap_tails", counting)
+                images = [sij._swap(family) for family in families]
+            pairs = set()
+            for family in families:
+                _, i, j = lgvlab.paths._family_meet(family)
+                pairs.add((family.paths[i], family.paths[j]))
+            assert sorted(cores, key=repr) == sorted(pairs, key=repr)
+            for family, image in zip(families, images):
+                expected, cert = tail_swap(family)
+                assert image == expected
+                meet = lgvlab.paths._family_meet(image)
+                assert meet == lgvlab.paths._family_meet(expected)
+                assert meet == (cert.point, *cert.paths)
+            crossing += len(families)
+            shared += len(families) - len(pairs)
+    assert (crossing, shared) == (49_264, 45_840)
+
+
+def test_a_maps_ping_pong_fills_no_pair_memo(fresh_maps, monkeypatch):
+    # a map never walks the signed families, so every swap of its
+    # ping-pong runs the pair core afresh and keeps nothing
+    real = lgvlab.bijections._swap_parts
+    memos = []
+
+    def recording(family, pairs):
+        memos.append(pairs)
+        return real(family, pairs)
+
+    monkeypatch.setattr(lgvlab.bijections, "_swap_parts", recording)
+    shape = Partition([3, 3, 2])
+    for pp in enumerate_plane_partitions(shape, 2):
+        zero_to_max_map(pp)
+    assert len(memos) == 880
+    assert memos == [None] * len(memos)
 
 
 def test_checkers_walk_the_lgv_target_first(monkeypatch):

@@ -165,6 +165,31 @@ def test_a_tail_swap_at_the_largest_pair_meet_fails_the_involution(
     assert "tail-swap-involution" in failed(report)
 
 
+def test_a_pair_core_wrong_on_one_path_pair_fails_the_swap_checks(
+        monkeypatch):
+    # the first pair of paths whose tails differ when cut at their last
+    # common point instead of their first is cut there; the pair memo keeps
+    # that one wrong pair for every family crossing there, while the
+    # image's own pair is swapped right, so the swap undoes nothing
+    real = lgvlab.bijections._swap_tails
+    victim = []
+
+    def wrong_on_one_pair(p, q, point):
+        right = real(p, q, point)
+        if not victim:
+            wrong = real(p, q, max(p._point_set() & q._point_set()))
+            if wrong != right:
+                victim.append(((p, q), wrong))
+        if victim and victim[0][0] == (p, q):
+            return victim[0][1]
+        return right
+
+    monkeypatch.setattr(lgvlab.bijections, "_swap_tails", wrong_on_one_pair)
+    report = verify_lgv((2, 2, 2), 2, LIMIT)
+    assert victim
+    assert {"tail-swap-involution", "sijection-bijective"} <= failed(report)
+
+
 def test_a_family_count_that_reuses_a_column_fails_the_permanent_check(
         monkeypatch):
     monkeypatch.setattr(lgvlab.paths, "count_families", rewritten(
@@ -202,6 +227,25 @@ def test_a_map_that_is_no_involution_fails_only_map_is_involution(
                         lambda pp, **kwargs: shift[real(pp, **kwargs)])
     report = verify_bijection(shape, bound, LIMIT)
     assert failed(report) == {"map-is-involution"}
+    assert report["checks"][-1]["witness"]["output_of_output"] is not None
+
+
+def test_a_weight_map_that_is_no_involution_fails_only_its_involution(
+        monkeypatch):
+    # the two tableaux of weight (1, 1, 1, 0) are exchanged before the map:
+    # still a bijection that permutes the weight, but the reversal sends
+    # them to weight (0, 1, 1, 1), where nothing is exchanged back
+    shape, varcount = lgvlab.objects.Partition((2, 1)), 4
+    first, second = [
+        t for t in lgvlab.objects.enumerate_tableaux(shape, varcount)
+        if t.weight() == (1, 1, 1, 0)]
+    shift = {first: second, second: first}
+    real = lgvlab.verify.weight_permutation_map
+    monkeypatch.setattr(
+        lgvlab.verify, "weight_permutation_map",
+        lambda t, perm, **kwargs: real(shift.get(t, t), perm, **kwargs))
+    report = verify_schur(shape, varcount, None, LIMIT)
+    assert failed(report) == {"weight-map-is-involution"}
     assert report["checks"][-1]["witness"]["output_of_output"] is not None
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgvlab.bijections import zero_to_max_map
+from lgvlab.bijections import permute_steps, reverse_paths, zero_to_max_map
 from lgvlab.guards import GuardExceeded
 from lgvlab.objects import (
     Partition,
@@ -108,6 +108,54 @@ def test_step_statistics_on_an_empty_path():
     ep = Endpoints([(0, 0), (-1, -1)], [(0, 0), (0, -1)])
     family = SignedPathFamily(ep, (0, 1), [Path((0, 0), ""), Path((-1, -1), "E")])
     assert last_step_east_count(family) == first_step_east_count(family) == 1
+
+
+def _end_steps_read_off_the_words(family) -> tuple[int, int]:
+    """(last-step-east count, first-step-east count) from the words."""
+    words = [p.word for p in family.paths]
+    return (sum(w[-1:] == "E" for w in words),
+            sum(w[:1] == "E" for w in words))
+
+
+def _end_steps(family) -> tuple[int, int]:
+    return last_step_east_count(family), first_step_east_count(family)
+
+
+def test_end_step_flags_match_the_words_on_every_family():
+    # each path sets its two flags when it is built, whichever way it is
+    # built: the enumeration's ``_path``, ``Path(...)`` and
+    # ``Path.from_json`` (once per distinct path), ``_reverse`` and
+    # ``permute_steps`` (on the families whose words share one length)
+    rebuilt = {}
+    families = permuted = 0
+    for shape in enumerate_partitions(6):
+        for bound in range(1, 4):
+            ep = plane_partition_endpoints(shape, bound)
+            for family in enumerate_families(ep):
+                for p in family.paths:
+                    if p not in rebuilt:
+                        rebuilt[p] = (Path(p.start, p.word),
+                                      Path.from_json(p.to_json()))
+                want = _end_steps_read_off_the_words(family)
+                assert _end_steps(family) == want
+                for k in range(2):
+                    paths = tuple(rebuilt[p][k] for p in family.paths)
+                    assert _end_steps(SignedPathFamily._trusted(
+                        ep, family.sigma, paths)) == want
+                reversed_ = reverse_paths(family)
+                assert _end_steps(reversed_) == want[::-1]
+                assert (_end_steps_read_off_the_words(reversed_)
+                        == want[::-1])
+                families += 1
+                lengths = {len(p) for p in family.paths}
+                if len(lengths) == 1:
+                    n = lengths.pop()
+                    moved = permute_steps(family,
+                                          [(t + 1) % n for t in range(n)])
+                    assert (_end_steps(moved)
+                            == _end_steps_read_off_the_words(moved))
+                    permuted += 1
+    assert (families, permuted) == (53_887, 29_033)
 
 
 def test_interned_paths_equal_fresh_paths_and_stay_immutable():

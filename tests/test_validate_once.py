@@ -107,8 +107,8 @@ def test_validating_catches_a_swap_that_forgets_to_transpose_sigma(
     # sigma and no longer end where it says: only validation can tell
     real = lgvlab.bijections._swap_parts
 
-    def forgetful(family):
-        sigma, paths, meet = real(family)
+    def forgetful(family, pairs):
+        sigma, paths, meet = real(family, pairs)
         return family.sigma, paths, meet
 
     monkeypatch.setattr(lgvlab.bijections, "_swap_parts", forgetful)

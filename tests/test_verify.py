@@ -120,9 +120,9 @@ def test_verify_lgv_walks_the_families_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    def counting_swap(family):
+    def counting_swap(family, pairs):
         try:
-            result = real_swap(family)
+            result = real_swap(family, pairs)
         except ValueError:
             rejected[family] += 1
             raise
@@ -237,10 +237,10 @@ def test_verify_lgv_reports_one_broken_round_trip(monkeypatch):
     victim = next(f for f in families
                   if f.sign == 1 and not is_nonintersecting(f))
     wrong = next(f for f in families
-                 if f.sign == -1 and (f.sigma, f.paths) != real(victim)[:2])
+                 if f.sign == -1 and (f.sigma, f.paths) != real(victim, None)[:2])
 
-    def faulty(family):
-        sigma, paths, meet = real(family)
+    def faulty(family, pairs):
+        sigma, paths, meet = real(family, pairs)
         if family == victim:
             return wrong.sigma, wrong.paths, meet
         return sigma, paths, meet
@@ -261,9 +261,9 @@ def test_verify_lgv_swaps_each_crossing_family_once(monkeypatch):
     swapped, rejected = collections.Counter(), collections.Counter()
     real = lgvlab.bijections._swap_parts
 
-    def counting_swap(family):
+    def counting_swap(family, pairs):
         try:
-            result = real(family)
+            result = real(family, pairs)
         except ValueError:
             rejected[family] += 1
             raise
@@ -349,8 +349,8 @@ def test_verify_lgv_reports_a_swap_that_does_not_undo_itself(monkeypatch):
     # a broken swap shows in both the involution and the bijectivity checks
     real = lgvlab.bijections._swap_parts
 
-    def one_sided(family):
-        sigma, paths, meet = real(family)
+    def one_sided(family, pairs):
+        sigma, paths, meet = real(family, pairs)
         if family.sign == -1:
             return sigma, paths, meet
         return family.sigma, family.paths, meet
@@ -366,8 +366,8 @@ def test_verify_lgv_reports_a_swap_image_outside_the_walk(monkeypatch):
     # holds, so it is built, and both checks see it
     real = lgvlab.bijections._swap_parts
 
-    def forgetful(family):
-        sigma, paths, meet = real(family)
+    def forgetful(family, pairs):
+        sigma, paths, meet = real(family, pairs)
         return family.sigma, paths, meet
 
     monkeypatch.setattr(lgvlab.bijections, "_swap_parts", forgetful)
@@ -386,8 +386,8 @@ def test_verify_lgv_reports_a_swap_onto_a_disjoint_family(monkeypatch):
     endpoints = lgvlab.paths.plane_partition_endpoints((2, 1), 2)
     disjoint = next(lgvlab.paths.enumerate_ni_families(endpoints))
 
-    def onto_disjoint(family):
-        sigma, paths, meet = real(family)
+    def onto_disjoint(family, pairs):
+        sigma, paths, meet = real(family, pairs)
         return disjoint.sigma, disjoint.paths, meet
 
     monkeypatch.setattr(lgvlab.bijections, "_swap_parts", onto_disjoint)
@@ -502,6 +502,24 @@ def test_verify_schur_walks_the_tableaux_once(monkeypatch):
         "perm": [2, 1, 4, 3],
     }
     assert [c["name"] for c in report["checks"]] == [
+        "tableau-count-matches-determinant",
+        "symmetric-under-adjacent-transpositions",
+        "invariant-under-permutation", "weight-map-is-bijection",
+        "weight-map-permutes-weight", "weight-map-is-involution"]
+
+
+@pytest.mark.parametrize("perm,involutive", [
+    (None, True), ((2, 1, 3, 4), True), ((1, 2, 3, 4), True),
+    ((2, 3, 1, 4), False), ((4, 1, 2, 3), False)])
+def test_verify_schur_checks_the_involution_of_an_involutive_perm(
+        perm, involutive):
+    # the check is there exactly when the permutation is its own inverse
+    # (the default reversal is one), and then the weight map passes it
+    report = verify_schur(Partition([3, 2, 1]), 4, perm=perm)
+    assert report_passed(report)
+    names = [c["name"] for c in report["checks"]]
+    assert ("weight-map-is-involution" in names) == involutive
+    assert names[:5] == [
         "tableau-count-matches-determinant",
         "symmetric-under-adjacent-transpositions",
         "invariant-under-permutation", "weight-map-is-bijection",
