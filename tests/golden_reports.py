@@ -89,6 +89,8 @@ def cases() -> list[dict]:
             if bound <= 2:
                 found.append({"argv": ["verify-lgv", *common]})
         for varcount in range(1, 4):
+            found.append({"argv": [
+                "schur", "--shape", _csv(shape), "--vars", str(varcount)]})
             perms = [range(varcount, 0, -1)]
             if varcount == 3:
                 perms.append((2, 3, 1))
