@@ -15,7 +15,8 @@ import sys
 from .algebra import _refined_det
 from .bijections import zero_to_max_map
 from .guards import GuardExceeded, resolve_guard_limit
-from .objects import Partition, PlanePartition, genfun_by_enumeration, schur_by_enumeration
+from .objects import (Partition, PlanePartition, Tableau, genfun_by_enumeration,
+                      schur_by_enumeration)
 from .verify import report_passed, sweep, verify_lgv, verify_schur, verify_theorem1
 
 
@@ -164,6 +165,7 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_schur(args) -> int:
+    Tableau._check_bound(args.vars)  # before the --perm length reads it
     if args.perm is not None and len(args.perm) != args.vars:
         raise ValueError(
             f"--perm has {len(args.perm)} entries, expected {args.vars}")

@@ -18,6 +18,7 @@ All objects are immutable and hashable.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import Counter
 from itertools import combinations_with_replacement, groupby
@@ -220,8 +221,8 @@ class _Filling(_Value):
         return cls(*_filling_fields(data, cls._kind, cls._bound_field))
 
     @classmethod
-    def _groups(cls, shape: Partition, bound: int) -> Iterator[tuple]:
-        """The ``_fillings`` groups of this kind's fillings of the shape."""
+    def _walk(cls, shape: Partition, bound: int) -> Iterator[tuple]:
+        """The rows of this kind's fillings of the shape, from ``_fillings``."""
         return _fillings(shape, cls._check_bound(bound), cls._column_ok)
 
     @classmethod
@@ -229,7 +230,7 @@ class _Filling(_Value):
         """This kind's fillings of the shape, in the order of the walk."""
         shape = shape if isinstance(shape, Partition) else Partition(shape)
         trusted = cls._trusted
-        for rows in _expand(shape, cls._groups(shape, bound)):
+        for rows in cls._walk(shape, bound):
             yield trusted(shape, bound, rows)
 
 
@@ -291,101 +292,69 @@ def _filling_fields(data, kind: str, bound_field: str):
     return Partition(shape), bound, rows
 
 
+def _rows_beneath(values: range, column_ok):
+    """``beneath(cut)``: the rows as long as ``cut`` allowed beneath it, as
+    references into the candidate rows of that length, the multisets of
+    ``values`` in their order, which are listed once."""
+    candidates: dict[int, list[tuple[int, ...]]] = {}
+
+    def beneath(cut: tuple) -> list[tuple[int, ...]]:
+        pool = candidates.get(len(cut))
+        if pool is None:
+            pool = candidates[len(cut)] = list(
+                combinations_with_replacement(values, len(cut)))
+        return [row for row in pool if all(map(column_ok, cut, row))]
+
+    return beneath
+
+
 def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
-    """Yield every filling of the shape, grouped by all rows but the last.
+    """Yield every filling of the shape as a tuple of row tuples.
 
     A row is a multiset of ``values`` listed in their order, so it is weakly
-    monotone, and each entry must satisfy ``column_ok(above, entry)``.  Each
-    group is ``(prefix, last_rows)``: ``prefix`` is a tuple of the first
-    len(shape) - 1 rows, and ``last_rows`` is an iterable of the rows
-    allowed beneath it, so the group's fillings are ``prefix + (row,)`` for
-    each row in turn.  Expanding the groups in order is lexicographic on
-    the row-major sequence, in the order of ``values``.
+    monotone, and each entry must satisfy ``column_ok(above, entry)``.  The
+    order is lexicographic on the row-major sequence, in the order of
+    ``values``; the empty shape yields its one filling, ().
 
-    The rows allowed beneath a row depend only on that row cut to the
-    length of the row below, so they are computed once per cut and shared:
-
-    * beneath the first row, a lexicographic stream, the first rows with
-      one cut come one after another, so only the current run's list is
-      kept; if the second row is as long as the first, no cut comes back
-      and each first row gets a lazy stream, so memory stays that of one
-      stack of rows, as on a wide two-row shape;
-    * beneath any later row, a cut comes back under many prefixes, so its
-      rows are kept for the walk, as a list of references into the one
-      list of candidate rows of that length.
-
-    The first row is a plain stream, so a one-row shape builds no list.
-    One iterator per row sits on an explicit stack, so no recursion limit
-    bounds the shape.  The empty shape yields no group: its one filling,
-    (), has no last row.
+    The rows allowed beneath a row depend only on its cut, that row cut to
+    the length of the row below, and come from ``_rows_beneath``.  The
+    first rows are a lexicographic stream, so the first rows with one cut
+    come in one run, and the rows beneath the run are listed once and
+    dropped when it ends: a wide two-row shape walks in the memory of its
+    candidate rows of one length.  Beneath later rows a cut comes back
+    under many prefixes, so its rows are kept for the walk.  One iterator
+    per row sits on an explicit stack, so no recursion limit bounds the
+    shape.
     """
     parts = shape.parts
     if not parts:
+        yield ()
         return
     first = combinations_with_replacement(values, parts[0])
     last = len(parts) - 1
     if not last:
-        yield (), first
+        yield from zip(first)  # each row as a one-row filling
         return
-
-    def fits(above: tuple, rows) -> list[tuple[int, ...]]:
-        return [row for row in rows if all(map(column_ok, above, row))]
-
-    run_cut, run = None, []
-
-    def beneath_first(above: tuple):
-        nonlocal run_cut, run
-        if parts[1] == parts[0]:
-            return (row for row in combinations_with_replacement(values, parts[1])
-                    if all(map(column_ok, above, row)))
-        cut = above[:parts[1]]
-        if cut != run_cut:
-            run_cut = cut
-            run = fits(cut, combinations_with_replacement(values, parts[1]))
-        return run
-
-    candidates: dict[int, list[tuple[int, ...]]] = {}
-    allowed: dict[tuple, list[tuple[int, ...]]] = {}
-
-    def beneath(above: tuple, length: int) -> list[tuple[int, ...]]:
-        cut = above[:length]
-        found = allowed.get(cut)
-        if found is None:
-            pool = candidates.get(length)
-            if pool is None:
-                pool = candidates[length] = list(
-                    combinations_with_replacement(values, length))
-            found = allowed[cut] = fits(cut, pool)
-        return found
-
-    rows: list[tuple[int, ...]] = []
-    stack = [first]
-    while stack:
-        row = next(stack[-1], None)
-        if row is None:
-            stack.pop()
-            if rows:
+    beneath = _rows_beneath(values, column_ok)
+    kept = functools.cache(beneath)
+    for cut, run in groupby(first, operator.itemgetter(slice(0, parts[1]))):
+        second = beneath(cut)
+        for top in run:
+            # rows[i] is placed on row i and stack[i] yields row i + 1
+            rows, stack = [top], [iter(second)]
+            while stack:
+                if len(rows) < last:
+                    row = next(stack[-1], None)
+                    if row is not None:
+                        rows.append(row)
+                        stack.append(iter(kept(row[:parts[len(rows)]])))
+                        continue
+                else:
+                    prefix = tuple(rows)
+                    for row in stack[-1]:
+                        yield prefix + (row,)
+                stack.pop()
                 rows.pop()
-            continue
-        rows.append(row)
-        level = len(rows)
-        below = (beneath_first(row) if level == 1
-                 else beneath(row, parts[level]))
-        if level == last:
-            yield tuple(rows), below
-            rows.pop()
-        else:
-            stack.append(iter(below))
-
-
-def _expand(shape: Partition, groups) -> Iterator[tuple]:
-    """The fillings of the shape's ``_fillings`` groups in order, as tuples
-    of row tuples; the empty shape's one filling, (), comes from no group."""
-    if not shape.parts:
-        yield ()
-    for prefix, last_rows in groups:
-        for row in last_rows:
-            yield prefix + (row,)
 
 
 def enumerate_plane_partitions(
@@ -459,6 +428,7 @@ def refined_genfuns_by_enumeration(
 
     * The first rows come in lexicographic order, so each cut is one run
       of them, counted as it passes, and the rows beneath it are a stream.
+      Beneath later rows, the walker's ``_rows_beneath`` lists them.
     * Rows are grouped by their cut and step in one C-level count.  The
       last row's cut is the shared empty tuple, so a one-row shape's rows,
       and those beneath the first row of a two-row shape, are counted
@@ -503,15 +473,11 @@ def refined_genfuns_by_enumeration(
                 rows = filter(lambda row: all(map(ge, cut, row)),
                               combinations_with_replacement(values, below))
                 move(layer, steps, rows, lengths[1])
-        pool_length = None
-        for length, cut_to in zip(parts[2:], lengths[2:]):
-            if length != pool_length:
-                pool_length = length
-                pool = list(combinations_with_replacement(values, length))
+        beneath = _rows_beneath(values, ge)
+        for cut_to in lengths[2:]:  # each cut is as long as the row beneath
             above, layer = layer, {}
             for cut, hist in above.items():
-                move(layer, hist,
-                     [row for row in pool if all(map(ge, cut, row))], cut_to)
+                move(layer, hist, beneath(cut), cut_to)
     zeros, maxes = [0] * k, [0] * k
     for index, n in layer[()].items():
         x, z = divmod(index, k)
@@ -566,10 +532,10 @@ class Tableau(_Filling):
     _reading = staticmethod(lambda varcount: (0, 1, 1))
 
     @classmethod
-    def _groups(cls, shape: Partition, varcount: int) -> Iterator[tuple]:
-        groups = super()._groups(shape, varcount)
+    def _walk(cls, shape: Partition, varcount: int) -> Iterator[tuple]:
+        fillings = super()._walk(shape, varcount)
         # a strictly increasing column holds at most varcount entries
-        return iter(()) if len(shape) > varcount else groups
+        return iter(()) if len(shape) > varcount else fillings
 
     def column(self, j: int) -> tuple[int, ...]:
         """Entries of column j (0-based), top to bottom; strictly increasing."""
@@ -614,10 +580,13 @@ def schur_by_enumeration(
     """Schur polynomial in ``varcount`` variables by tableau tally.
 
     Sums the monomial x^(weight of T) over all semistandard tableaux of the
-    shape with entries at most varcount.
+    shape with entries at most varcount.  Each tableau's weight has
+    varcount exponents, so the guard also sees tableaux times varcount.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    _guarded_count(count_tableaux, "SSYT", shape, varcount, guard_limit)
+    total = _guarded_count(count_tableaux, "SSYT", shape, varcount,
+                           guard_limit)
+    check_guard(f"SSYT({list(shape.parts)}; {varcount}) exponents",
+                total * varcount, guard_limit)
     return MultiPoly._trusted(varcount, dict(Counter(
-        _weight(rows, varcount)
-        for rows in _expand(shape, Tableau._groups(shape, varcount)))))
+        _weight(rows, varcount) for rows in Tableau._walk(shape, varcount))))

@@ -271,12 +271,16 @@ def verify_schur(shape, varcount: int, perm=None,
     over all tableaux for ``perm`` (default: the reversal), which is read
     through ``variable_positions``.  When ``perm`` is its own inverse, as
     the reversal is, the map is checked to be an involution too, as in
-    ``verify_bijection``.
+    ``verify_bijection``.  Each transposition permutes every tableau's
+    varcount exponents, so the guard also sees tableaux times varcount
+    squared.
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     det_count = _guarded_count(count_tableaux, "SSYT", shape, varcount,
                                guard_limit)
+    check_guard(f"SSYT({list(shape.parts)}; {varcount}) permuted exponents",
+                det_count * varcount ** 2, guard_limit)
     # a list, as the refusal of permute_variables prints it
     positions = list(variable_positions(
         range(varcount, 0, -1) if perm is None else perm))

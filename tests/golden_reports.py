@@ -48,6 +48,9 @@ _REFUSALS = [
               "--guard-limit", "5"]},
     {"argv": ["schur", "--shape", "3,2", "--vars", "3", "--perm", "3,2,1",
               "--guard-limit", "3"]},
+    {"argv": ["schur", "--shape", "1", "--vars", "20", "--guard-limit", "100"]},
+    {"argv": ["schur", "--shape", "1", "--vars", "5", "--perm", "5,4,3,2,1",
+              "--guard-limit", "100"]},
 ]
 
 _BAD_INPUTS = [
@@ -60,6 +63,7 @@ _BAD_INPUTS = [
     {"argv": ["schur", "--shape", "2,1", "--vars", "0"]},
     {"argv": ["schur", "--shape", "2,1", "--vars", "3", "--perm", "1,2"]},
     {"argv": ["schur", "--shape", "2,1", "--vars", "2", "--perm", "1,1"]},
+    {"argv": ["schur", "--shape", "2,1", "--vars", "-1", "--perm", "1"]},
     {"argv": ["sweep", "--max-size", "3", "--max-bound", "-1"]},
     {"argv": ["bijection"], "stdin": "{not json"},
     {"argv": ["bijection"], "nested": 100_000},

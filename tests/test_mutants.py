@@ -92,14 +92,14 @@ def test_a_tally_that_drops_a_row_move_fails_determinant_at_one(
 
 
 def test_a_walk_that_loses_a_tableau_fails_the_tableau_count(monkeypatch):
-    real = lgvlab.objects._expand
+    real = lgvlab.objects._fillings
 
-    def losing(shape, groups):
-        fillings = real(shape, groups)
+    def losing(shape, values, column_ok):
+        fillings = real(shape, values, column_ok)
         next(fillings, None)
         return fillings
 
-    monkeypatch.setattr(lgvlab.objects, "_expand", losing)
+    monkeypatch.setattr(lgvlab.objects, "_fillings", losing)
     report = verify_schur((2, 1), 3, None, LIMIT)
     assert "tableau-count-matches-determinant" in failed(report)
 

@@ -3,7 +3,7 @@ import pathlib
 import sys
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -367,6 +367,22 @@ def test_wide_two_row_walk_keeps_no_row_per_object():
     assert cut < 2 * one_run + 16_384
 
 
+@pytest.mark.parametrize("parts", [(22, 22), (22, 21), (40, 40)])
+def test_wide_two_row_enumeration_keeps_no_row_per_object(parts):
+    # beneath a run of first rows with one cut the walk lists the allowed
+    # second rows once, as references into the candidate rows of that
+    # length, and drops the list when the run ends.  Keeping one row per
+    # object held 96 MB on (40, 40), m=2.  Rows are longer than 20
+    # entries, so the tuple free lists stay out of the peak.
+    deque(enumerate_plane_partitions(Partition([2, 2]), 1),
+          maxlen=0)  # warm up untraced
+    rows = list(combinations_with_replacement(range(3), parts[1]))
+    candidates = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+    peak = traced_peak(lambda: deque(
+        enumerate_plane_partitions(Partition(parts), 2), maxlen=0))
+    assert peak < 2 * candidates + 16_384
+
+
 def one_row_genfun(length: int, bound: int) -> UniPoly:
     """Either refined generating function of PP((length,); bound): a row
     holds 0 or the bound unless all its entries lie strictly between."""
@@ -716,3 +732,14 @@ def test_schur_empty_shape():
 def test_schur_guard():
     with pytest.raises(GuardExceeded):
         schur_by_enumeration(Partition([2, 1]), 3, guard_limit=7)
+
+
+def test_schur_guard_counts_the_exponents():
+    # 20 tableaux of 20 exponents each; the tableau count is guarded first
+    shape = Partition([1])
+    for limit, what, projected in ((19, "SSYT([1]; 20)", 20),
+                                   (399, "SSYT([1]; 20) exponents", 400)):
+        with pytest.raises(GuardExceeded) as info:
+            schur_by_enumeration(shape, 20, guard_limit=limit)
+        assert (info.value.what, info.value.projected) == (what, projected)
+    assert len(schur_by_enumeration(shape, 20, guard_limit=400).terms) == 20

@@ -535,6 +535,18 @@ def test_verify_schur_guard_comes_before_the_walk(monkeypatch):
     assert not walks
 
 
+def test_verify_schur_guard_counts_the_permuted_exponents(monkeypatch):
+    # one permuted polynomial per adjacent transposition: 5 tableaux of 5
+    # exponents each, permuted about 5 times
+    walks = count_walks(monkeypatch)
+    with pytest.raises(GuardExceeded) as info:
+        verify_schur(Partition([1]), 5, guard_limit=124)
+    assert (info.value.what, info.value.projected, info.value.limit) == (
+        "SSYT([1]; 5) permuted exponents", 125, 124)
+    assert not walks
+    assert report_passed(verify_schur(Partition([1]), 5, guard_limit=125))
+
+
 def test_verify_schur_passes():
     report = verify_schur(Partition([2, 1]), 3, perm=(2, 1, 3))
     assert_report_shape(report)
