@@ -15,9 +15,10 @@ refined determinant of a shape, det ``lgv_matrix(shape, bound)``, is
 n + 1 binomial minors, one ``_bareiss`` per coefficient (``_refined_det``,
 the route of the library).  ``det_division_free``, the general and slower
 polynomial determinant, is ``_bareiss`` on the matrix evaluated at d + 1
-points, d a bound on its degree, each entry by its own Horner scheme,
-followed by exact interpolation.  It is the oracle the refined route is
-tested against.  There is no size cap.
+points, d a bound on its degree, followed by exact interpolation; the
+evaluation is Horner over the matrix's integer coefficient layers, kept on
+the ``PolyMatrix``.  It is the oracle the refined route is tested against.
+There is no size cap.
 
 All values are immutable once constructed and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
@@ -279,9 +280,14 @@ _set_nvars, _set_terms = _slot_setters(MultiPoly, "nvars", "terms")
 
 
 class PolyMatrix(_Value):
-    """Square matrix of UniPoly entries, equal only to itself."""
+    """Square matrix of UniPoly entries, equal only to itself.
 
-    __slots__ = ("n", "entries")
+    Its coefficient layers, one integer matrix per power of x up to the
+    largest entry degree (at least one), are computed on first use and kept
+    (``_layers``); ``evaluate`` runs Horner over them.
+    """
+
+    __slots__ = ("n", "entries", "_layers")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, entries: Iterable[Iterable[UniPoly]]):
@@ -292,6 +298,7 @@ class PolyMatrix(_Value):
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
         _set_n(self, n)
         _set_entries(self, rows)
+        _set_layers(self, None)
 
     def __getitem__(self, key: tuple[int, int]) -> UniPoly:
         i, j = key
@@ -302,11 +309,23 @@ class PolyMatrix(_Value):
 
     def evaluate(self, value: int) -> list[list[int]]:
         """Entrywise evaluation at an integer point, as a new list of int
-        lists."""
-        return [[p(value) for p in row] for row in self.entries]
+        lists: Horner over the coefficient layers, a row at a time."""
+        layers = self._layers
+        if layers is None:
+            width = max([len(p.coeffs) for row in self.entries for p in row]
+                        + [1])
+            layers = [[[p.coeffs[k] if k < len(p.coeffs) else 0 for p in row]
+                       for row in self.entries] for k in range(width)]
+            _set_layers(self, layers)
+        acc = [list(row) for row in layers[-1]]
+        for layer in reversed(layers[:-1]):
+            acc = [[e * value + c for e, c in zip(row, coeffs)]
+                   for row, coeffs in zip(acc, layer)]
+        return acc
 
 
-_set_n, _set_entries = _slot_setters(PolyMatrix, "n", "entries")
+_set_n, _set_entries, _set_layers = _slot_setters(
+    PolyMatrix, "n", "entries", "_layers")
 
 
 def det_division_free(matrix: PolyMatrix) -> UniPoly:

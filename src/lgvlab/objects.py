@@ -292,6 +292,13 @@ def _filling_fields(data, kind: str, bound_field: str):
     return Partition(shape), bound, rows
 
 
+def _stream_beneath(values: range, column_ok, cut: tuple):
+    """The rows as long as ``cut`` allowed beneath it, as a lazy filter of
+    the multisets of ``values`` in their order."""
+    return filter(lambda row: all(map(column_ok, cut, row)),
+                  combinations_with_replacement(values, len(cut)))
+
+
 def _rows_beneath(values: range, column_ok):
     """``beneath(cut)``: the rows as long as ``cut`` allowed beneath it, as
     references into the candidate rows of that length, the multisets of
@@ -317,14 +324,15 @@ def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
     ``values``; the empty shape yields its one filling, ().
 
     The rows allowed beneath a row depend only on its cut, that row cut to
-    the length of the row below, and come from ``_rows_beneath``.  The
+    the length of the row below, and ``_rows_beneath`` lists them.  The
     first rows are a lexicographic stream, so the first rows with one cut
     come in one run, and the rows beneath the run are listed once and
-    dropped when it ends: a wide two-row shape walks in the memory of its
-    candidate rows of one length.  Beneath later rows a cut comes back
-    under many prefixes, so its rows are kept for the walk.  One iterator
-    per row sits on an explicit stack, so no recursion limit bounds the
-    shape.
+    dropped when it ends.  An uncut first row is alone in its run, so the
+    rows beneath it are a ``_stream_beneath`` stream instead, and an
+    equal-length two-row shape walks in the memory of one stack of rows.
+    Beneath later rows a cut comes back under many prefixes, so its rows
+    are kept for the walk.  One iterator per row sits on an explicit
+    stack, so no recursion limit bounds the shape.
     """
     parts = shape.parts
     if not parts:
@@ -338,7 +346,10 @@ def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
     beneath = _rows_beneath(values, column_ok)
     kept = functools.cache(beneath)
     for cut, run in groupby(first, operator.itemgetter(slice(0, parts[1]))):
-        second = beneath(cut)
+        # a run of cut first rows shares one list; an uncut first row is
+        # alone in its run and reads a stream once
+        second = (beneath(cut) if parts[1] < parts[0]
+                  else _stream_beneath(values, column_ok, cut))
         for top in run:
             # rows[i] is placed on row i and stack[i] yields row i + 1
             rows, stack = [top], [iter(second)]
@@ -427,8 +438,9 @@ def refined_genfuns_by_enumeration(
     beyond the guard.
 
     * The first rows come in lexicographic order, so each cut is one run
-      of them, counted as it passes, and the rows beneath it are a stream.
-      Beneath later rows, the walker's ``_rows_beneath`` lists them.
+      of them, counted as it passes, and the rows beneath it are the
+      walker's ``_stream_beneath``.  Beneath later rows, the walker's
+      ``_rows_beneath`` lists them.
     * Rows are grouped by their cut and step in one C-level count.  The
       last row's cut is the shared empty tuple, so a one-row shape's rows,
       and those beneath the first row of a two-row shape, are counted
@@ -470,9 +482,7 @@ def refined_genfuns_by_enumeration(
                 for row in run:
                     step = (row[-1] == 0) + k * (row[0] == bound)
                     steps[step] = steps.get(step, 0) + 1
-                rows = filter(lambda row: all(map(ge, cut, row)),
-                              combinations_with_replacement(values, below))
-                move(layer, steps, rows, lengths[1])
+                move(layer, steps, _stream_beneath(values, ge, cut), lengths[1])
         beneath = _rows_beneath(values, ge)
         for cut_to in lengths[2:]:  # each cut is as long as the row beneath
             above, layer = layer, {}

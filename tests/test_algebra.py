@@ -381,8 +381,8 @@ def test_polymatrix_evaluate_matches_entrywise(n, value, data):
     ]
     matrix = PolyMatrix(entries)
     expected = [[p(value) for p in row] for row in entries]
-    # each result is consumed the way an elimination consumes it, which
-    # must not reach the matrix or the next call
+    # the second call reads the kept layers; the first result is consumed
+    # the way an elimination consumes it, which must not reach them
     for _ in range(2):
         result = matrix.evaluate(value)
         assert result == expected

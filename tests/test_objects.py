@@ -369,15 +369,20 @@ def test_wide_two_row_walk_keeps_no_row_per_object():
 
 @pytest.mark.parametrize("parts", [(22, 22), (22, 21), (40, 40)])
 def test_wide_two_row_enumeration_keeps_no_row_per_object(parts):
-    # beneath a run of first rows with one cut the walk lists the allowed
-    # second rows once, as references into the candidate rows of that
-    # length, and drops the list when the run ends.  Keeping one row per
-    # object held 96 MB on (40, 40), m=2.  Rows are longer than 20
-    # entries, so the tuple free lists stay out of the peak.
+    # An uncut first row is alone in its run, so the rows beneath it are a
+    # stream and the walk holds one stack of rows.  Beneath a run of first
+    # rows with one shorter cut the walk lists the allowed second rows
+    # once, as references into the candidate rows of that length, and
+    # drops the list when the run ends.  Keeping one row per object held
+    # 96 MB on (40, 40), m=2, and keeping every candidate row for the walk
+    # 337 kB.  Rows are longer than 20 entries, so the tuple free lists
+    # stay out of the peak.
     deque(enumerate_plane_partitions(Partition([2, 2]), 1),
           maxlen=0)  # warm up untraced
-    rows = list(combinations_with_replacement(range(3), parts[1]))
-    candidates = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+    candidates = 0
+    if parts[1] < parts[0]:
+        rows = list(combinations_with_replacement(range(3), parts[1]))
+        candidates = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
     peak = traced_peak(lambda: deque(
         enumerate_plane_partitions(Partition(parts), 2), maxlen=0))
     assert peak < 2 * candidates + 16_384
