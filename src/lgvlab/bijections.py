@@ -202,33 +202,25 @@ def lgv_sijection(endpoints: Endpoints,
     signed count of all families equals the plain count of the
     non-intersecting ones.
 
-    Each family is swapped at most once per sijection once its families
-    have been walked: from then on the images are kept by input family,
-    and both directions (and the inverse) share them; no certificate is
-    built.  The reverse entry is never filled in from the involution, so
-    backward still computes its own swap and a checker can catch a swap
-    that is not one.  After the walk the swap core also keeps a pair memo
-    (see ``_swap_parts``): the many families that cross at one pair of
-    paths share one swapped pair.  An image is looked up, by its
+    Once the signed families have been walked, the swap core keeps a pair
+    memo (see ``_swap_parts``): the many families that cross at one pair
+    of paths share one swapped pair.  An image is then looked up, by its
     permutation and paths, in an index of the walked stream built on the
     first swap after the walk, and the walked family is returned: a
     correct swap's image is always one of them, so nothing is built,
     hashed or scanned again.  Only an image the walk does not hold is
-    built, so a faulty swap is still seen.  Before the walk (a map's
-    ping-pong) every image is built and nothing is kept: an orbit never
-    swaps the same family twice, so a memo would only cost a hash per hop
-    and hold every family and pair the orbit swaps.  A family the swap is
-    undefined on is refused with ``SijectionError``, so a checker reports
-    it.  ``verify_lgv`` reads the memos through the sijection's ``_swap``,
-    a closure: a bound method would make a reference cycle that keeps them
-    alive until the collector runs, while a closure's memos go with the
-    sijection.  The non-intersecting side, walked after the signed
-    families, reads its families off their stream (see
+    built, so a faulty swap is still seen.  Each direction computes its
+    own swap, so a checker can catch a swap that is not an involution.
+    Before the walk (a map's ping-pong) every image is built and nothing
+    is kept: an orbit never swaps the same family twice, so a memo would
+    only cost a hash per hop and hold every pair the orbit swaps.  A
+    family the swap is undefined on is refused with ``SijectionError``,
+    so a checker reports it.  The non-intersecting side, walked after the
+    signed families, reads its families off their stream (see
     ``nonintersecting_set``).
     """
     target = signed_family_set(endpoints, guard_limit)
     source = nonintersecting_set(endpoints, guard_limit, target)
-    images = {}
     pairs = {}  # the pair memo of ``_swap_parts``, used after the walk
     walked = None  # the index of the target's stream, once it has one
 
@@ -236,21 +228,14 @@ def lgv_sijection(endpoints: Endpoints,
         nonlocal walked
         if walked is None and target._stream is not None:
             walked = {(f.sigma, f.paths): f for f, _ in target._stream}
-        if walked is not None:
-            image = images.get(family)
-            if image is not None:
-                return image
         try:
             sigma, paths, _ = _swap_parts(
                 family, None if walked is None else pairs)
         except ValueError as exc:
             raise SijectionError(str(exc)) from None
-        if walked is None:
-            return SignedPathFamily._trusted(family.endpoints, sigma, paths)
-        image = walked.get((sigma, paths))
+        image = None if walked is None else walked.get((sigma, paths))
         if image is None:
             image = SignedPathFamily._trusted(family.endpoints, sigma, paths)
-        images[family] = image
         return image
 
     def forward(tagged):
@@ -268,10 +253,7 @@ def lgv_sijection(endpoints: Endpoints,
             return (SOURCE, 1, family)
         return (TARGET, -1, swap(family))
 
-    sijection = Sijection("lgv", source, target, forward, backward,
-                          guard_limit)
-    sijection._swap = swap
-    return sijection
+    return Sijection("lgv", source, target, forward, backward, guard_limit)
 
 
 def reverse_paths(family: SignedPathFamily) -> SignedPathFamily:
@@ -445,26 +427,30 @@ def variable_positions(perm) -> tuple[int, ...]:
     return tuple(v - 1 for v in perm)
 
 
+def _weight_permutation(shape, varcount: int, positions: tuple[int, ...],
+                        guard_limit: int | None) -> tuple[Endpoints, Sijection]:
+    """The endpoints of SSYT(shape; varcount) and the step permutation by
+    ``positions``, one per variable, conjugated by the LGV sijection on
+    them.  A perm of the wrong length is refused with ValueError after the
+    shape and the varcount."""
+    endpoints = tableau_endpoints(shape, varcount)
+    if len(positions) != varcount:
+        raise ValueError(
+            f"perm has {len(positions)} entries, expected {varcount}")
+    middle = step_permutation_sijection(endpoints, positions, guard_limit)
+    return endpoints, _conjugate(endpoints, middle, guard_limit)
+
+
 def weight_permutation_sijection(shape, varcount: int, perm,
                                  guard_limit: int | None = None) -> Sijection:
     """Conjugate the step permutation by the LGV sijection (tableau model).
     Each call builds a new sijection."""
-    endpoints = tableau_endpoints(shape, varcount)
-    return _permuted_weight(endpoints, variable_positions(perm), guard_limit)
+    return _weight_permutation(shape, varcount, variable_positions(perm),
+                               guard_limit)[1]
 
 
-def _permuted_weight(endpoints: Endpoints, positions: tuple[int, ...],
-                     guard_limit: int | None) -> Sijection:
-    middle = step_permutation_sijection(endpoints, positions, guard_limit)
-    return _conjugate(endpoints, middle, guard_limit)
-
-
-@lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _kept_weight_permutation(
-        shape, varcount: int, positions: tuple[int, ...],
-        hop_limit: int) -> tuple[Endpoints, Sijection]:
-    endpoints = tableau_endpoints(shape, varcount)
-    return endpoints, _permuted_weight(endpoints, positions, hop_limit)
+_kept_weight_permutation = lru_cache(maxsize=_MAP_CACHE_SIZE)(
+    _weight_permutation)
 
 
 def weight_permutation_map(tableau: Tableau, perm, with_trace: bool = False,

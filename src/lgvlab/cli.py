@@ -39,29 +39,18 @@ def _perm(text: str) -> tuple[int, ...]:
 
 
 _quote = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
-
 
 # each leaf's text as json.dumps writes it; a key that is not a str is
 # its leaf text in quotes
-_LEAVES = {str: _quote, int: int.__repr__, float: _float,
+_LEAVES = {str: _quote, int: int.__repr__,
            bool: {True: "true", False: "false"}.__getitem__,
            type(None): lambda value: "null"}
 
 
 def _indented(value, newline: str = "\n") -> str:
-    # json.dumps(value, indent=2) for exact plain JSON types; a value or
-    # key of any other type raises KeyError
+    # json.dumps(value, indent=2) for exact plain JSON types but float,
+    # which no report carries; a value or key of any other type raises
+    # KeyError
     kind = type(value)
     inner = newline + "  "
     if kind is dict:

@@ -46,7 +46,7 @@ from .paths import (
     last_step_east_count,
     plane_partition_endpoints,
 )
-from .sijections import SijectionError, _round_trips, _stat_changes
+from .sijections import TARGET, _round_trips, _stat_changes
 
 
 def _check(name: str, passed: bool, witness=None) -> dict:
@@ -146,40 +146,6 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
     det_count = count_ni_families(endpoints)
     perm_count = _family_count(endpoints)
 
-    # The involution check swaps through the sijection's memo, so each
-    # crossing family is swapped once here and the checkers below replay
-    # those swaps.  A correct swap's image is another walked crossing
-    # family, returned as that object, whose own swap is computed
-    # independently, never filled in from this.  The swap keeps no
-    # certificate: a family's kept meet is its certificate's point and
-    # path pair, so the two meets are compared, and a certificate is built
-    # only for a witness.  Each orbit {f, swap(f)} is checked once: once f
-    # has passed, its image's check would read the same two kept swaps and
-    # the same two meets, so it is skipped.
-    swap = sijection._swap
-    involution_witness = None
-    passed = set()  # the ids of the images of the families that passed
-    for family in crossing:
-        if id(family) in passed:
-            continue
-        swapped = swap(family)
-        try:
-            again = swap(swapped)
-        except SijectionError:  # the image is disjoint, so no swap undoes it
-            again = None
-        meet = _family_meet(family)
-        if (again != family or _family_meet(swapped) != meet
-                or swapped.sign != -family.sign):
-            point, i, j = meet
-            involution_witness = {
-                "family": family.to_json(),
-                "swapped": swapped.to_json(),
-                "certificate": SwapCertificate._trusted(
-                    point, (i, j)).to_json(),
-            }
-            break
-        passed.add(id(swapped))
-
     rejects_witness = None
     for family in ni:
         try:
@@ -197,6 +163,39 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
                                 last_step_east_count, "forward")
     compat_first = _stat_changes(pairs, first_step_east_count,
                                  first_step_east_count, "forward")
+
+    # A round trip that held from a negative family f shows that the swap
+    # sends f to a positive family g and g back to f, each swap computed
+    # on its own, so on the orbit {f, g} only the kept meets are left to
+    # compare: a meet is a certificate's point and path pair, and a
+    # certificate is built only for a witness.  A crossing family in no
+    # held orbit is swapped again, twice, and checked the same way.  The
+    # witness is the first crossing family, in walk order, that fails.
+    partner = {}  # by id: a correct swap returns the walked families
+    for (side, _, family), (_, _, image) in pairs:
+        if side == TARGET:
+            partner[id(family)], partner[id(image)] = image, family
+    involution_witness = None
+    for family in crossing:
+        swapped = partner.get(id(family))
+        held = swapped is not None
+        if not held:
+            swapped = tail_swap(family)[0]
+            try:
+                again = tail_swap(swapped)[0]
+            except ValueError:  # the image is disjoint, so no swap undoes it
+                again = None
+            held = again == family and swapped.sign == -family.sign
+        meet = _family_meet(family)
+        if held and _family_meet(swapped) == meet:
+            continue
+        point, i, j = meet
+        involution_witness = {
+            "family": family.to_json(),
+            "swapped": swapped.to_json(),
+            "certificate": SwapCertificate._trusted(point, (i, j)).to_json(),
+        }
+        break
 
     checks = [
         _check("family-count-matches-permanent", len(families) == perm_count,

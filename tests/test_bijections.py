@@ -232,26 +232,29 @@ def test_checkers_enumerate_the_signed_families_once(monkeypatch):
 
 def test_lgv_sijection_and_its_inverse_share_one_swap_memo(monkeypatch):
     calls = []
-    real = lgvlab.bijections._swap_parts
+    real = lgvlab.bijections._swap_tails
 
-    def counting(family, pairs):
-        calls.append(family)
-        return real(family, pairs)
+    def counting(p, q, point):
+        calls.append((p, q))
+        return real(p, q, point)
 
-    monkeypatch.setattr(lgvlab.bijections, "_swap_parts", counting)
+    monkeypatch.setattr(lgvlab.bijections, "_swap_tails", counting)
     ep = plane_partition_endpoints(Partition([2, 1]), 2)
     sij = lgv_sijection(ep)
     inv = sij.inverse()
     assert type(sij) is Sijection and type(inv) is Sijection
-    # the memo is kept once the families have been walked; before the
-    # walk (a map's ping-pong) each swap is computed and not kept
-    list(sij.target.elements())
-    negative = next(f for f in enumerate_families(ep) if f.sign == -1)
-    image = sij.forward((TARGET, -1, negative))
-    assert inv.backward((SOURCE, -1, negative)) == (SOURCE, 1, image[2])
-    sigma, paths, _ = real(negative, None)
-    assert sij._swap(negative) == SignedPathFamily(ep, sigma, paths)
-    assert calls == [negative]
+    # the pair memo is kept once the families have been walked; before the
+    # walk (a map's ping-pong) each swap is computed and not kept.  Each
+    # direction swaps on its own, and the second swap reads the first's
+    # pair; both return the walked family equal to the image
+    walked = [family for family, _ in sij.target.elements()]
+    negative = next(f for f in walked if f.sign == -1)
+    _, _, image = sij.forward((TARGET, -1, negative))
+    back = inv.backward((SOURCE, -1, negative))
+    assert back == (SOURCE, 1, image) and back[2] is image
+    assert any(family is image for family in walked)
+    assert len(calls) == 1
+    assert image == tail_swap(negative)[0]
 
 
 def test_lgv_sijection_check_catches_a_swap_that_does_not_undo_itself(
@@ -300,15 +303,14 @@ def test_lgv_source_walked_after_the_target_reads_its_stream(ep, monkeypatch):
     tableau_endpoints(Partition([3, 2]), 3),
 ], ids=["plane-partition", "tableau"])
 def test_walked_lgv_sijection_swaps_onto_the_walked_families(ep):
-    # once the signed families are walked, every swap image, from the
-    # memo or through either map, is the walked family object itself
+    # once the signed families are walked, every swap image, through
+    # either map, is the walked family object itself
     sij = lgv_sijection(ep)
     walked = [family for family, _ in sij.target.elements()]
     ids = set(map(id, walked))
     crossing = [family for family in walked if not is_nonintersecting(family)]
     assert len(crossing) > 10
     for family in crossing:
-        assert id(sij._swap(family)) in ids
         tagged = (TARGET, family.sign, family)
         move = sij.forward if family.sign == -1 else sij.backward
         assert id(move(tagged)[2]) in ids
@@ -318,7 +320,8 @@ def test_walked_lgv_sijection_swaps_onto_the_walked_families(ep):
 def test_walked_swaps_through_the_pair_memo_match_the_tail_swap(monkeypatch):
     # after the walk the swap core keeps one swapped pair per crossing
     # pair of paths: on every shape of at most 6 cells with 1 <= m <= 3,
-    # each crossing family's image equals the tail swap's and meets where
+    # each crossing family's image (forward from a negative family,
+    # backward from a positive one) equals the tail swap's and meets where
     # it does, and the core ran once per distinct pair, not per family
     real = lgvlab.bijections._swap_tails
     cores = []
@@ -336,7 +339,8 @@ def test_walked_swaps_through_the_pair_memo_match_the_tail_swap(monkeypatch):
             cores.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(lgvlab.bijections, "_swap_tails", counting)
-                images = [sij._swap(family) for family in families]
+                images = [(sij.forward if f.sign == -1 else sij.backward)(
+                    (TARGET, f.sign, f))[2] for f in families]
             pairs = set()
             for family in families:
                 _, i, j = lgvlab.paths._family_meet(family)
@@ -586,6 +590,28 @@ def test_weight_map_identity_permutation():
     assert weight_permutation_map(t, (1, 2, 3)) == t
 
 
+@pytest.mark.parametrize("perm", [(2, 1), (2, 1, 4, 3)], ids=["2", "4"])
+def test_weight_maps_refuse_a_perm_of_the_wrong_length(perm):
+    # refused by name when built, not by a path word when first applied,
+    # and only after the shape and the varcount
+    want = rf"^perm has {len(perm)} entries, expected 3$"
+    with pytest.raises(ValueError, match=want):
+        weight_permutation_sijection((2, 1), 3, perm)
+    t = Tableau(Partition([2, 1]), 3, [[1, 2], [3]])
+    with pytest.raises(ValueError, match=want):
+        weight_permutation_map(t, perm)
+    with pytest.raises(ValueError, match="^varcount must be at least 1$"):
+        weight_permutation_sijection((2, 1), 0, perm)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        weight_permutation_sijection((1, 2), 3, perm)
+
+
+def test_weight_permutation_sijection_refuses_a_bad_perm_first():
+    # as the map does: the perm is read before the shape is
+    with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3$"):
+        weight_permutation_sijection((1, 2), 3, (1, 1, 2))
+
+
 @pytest.mark.parametrize("perm", [(2, 1, 3), (3, 2, 1), (2, 3, 1)])
 def test_weight_map_permutes_weights_bijectively(perm):
     shape, n = Partition([2, 1]), 3
@@ -697,7 +723,7 @@ def test_a_kept_sijection_holds_no_stream_and_no_swap_memo(monkeypatch,
         lgv = _cells(swap)
         assert lgv["target"]._stream is None
         assert lgv["walked"] is None
-        assert lgv["images"] == {}
+        assert lgv["pairs"] == {}
 
 
 def test_kept_zero_to_max_maps_match_freshly_built_sijections(fresh_maps):

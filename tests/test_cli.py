@@ -526,7 +526,8 @@ def test_emit_on_edge_values(value):
 
 @pytest.mark.parametrize("value", [
     {"a": {"b": Counter(x=2, y=1)}}, [[OrderedDict(z=[1, 2])]],
-], ids=["Counter", "OrderedDict"])
+    1.5, float("nan"),
+], ids=["Counter", "OrderedDict", "float", "nan"])
 def test_emit_hands_other_types_to_the_stdlib(value):
     with pytest.raises(KeyError):
         _indented(value)

@@ -254,10 +254,38 @@ def test_verify_lgv_reports_one_broken_round_trip(monkeypatch):
     json.dumps(report)
 
 
+def test_verify_lgv_compares_the_meets_of_each_orbit(monkeypatch):
+    # every round trip holds, but each positive family reports a meet one
+    # step east of its own: only the involution check can see it, and its
+    # witness is the first crossing family, with the meet it reports
+    real = lgvlab.paths._family_meet
+
+    def shifted(family):
+        meet = real(family)
+        if meet is None or family.sign == -1:
+            return meet
+        (x, y), i, j = meet
+        return (x + 1, y), i, j
+
+    monkeypatch.setattr(verify, "_family_meet", shifted)
+    report = verify_lgv((2, 2), 2)
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "tail-swap-involution"]
+    endpoints = lgvlab.paths.plane_partition_endpoints((2, 2), 2)
+    first = next(f for f in lgvlab.paths.enumerate_families(endpoints)
+                 if not is_nonintersecting(f))
+    point, i, j = shifted(first)
+    assert _check_named(report, "tail-swap-involution")["witness"] == {
+        "family": first.to_json(),
+        "swapped": lgvlab.bijections.tail_swap(first)[0].to_json(),
+        "certificate": {"point": list(point), "paths": [i + 1, j + 1]},
+    }
+
+
 def test_verify_lgv_swaps_each_crossing_family_once(monkeypatch):
-    # the involution check and the sijection's checkers share one memo:
-    # one successful swap per crossing family, one refused swap per
-    # non-intersecting family (the rejection check)
+    # the involution check reads the sijection's round trips: one
+    # successful swap per crossing family (its round trip), one refused
+    # swap per non-intersecting family (the rejection check)
     swapped, rejected = collections.Counter(), collections.Counter()
     real = lgvlab.bijections._swap_parts
 
