@@ -7,10 +7,13 @@ such row by x) and compare three routes to the same polynomial:
 
   1. enumerate everything and tally rows containing 0,
   2. enumerate everything and tally rows containing the bound m,
-  3. evaluate a determinant of binomial-coefficient polynomials.
+  3. take a determinant of binomial coefficients.
 
 That routes 1 and 2 agree is the refined symmetry this package is built
-around; route 3 is how you compute it without enumerating anything.
+around; route 3, ``refined_determinant``, is how you compute it without
+enumerating anything.  The polynomial matrix it stands for is printed
+and its determinant, by the slow general ``det_division_free``, checked
+against it.
 """
 
 from lgvlab import (
@@ -19,6 +22,7 @@ from lgvlab import (
     enumerate_plane_partitions,
     genfun_by_enumeration,
     lgv_matrix,
+    refined_determinant,
     sweep,
 )
 
@@ -41,9 +45,10 @@ matrix = lgv_matrix(shape, bound)
 print("\nroute 3, the binomial determinant.  The matrix:")
 for i in range(matrix.n):
     print("  " + "   ".join(f"{matrix[i, j]!r:22}" for j in range(matrix.n)))
-det = det_division_free(matrix)
+det = refined_determinant(shape, bound)
 print(f"determinant: {det!r}")
 
+assert det == det_division_free(matrix)
 assert zeros == maxes == det
 print(f"\nall three agree; at x=1 the polynomial counts "
       f"all {det(1)} fillings")

@@ -16,7 +16,6 @@ from .algebra import (
     det_division_free,
     det_int,
     lgv_matrix,
-    path_count_matrix_entry,
 )
 from .bijections import (
     SwapCertificate,
@@ -42,6 +41,7 @@ from .objects import (
     enumerate_plane_partitions,
     enumerate_tableaux,
     genfun_by_enumeration,
+    refined_determinant,
     refined_genfuns_by_enumeration,
     schur_by_enumeration,
 )
@@ -89,7 +89,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultiPoly", "PolyMatrix", "UniPoly", "binomial", "det_division_free",
-    "det_int", "lgv_matrix", "path_count_matrix_entry",
+    "det_int", "lgv_matrix",
     "SwapCertificate", "lgv_sijection", "permute_steps",
     "reversal_sijection", "reverse_paths", "step_permutation_sijection",
     "tail_swap", "weight_permutation_map", "weight_permutation_sijection",
@@ -97,7 +97,7 @@ __all__ = [
     "DEFAULT_GUARD_LIMIT", "GuardExceeded", "resolve_guard_limit",
     "Partition", "PlanePartition", "Tableau", "count_plane_partitions",
     "count_tableaux", "enumerate_partitions", "enumerate_plane_partitions",
-    "enumerate_tableaux", "genfun_by_enumeration",
+    "enumerate_tableaux", "genfun_by_enumeration", "refined_determinant",
     "refined_genfuns_by_enumeration", "schur_by_enumeration",
     "Endpoints", "Path", "SignedPathFamily", "count_families",
     "count_ni_families", "east_step_labels", "enumerate_families",

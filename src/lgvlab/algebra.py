@@ -10,15 +10,13 @@ since no route of the package adds or multiplies polynomials.
 Determinants have one algorithm, the fraction-free (Bareiss) integer
 elimination ``_bareiss``, which leaves alone the rows that elimination
 would only rescale (those still zero up to the pivot column); ``det_int``
-is its public entry point, refusing anything but int entries.  The
-refined determinant of a shape, det ``lgv_matrix(shape, bound)``, is
-n + 1 binomial minors, one ``_bareiss`` per coefficient (``_refined_det``,
-the route of the library).  ``det_division_free``, the general and slower
-polynomial determinant, is ``_bareiss`` on the matrix evaluated at d + 1
-points, d a bound on its degree, followed by exact interpolation; the
-evaluation is Horner over the matrix's integer coefficient layers, kept on
-the ``PolyMatrix``.  It is the oracle the refined route is tested against.
-There is no size cap.
+is its public entry point, refusing anything but int entries.
+``det_division_free``, the general and slower polynomial determinant, is
+``_bareiss`` on the matrix evaluated at d + 1 points, d a bound on its
+degree, followed by exact interpolation; the evaluation is Horner over the
+matrix's integer coefficient layers, kept on the ``PolyMatrix``.  With
+``lgv_matrix`` it is the oracle that ``objects.refined_determinant``, the
+library's route, is tested against.  There is no size cap.
 
 All values are immutable once constructed and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
@@ -340,7 +338,8 @@ def det_division_free(matrix: PolyMatrix) -> UniPoly:
     size cap.  The evaluated matrices are ints by construction (a UniPoly
     holds only ints), so they go to ``_bareiss`` without a second scan.
     No library route calls it: the refined determinant of a shape is
-    ``_refined_det``, and this stays public as its general, slow oracle.
+    ``objects.refined_determinant``, and this stays public as its general,
+    slow oracle.
     """
     d = sum(max([0] + [p.degree() for p in row]) for row in matrix.entries)
     values = [_bareiss(matrix.evaluate(x)) for x in range(d + 1)]
@@ -455,63 +454,23 @@ def perm_sign(perm: Iterable[int]) -> int:
     return -1 if odd else 1
 
 
-def path_count_matrix_entry(part: int, bound: int, i: int, j: int) -> UniPoly:
-    """Entry (i, j) of the refined path-count matrix, 1-based indices.
-
-    C(part + bound - 1, bound + j - i) * x  +  C(part + bound - 1, bound + j - i - 1),
-    where ``part`` is the j-th part of the shape.  The x-coefficient counts the
-    lattice paths whose final step is east, the constant term those whose final
-    step is south.
-    """
-    cx = binomial(part + bound - 1, bound + j - i)
-    c0 = binomial(part + bound - 1, bound + j - i - 1)
-    return UniPoly((c0, cx))
-
-
 def lgv_matrix(shape, bound: int) -> PolyMatrix:
     """Refined binomial path-count matrix for a shape and entry bound.
 
     Row i, column j (1-based) counts lattice paths from the i-th start point
     to the j-th end point of the bounded-plane-partition path configuration,
-    weighted by x when the final step is east.  Its determinant is the
-    generating function of the bounded plane partitions of that shape by the
-    number of rows containing 0.  The shape is read through ``Partition``;
-    a bound that is not a nonnegative int is refused with ValueError.
+    weighted by x when the final step is east: C(L_j - 1, bound + j - i) * x
+    + C(L_j - 1, bound + j - i - 1), L_j = shape_j + bound being the steps
+    of line j.  Its determinant is the generating function of the bounded
+    plane partitions of that shape by the number of rows containing 0.  It
+    is the tests' oracle, so it spells out its own entries.  The shape is
+    read through ``Partition``; a bound that is not a nonnegative int is
+    then refused with ValueError.
     """
-    parts = _checked_parts(shape, bound)
-    n = len(parts)
+    from .objects import PlanePartition  # objects imports this module
+
+    lines = PlanePartition._checked_line_steps(shape, bound)
     return PolyMatrix(
-        [
-            [path_count_matrix_entry(parts[j], bound, i + 1, j + 1) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-
-
-def _refined_det(shape, bound: int) -> UniPoly:
-    """``det_division_free(lgv_matrix(shape, bound))``, as n + 1 minors.
-
-    Entry (i, j) of ``lgv_matrix`` is x * B[i][j] + B[i+1][j] for the
-    (n+1) x n binomial matrix B[r][j] = C(part_j + bound - 1, bound + j - r)
-    (0-based), so by Cauchy-Binet its determinant is the sum over t of
-    x^t * det(B without row t): the coefficient of x^t, the number of
-    plane partitions with t rows containing 0, is one integer binomial
-    determinant (Gessel and Viennot 1985).  ``_bareiss`` consumes its rows,
-    so each minor gets fresh copies.  Shape and bound are refused as
-    ``lgv_matrix`` refuses them.
-    """
-    parts = _checked_parts(shape, bound)
-    b = [[binomial(part + bound - 1, bound + j - r)
-          for j, part in enumerate(parts)] for r in range(len(parts) + 1)]
-    return UniPoly([_bareiss([list(row) for row in b[:t] + b[t + 1:]])
-                    for t in range(len(b))])
-
-
-def _checked_parts(shape, bound: int) -> tuple:
-    """The parts of ``shape``, read through ``Partition``, once ``bound``
-    is checked as a plane-partition bound."""
-    from .objects import Partition, PlanePartition  # objects imports this module
-
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    PlanePartition._check_bound(bound)
-    return shape.parts
+        [[UniPoly((binomial(steps - 1, bound + j - i - 1),
+                   binomial(steps - 1, bound + j - i)))
+          for j, (_, steps) in enumerate(lines)] for i in range(len(lines))])

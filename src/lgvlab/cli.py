@@ -12,11 +12,10 @@ import functools
 import json
 import sys
 
-from .algebra import _refined_det
 from .bijections import zero_to_max_map
 from .guards import GuardExceeded, resolve_guard_limit
 from .objects import (Partition, PlanePartition, Tableau, genfun_by_enumeration,
-                      schur_by_enumeration)
+                      refined_determinant, schur_by_enumeration)
 from .verify import report_passed, sweep, verify_lgv, verify_schur, verify_theorem1
 
 
@@ -110,7 +109,7 @@ def _report(report: dict) -> int:
 
 def _cmd_genfun(args) -> int:
     if args.method == "det":
-        poly = _refined_det(args.shape, args.max)
+        poly = refined_determinant(args.shape, args.max, args.guard_limit)
     else:
         statistic = "zeros" if args.method == "brute-zeros" else "maxes"
         poly = genfun_by_enumeration(args.shape, args.max, statistic,

@@ -24,8 +24,8 @@ from collections import Counter
 from itertools import combinations_with_replacement, groupby
 from typing import Iterator
 
-from .algebra import (MultiPoly, UniPoly, _Value, _slot_setters, binomial,
-                      det_int, _ints, _is_int)
+from .algebra import (MultiPoly, UniPoly, _Value, _bareiss, _slot_setters,
+                      binomial, _ints, _is_int)
 from .guards import check_guard
 
 
@@ -380,14 +380,19 @@ def enumerate_plane_partitions(
     return PlanePartition._enumerate(shape, bound)
 
 
+def _binomial_rows(lines: list[tuple[int, int]], rows: int) -> list[list[int]]:
+    """Rows i = 0..rows-1 of [C(L_j, k_j - j + i)] over the lines (k_j, L_j)
+    of a filling kind's path rule: entry (i, j) counts the paths from a_i
+    to b_j."""
+    return [[binomial(steps, k - j + i) for j, (k, steps) in enumerate(lines)]
+            for i in range(rows)]
+
+
 def _binomial_det(lines: list[tuple[int, int]]) -> int:
-    """det[C(L_j, k_j - j + i)] over the lines (k_j, L_j) of a filling
-    kind's path rule: entry (i, j) counts the paths from a_i to b_j, so by
-    Lindstrom-Gessel-Viennot the determinant counts the non-intersecting
-    families, which are the encoded fillings."""
-    return det_int([[binomial(steps, k - j + i)
-                     for j, (k, steps) in enumerate(lines)]
-                    for i in range(len(lines))])
+    """The determinant of the n ``_binomial_rows`` of the n lines: by
+    Lindstrom-Gessel-Viennot it counts the non-intersecting families,
+    which are the encoded fillings."""
+    return _bareiss(_binomial_rows(lines, len(lines)))
 
 
 def count_plane_partitions(shape: Partition, bound: int) -> int:
@@ -405,6 +410,30 @@ def count_plane_partitions(shape: Partition, bound: int) -> int:
     if parts and parts[0] < len(parts):  # the transpose has parts[0] parts
         shape = shape.transpose()
     return _binomial_det(PlanePartition._checked_line_steps(shape, bound))
+
+
+def refined_determinant(shape: Partition, bound: int,
+                        guard_limit: int | None = None) -> UniPoly:
+    """The refined generating function of PP(shape; bound) by rows
+    containing 0, det ``algebra.lgv_matrix(shape, bound)``, as n + 1 minors.
+
+    Entry (i, j) of that matrix is x * B[i][j] + B[i+1][j], B being the
+    n + 1 ``_binomial_rows`` of the lines with their last step dropped,
+    (k - 1, L - 1).  By Cauchy-Binet the coefficient of x^t is det(B
+    without row t), the plane partitions with t rows containing 0 (Gessel
+    and Viennot 1985); ``_bareiss`` consumes its rows, so each minor gets
+    fresh copies.  The shape is read through ``Partition`` and the bound
+    checked as ``lgv_matrix`` checks them; the guard then sees the
+    elimination work, (n + 1) * n^2 * max(1, min(bound, n)).
+    """
+    shape = shape if isinstance(shape, Partition) else Partition(shape)
+    lines = PlanePartition._checked_line_steps(shape, bound)
+    n = len(lines)
+    check_guard(f"PP({list(shape.parts)}; {bound}) determinant",
+                (n + 1) * n * n * max(1, min(bound, n)), guard_limit)
+    b = _binomial_rows([(k - 1, steps - 1) for k, steps in lines], n + 1)
+    return UniPoly([_bareiss([list(row) for row in b[:t] + b[t + 1:]])
+                    for t in range(n + 1)])
 
 
 def _guarded_count(count, label: str, shape: Partition, bound: int,

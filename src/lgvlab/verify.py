@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import count
 from typing import Iterator
 
-from .algebra import MultiPoly, _refined_det
+from .algebra import MultiPoly
 from .bijections import (
     SwapCertificate,
     lgv_sijection,
@@ -34,6 +34,7 @@ from .objects import (
     enumerate_partitions,
     enumerate_plane_partitions,
     enumerate_tableaux,
+    refined_determinant,
     refined_genfuns_by_enumeration,
 )
 from .paths import (
@@ -89,18 +90,17 @@ def verify_theorem1(shape, bound: int, guard_limit: int | None = None) -> dict:
     """Check that all three routes to the refined generating function agree.
 
     Routes: the brute tally weighted by rows containing 0, the same tally
-    weighted by rows containing the bound, and the binomial determinant,
-    computed as n + 1 integer binomial minors, one per coefficient
-    (``algebra._refined_det``; ``det_division_free`` is the general, slow
-    oracle it is tested against).  The brute tally tries every row beneath
-    every row above it and counts the plane partitions that share a row
-    cut together; it uses no determinant, so the determinant checks it
-    independently.
+    weighted by rows containing the bound, and ``refined_determinant``,
+    n + 1 integer binomial minors, one per coefficient.  The brute tally
+    tries every row beneath every row above it and counts the plane
+    partitions that share a row cut together; it uses no determinant, so
+    the determinant checks it independently.  The tally's guard comes
+    first, then the determinant's.
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     zeros, maxes = refined_genfuns_by_enumeration(shape, bound, guard_limit)
-    det = _refined_det(shape, bound)
+    det = refined_determinant(shape, bound, guard_limit)
     # At x = 1 the determinant is the binomial determinant that guarded the
     # tally, so the closed-form count is read off it instead of computed again.
     total, enumerated = det(1), zeros(1)
@@ -280,9 +280,11 @@ def verify_schur(shape, varcount: int, perm=None,
                                guard_limit)
     check_guard(f"SSYT({list(shape.parts)}; {varcount}) permuted exponents",
                 det_count * varcount ** 2, guard_limit)
-    # a list, as the refusal of permute_variables prints it
-    positions = list(variable_positions(
-        range(varcount, 0, -1) if perm is None else perm))
+    positions = variable_positions(
+        range(varcount, 0, -1) if perm is None else perm)
+    if len(positions) != varcount:
+        raise ValueError(
+            f"perm has {len(positions)} entries, expected {varcount}")
     perm = tuple(p + 1 for p in positions)
     tableaux = list(enumerate_tableaux(shape, varcount))
     poly = MultiPoly._trusted(varcount,

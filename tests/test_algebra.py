@@ -11,19 +11,19 @@ from lgvlab.algebra import (
     MultiPoly,
     PolyMatrix,
     UniPoly,
-    _refined_det,
     binomial,
     det_division_free,
     det_int,
     lgv_matrix,
-    path_count_matrix_entry,
     perm_sign,
 )
+from lgvlab.guards import GuardExceeded
 from lgvlab.objects import (
     Partition,
     count_plane_partitions,
     enumerate_partitions,
     genfun_by_enumeration,
+    refined_determinant,
 )
 
 
@@ -431,17 +431,25 @@ def test_perm_sign_refuses_a_sequence_that_is_not_a_permutation(perm):
 # --- the binomial matrix ---------------------------------------------------
 
 def test_matrix_entry_splits_by_last_step():
-    # entry (i,j) for shape part p and bound m:
-    #   C(p+m-1, m+j-i) + x * C(p+m-1, m+j-i-1)
-    # The two binomials count the paths by whether the last step is south
-    # or east, so they must add up to all paths: C(p+m, m+j-i).
+    # entry (i,j) for shape part p_j and bound m:
+    #   C(p+m-1, m+j-i) * x + C(p+m-1, m+j-i-1)
+    # The two binomials count the paths by whether the last step is east
+    # or south, so at x = 1 they add up to all paths: C(p+m, m+j-i).  Both
+    # sides are spelled out with math.comb, apart from the library's
+    # binomial builder, so the oracle's formula is pinned on its own.
+    def comb(n, k):
+        return math.comb(n, k) if 0 <= k <= n else 0
+
     for part in range(1, 5):
         for bound in range(0, 4):
-            for i in range(1, 4):
-                for j in range(1, 4):
-                    entry = path_count_matrix_entry(part, bound, i, j)
-                    total = binomial(part + bound, bound + j - i)
-                    assert entry(1) == total
+            for rows in range(1, 4):
+                matrix = lgv_matrix(Partition([part] * rows), bound)
+                for i in range(rows):
+                    for j in range(rows):
+                        entry = matrix[i, j]
+                        assert entry(1) == comb(part + bound, bound + j - i)
+                        assert entry(0) == comb(part + bound - 1,
+                                                bound + j - i - 1)
 
 
 def test_lgv_matrix_frozen_example():
@@ -487,11 +495,25 @@ def test_refined_det_matches_the_polynomial_determinant():
     started = time.process_time()
     cases = list(_refined_cases())
     for shape, bound in cases:
-        assert _refined_det(shape, bound) == det_division_free(
+        assert refined_determinant(shape, bound) == det_division_free(
             lgv_matrix(shape, bound)), (shape, bound)
     assert len(cases) == 695 + 27 + 6
-    assert _refined_det((), 3) == UniPoly([1])
+    assert refined_determinant((), 3) == UniPoly([1])
     assert time.process_time() - started < 1
+
+
+def test_refined_det_guards_its_elimination(monkeypatch):
+    # (n + 1) * n^2 * max(1, min(bound, n)): n + 1 minors of n^2 entries,
+    # each elimination step touching at most min(bound, n) rows below
+    monkeypatch.delenv("LGVLAB_GUARD_LIMIT", raising=False)
+    with pytest.raises(GuardExceeded) as info:
+        refined_determinant((1,) * 400, 1)
+    assert (info.value.what, info.value.projected, info.value.limit) == (
+        f"PP({[1] * 400}; 1) determinant", 64_160_000, 10**7)
+    with pytest.raises(GuardExceeded, match="projected size 24 exceeds"):
+        refined_determinant((2, 1), 2, guard_limit=23)
+    assert refined_determinant((2, 1), 2, guard_limit=24) == UniPoly([5, 6, 3])
+    assert refined_determinant((), 0, guard_limit=0) == UniPoly([1])
 
 
 @pytest.mark.parametrize("shape, bound, message", [
@@ -500,6 +522,6 @@ def test_refined_det_matches_the_polynomial_determinant():
     ((2, 1), -1, r"^bound must be nonnegative$"),
 ])
 def test_refined_det_refuses_what_lgv_matrix_refuses(shape, bound, message):
-    for route in (_refined_det, lgv_matrix):
+    for route in (refined_determinant, lgv_matrix):
         with pytest.raises(ValueError, match=message):
             route(shape, bound)

@@ -425,7 +425,8 @@ def test_brute_routes_never_call_a_determinant(capsys, monkeypatch):
     document = json.dumps({"shape": [2, 1], "max": 2, "rows": [[2, 1], [0]]})
     monkeypatch.setattr("sys.stdin", io.StringIO(document))
     _, expected_image, _ = run(capsys, "bijection")
-    _forbid(monkeypatch, "det_division_free", "lgv_matrix", "_refined_det")
+    _forbid(monkeypatch, "det_division_free", "lgv_matrix",
+            "refined_determinant")
     for method in ("brute-zeros", "brute-maxes"):
         code, out, _ = run(capsys, "genfun", "--shape", "2,1", "--max", "2",
                            "--method", method)
@@ -463,6 +464,38 @@ def test_genfun_det_on_twenty_rows_within_a_tenth_of_a_second(capsys):
     assert code == 0
     assert sum(map(int, json.loads(out)["coeffs"])) == (
         lgvlab.objects.count_plane_partitions((20,) * 20, 10))
+
+
+@pytest.mark.parametrize("argv", [
+    ["genfun", "--shape", ",".join(["1"] * 400), "--max", "1",
+     "--method", "det"],
+    ["genfun", "--shape", ",".join(map(str, range(150, 0, -1))),
+     "--max", "5", "--method", "det"],
+    ["verify-theorem1", "--shape", ",".join(["1"] * 400), "--max", "1"],
+], ids=["genfun-1^400", "genfun-staircase-150", "verify-theorem1-1^400"])
+def test_determinant_routes_refuse_past_the_guard(capsys, monkeypatch, argv):
+    # 1^400, m=1 projects 401 * 400^2 elimination steps and the 150-row
+    # staircase, m=5, 151 * 150^2 * 5; unguarded they took 5.3 s and
+    # 10.9 s of CPU time, while the tally of 1^400 takes about 12 ms
+    monkeypatch.delenv("LGVLAB_GUARD_LIMIT", raising=False)
+    started = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert time.process_time() - started < 0.1
+    assert (code, out) == (1, "")
+    assert err.startswith("guard: PP([")
+    assert "determinant: projected size" in err
+    assert "exceeds guard limit 10000000" in err
+
+
+def test_genfun_det_reads_the_guard_limit(capsys, monkeypatch):
+    # (2, 1), m=2 projects 3 * 2^2 * 2 = 24
+    common = ["genfun", "--shape", "2,1", "--max", "2", "--method", "det"]
+    code, _, err = run(capsys, *common, "--guard-limit", "23")
+    assert code == 1
+    assert "guard: PP([2, 1]; 2) determinant: projected size 24" in err
+    monkeypatch.setenv("LGVLAB_GUARD_LIMIT", "23")
+    assert run(capsys, *common)[0] == 1
+    assert run(capsys, *common, "--guard-limit", "24")[0] == 0
 
 
 def test_bijection_never_consults_a_generating_function(monkeypatch):

@@ -56,9 +56,11 @@ def failed(report: dict) -> set[str]:
 
 def test_a_determinant_off_by_one_fails_zeros_matches_determinant(
         monkeypatch):
+    # the refined determinant and the counts look it up in ``objects``
     real = lgvlab.algebra._bareiss
-    monkeypatch.setattr(lgvlab.algebra, "_bareiss",
-                        lambda matrix: real(matrix) + 1)
+    for module in (lgvlab.algebra, lgvlab.objects):
+        monkeypatch.setattr(module, "_bareiss",
+                            lambda matrix: real(matrix) + 1)
     report = verify_theorem1((2, 1), 2, LIMIT)
     assert "zeros-matches-determinant" in failed(report)
 
@@ -69,8 +71,8 @@ def test_minors_that_share_their_rows_fail_zeros_matches_determinant(
     # what the minors before it left there: (2, 1), m=2 gives
     # 5 + 15x + 3x^2 (on (2, 2), m=1 the fault happens to give the right
     # answer)
-    monkeypatch.setattr(lgvlab.verify, "_refined_det",
-                        rewritten(lgvlab.algebra._refined_det,
+    monkeypatch.setattr(lgvlab.verify, "refined_determinant",
+                        rewritten(lgvlab.objects.refined_determinant,
                                   "[list(row) for row in b[:t] + b[t + 1:]]",
                                   "b[:t] + b[t + 1:]"))
     report = verify_theorem1((2, 1), 2, LIMIT)

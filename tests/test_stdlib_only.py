@@ -1,9 +1,11 @@
-"""The runtime stays stdlib-only: every absolute import in the package
-names a module of the standard library."""
+"""The package's surface: the runtime stays stdlib-only, every absolute
+import in the package naming a module of the standard library, and
+``lgvlab.__all__`` lists exactly the public names the package binds."""
 
 import ast
 import pathlib
 import sys
+import types
 
 import lgvlab
 
@@ -38,3 +40,13 @@ def test_the_package_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+def test_the_export_list_is_what_the_package_binds():
+    exported = lgvlab.__all__
+    assert len(exported) == len(set(exported))
+    assert all(hasattr(lgvlab, name) for name in exported)
+    bound = {name for name, value in vars(lgvlab).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert set(exported) == bound

@@ -575,6 +575,34 @@ def test_verify_schur_guard_counts_the_permuted_exponents(monkeypatch):
     assert report_passed(verify_schur(Partition([1]), 5, guard_limit=125))
 
 
+@pytest.mark.parametrize("perm", [(2, 1), (1, 2, 4, 3)])
+def test_verify_schur_refuses_a_perm_of_the_wrong_length_before_the_walk(
+        monkeypatch, perm):
+    walks = count_walks(monkeypatch)
+    with pytest.raises(ValueError,
+                       match=rf"^perm has {len(perm)} entries, expected 3$"):
+        verify_schur(Partition([2, 1]), 3, perm)
+    # the shape, the varcount and the guard are refused first
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        verify_schur((1, 2), 3, perm)
+    with pytest.raises(ValueError, match="^varcount must be at least 1$"):
+        verify_schur((2, 1), 0, perm)
+    with pytest.raises(GuardExceeded):
+        verify_schur((2, 1), 3, perm, guard_limit=1)
+    assert not walks
+
+
+def test_verify_theorem1_guards_the_tally_then_the_determinant():
+    # (2, 1), m=2 has 14 plane partitions, and its determinant projects
+    # 3 * 2^2 * 2 = 24 elimination steps
+    for limit, what in ((13, "PP([2, 1]; 2)"),
+                        (23, "PP([2, 1]; 2) determinant")):
+        with pytest.raises(GuardExceeded) as info:
+            verify_theorem1((2, 1), 2, limit)
+        assert info.value.what == what
+    assert report_passed(verify_theorem1((2, 1), 2, 24))
+
+
 def test_verify_schur_passes():
     report = verify_schur(Partition([2, 1]), 3, perm=(2, 1, 3))
     assert_report_shape(report)
