@@ -476,7 +476,8 @@ def test_genfun_det_on_twenty_rows_within_a_tenth_of_a_second(capsys):
 def test_determinant_routes_refuse_past_the_guard(capsys, monkeypatch, argv):
     # 1^400, m=1 projects 401 * 400^2 elimination steps and the 150-row
     # staircase, m=5, 151 * 150^2 * 5; unguarded they took 5.3 s and
-    # 10.9 s of CPU time, while the tally of 1^400 takes about 12 ms
+    # 10.9 s of CPU time (2 cores, Python 3.11), while the tally of 1^400
+    # takes about 12 ms
     monkeypatch.delenv("LGVLAB_GUARD_LIMIT", raising=False)
     started = time.process_time()
     code, out, err = run(capsys, *argv)
