@@ -211,6 +211,32 @@ def test_a_reversal_of_one_path_fails_zero_rows_become_max_rows(
     monkeypatch.setattr(lgvlab.bijections, "reverse_paths", reverse_first)
     report = verify_bijection((2, 2), 2, LIMIT)
     assert "zero-rows-become-max-rows" in failed(report)
+    witness = next(c["witness"] for c in report["checks"]
+                   if c["name"] == "zero-rows-become-max-rows")
+    assert list(witness) == ["input", "output", "zero_rows", "max_rows"]
+    assert witness["zero_rows"] != witness["max_rows"]
+
+
+def test_two_plane_partitions_sharing_an_image_fail_map_is_bijection(
+        monkeypatch):
+    # the second of two plane partitions with the same zero rows is sent
+    # where the first goes: the image still has the right max rows, but
+    # one plane partition is left without a preimage
+    shape, bound = lgvlab.objects.Partition((2, 1)), 2
+    pps = list(lgvlab.objects.enumerate_plane_partitions(shape, bound))
+    first, second = next(
+        (a, b) for k, a in enumerate(pps) for b in pps[k + 1:]
+        if a.zero_rows() == b.zero_rows())
+    real = lgvlab.verify.zero_to_max_map
+    monkeypatch.setattr(
+        lgvlab.verify, "zero_to_max_map",
+        lambda pp, **kwargs: real(first if pp == second else pp, **kwargs))
+    report = verify_bijection(shape, bound, LIMIT)
+    assert "map-is-bijection" in failed(report)
+    assert "zero-rows-become-max-rows" not in failed(report)
+    assert report["checks"][0] == {
+        "name": "map-is-bijection", "passed": False,
+        "witness": {"distinct_images": len(pps) - 1, "objects": len(pps)}}
 
 
 def test_a_map_that_is_no_involution_fails_only_map_is_involution(
@@ -257,6 +283,33 @@ def test_steps_moved_by_the_inverse_fail_the_weight_map(monkeypatch):
         "letters[positions[t]] = ch", "letters[t] = path.word[positions[t]]"))
     report = verify_schur((2, 1), 3, (2, 3, 1), LIMIT)
     assert "weight-map-permutes-weight" in failed(report)
+    witness = next(c["witness"] for c in report["checks"]
+                   if c["name"] == "weight-map-permutes-weight")
+    assert list(witness) == ["input", "output", "expected_weight",
+                             "got_weight"]
+    assert witness["expected_weight"] != witness["got_weight"]
+
+
+def test_two_tableaux_sharing_an_image_fail_weight_map_is_bijection(
+        monkeypatch):
+    # the second of the two tableaux of weight (1, 1, 1, 0) is sent where
+    # the first goes: the image's weight is still permuted right, but one
+    # tableau is left without a preimage
+    shape, varcount = lgvlab.objects.Partition((2, 1)), 4
+    tableaux = list(lgvlab.objects.enumerate_tableaux(shape, varcount))
+    first, second = [t for t in tableaux if t.weight() == (1, 1, 1, 0)]
+    real = lgvlab.verify.weight_permutation_map
+    monkeypatch.setattr(
+        lgvlab.verify, "weight_permutation_map",
+        lambda t, perm, **kwargs: real(first if t == second else t, perm,
+                                       **kwargs))
+    report = verify_schur(shape, varcount, None, LIMIT)
+    assert "weight-map-is-bijection" in failed(report)
+    assert "weight-map-permutes-weight" not in failed(report)
+    check = next(c for c in report["checks"]
+                 if c["name"] == "weight-map-is-bijection")
+    assert check["witness"] == {"distinct_images": len(tableaux) - 1,
+                                "tableaux": len(tableaux)}
 
 
 def test_a_cycle_check_that_never_fires_ends_at_the_hop_budget(monkeypatch):

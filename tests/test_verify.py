@@ -517,6 +517,47 @@ def test_verify_bijection_guards_its_own_enumeration(monkeypatch):
         "PP([3, 3]; 3)", 175, 10)
 
 
+def test_verify_bijection_maps_each_plane_partition_once(monkeypatch):
+    # the involution check reads each image's image off the images
+    # already computed, so it maps nothing again
+    calls = collections.Counter()
+    real = verify.zero_to_max_map
+
+    def counting(pp, **kwargs):
+        calls[pp] += 1
+        return real(pp, **kwargs)
+
+    monkeypatch.setattr(verify, "zero_to_max_map", counting)
+    shape, bound = Partition([2, 2, 1]), 2
+    report = verify_bijection(shape, bound)
+    assert report_passed(report)
+    assert _check_named(report, "map-is-involution")["passed"]
+    assert set(calls) == set(
+        lgvlab.objects.enumerate_plane_partitions(shape, bound))
+    assert set(calls.values()) == {1}
+    assert len(calls) == report["results"]["objects"]
+
+
+@pytest.mark.parametrize("perm,involutive", [
+    (None, True), ((2, 3, 1, 4), False)])
+def test_verify_schur_maps_each_tableau_once(monkeypatch, perm, involutive):
+    calls = collections.Counter()
+    real = verify.weight_permutation_map
+
+    def counting(tableau, perm, **kwargs):
+        calls[tableau] += 1
+        return real(tableau, perm, **kwargs)
+
+    monkeypatch.setattr(verify, "weight_permutation_map", counting)
+    shape = Partition([3, 2, 1])
+    report = verify_schur(shape, 4, perm=perm)
+    assert report_passed(report)
+    names = [c["name"] for c in report["checks"]]
+    assert ("weight-map-is-involution" in names) == involutive
+    assert set(calls) == set(lgvlab.objects.enumerate_tableaux(shape, 4))
+    assert set(calls.values()) == {1}
+
+
 def test_verify_schur_walks_the_tableaux_once(monkeypatch):
     walks = count_walks(monkeypatch)
     shape = Partition([3, 2, 1])
