@@ -121,12 +121,8 @@ def _cmd_genfun(args) -> int:
     return 0
 
 
-def _cmd_verify_theorem1(args) -> int:
-    return _report(verify_theorem1(args.shape, args.max, args.guard_limit))
-
-
-def _cmd_verify_lgv(args) -> int:
-    return _report(verify_lgv(args.shape, args.max, args.guard_limit))
+def _cmd_verify(args) -> int:
+    return _report(args.suite(args.shape, args.max, args.guard_limit))
 
 
 def _cmd_bijection(args) -> int:
@@ -218,23 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_guard(p)
     p.set_defaults(func=_cmd_genfun)
 
-    p = sub.add_parser(
-        "verify-theorem1",
-        help="check the three routes to the refined generating function "
-             "against each other")
-    p.add_argument("--shape", type=_shape, required=True)
-    p.add_argument("--max", type=int, required=True)
-    _add_guard(p)
-    p.set_defaults(func=_cmd_verify_theorem1)
-
-    p = sub.add_parser(
-        "verify-lgv",
-        help="check the path model: counts, tail-swap involution, "
-             "sijection, statistics")
-    p.add_argument("--shape", type=_shape, required=True)
-    p.add_argument("--max", type=int, required=True)
-    _add_guard(p)
-    p.set_defaults(func=_cmd_verify_lgv)
+    for name, summary, suite in (
+            ("verify-theorem1", "check the three routes to the refined "
+             "generating function against each other", verify_theorem1),
+            ("verify-lgv", "check the path model: counts, tail-swap "
+             "involution, sijection, statistics", verify_lgv)):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--shape", type=_shape, required=True)
+        p.add_argument("--max", type=int, required=True)
+        _add_guard(p)
+        p.set_defaults(func=_cmd_verify, suite=suite)
 
     p = sub.add_parser(
         "bijection",

@@ -72,18 +72,31 @@ def report_passed(report: dict) -> bool:
     return all(c["passed"] for c in report["checks"])
 
 
-def _involution_witness(objects: list, images: list) -> dict | None:
-    """The first object whose image's image is not itself, as a witness,
-    or None when the map is its own inverse.  Each image's image is looked
-    up among the images already computed, so no map runs again."""
-    image_of = dict(zip(objects, images))
-    for obj, image in zip(objects, images):
-        again = image_of.get(image)
-        if again != obj:
-            return {"input": obj.to_json(), "output": image.to_json(),
-                    "output_of_output": None if again is None
-                    else again.to_json()}
-    return None
+def _map_checks(name: str, objects: list, images: list, statistic: tuple,
+                noun: str, involution: bool) -> list:
+    """The checks of a map, read off ``images``, its image of each of the
+    distinct ``objects``: ``<name>-is-bijection``; ``statistic``, a check
+    name and a function of an object and its image that gives a witness,
+    or None when the pair keeps the statistic; and, when ``involution``,
+    ``<name>-is-involution``, which looks each image's image up among the
+    images, so no map runs again."""
+    distinct = set(images)
+    stat_name, stat_witness = statistic
+    crossing = next(filter(None, map(stat_witness, objects, images)), None)
+    checks = [
+        _check(f"{name}-is-bijection", distinct == set(objects),
+               {"distinct_images": len(distinct), noun: len(objects)}),
+        _check(stat_name, crossing is None, crossing),
+    ]
+    if involution:
+        image_of = dict(zip(objects, images))
+        back = next((
+            {"input": obj.to_json(), "output": image.to_json(),
+             "output_of_output": None if again is None else again.to_json()}
+            for obj, image in zip(objects, images)
+            if (again := image_of.get(image)) != obj), None)
+        checks.append(_check(f"{name}-is-involution", back is None, back))
+    return checks
 
 
 def verify_theorem1(shape, bound: int, guard_limit: int | None = None) -> dict:
@@ -229,33 +242,22 @@ def verify_bijection(shape, bound: int, guard_limit: int | None = None) -> dict:
     Checks that it is a bijection of the plane partitions onto themselves,
     that it sends the zero-row count to the max-row count, and that it is
     an involution: the chain lgv . rev . lgv^-1 is its own inverse, and so
-    is its ping-pong.  The last check looks each image's image up among
-    the images already computed, so it runs no map of its own.
+    is its ping-pong.  Each plane partition is mapped once.
     """
     started = time.perf_counter()
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     _guarded_count(count_plane_partitions, "PP", shape, bound, guard_limit)
     pps = list(enumerate_plane_partitions(shape, bound))
-    images = []
-    crossing_witness = None
-    for pp in pps:
-        image = zero_to_max_map(pp, guard_limit=guard_limit)
-        images.append(image)
-        if crossing_witness is None and pp.zero_rows() != image.max_rows():
-            crossing_witness = {
-                "input": pp.to_json(), "output": image.to_json(),
-                "zero_rows": pp.zero_rows(), "max_rows": image.max_rows(),
-            }
-    bijective = len(set(images)) == len(pps) and set(images) == set(pps)
-    involution_witness = _involution_witness(pps, images)
-    checks = [
-        _check("map-is-bijection", bijective,
-               {"distinct_images": len(set(images)), "objects": len(pps)}),
-        _check("zero-rows-become-max-rows", crossing_witness is None,
-               crossing_witness),
-        _check("map-is-involution", involution_witness is None,
-               involution_witness),
-    ]
+    images = [zero_to_max_map(pp, guard_limit=guard_limit) for pp in pps]
+
+    def crossing(pp, image):
+        if pp.zero_rows() != image.max_rows():
+            return {"input": pp.to_json(), "output": image.to_json(),
+                    "zero_rows": pp.zero_rows(), "max_rows": image.max_rows()}
+
+    checks = _map_checks("map", pps, images,
+                         ("zero-rows-become-max-rows", crossing), "objects",
+                         True)
     results = {"objects": len(pps)}
     instance = {"shape": list(shape.parts), "max": bound}
     return _finish(instance, results, checks, started)
@@ -294,27 +296,22 @@ def verify_schur(shape, varcount: int, perm=None,
     for k in range(varcount - 1):
         swap = list(range(varcount))
         swap[k], swap[k + 1] = swap[k + 1], swap[k]
-        permuted = poly.permute_variables(swap)
-        if permuted != poly:
+        if poly.permute_variables(swap) != poly:
             symmetry_witness = {"transposition": [k + 1, k + 2]}
             break
     perm_invariant = poly.permute_variables(positions) == poly
 
-    images = []
-    weight_witness = None
-    for tableau in tableaux:
-        image = weight_permutation_map(tableau, perm, guard_limit=guard_limit)
-        images.append(image)
+    images = [weight_permutation_map(t, perm, guard_limit=guard_limit)
+              for t in tableaux]
+
+    def misweighted(tableau, image):
         want = [0] * varcount
-        got = image.weight()
         for k, count in enumerate(tableau.weight()):
             want[positions[k]] = count
-        if weight_witness is None and list(got) != want:
-            weight_witness = {
-                "input": tableau.to_json(), "output": image.to_json(),
-                "expected_weight": want, "got_weight": list(got),
-            }
-    bijective = len(set(images)) == len(tableaux) and set(images) == set(tableaux)
+        got = list(image.weight())
+        if got != want:
+            return {"input": tableau.to_json(), "output": image.to_json(),
+                    "expected_weight": want, "got_weight": got}
 
     checks = [
         _check("tableau-count-matches-determinant",
@@ -324,16 +321,10 @@ def verify_schur(shape, varcount: int, perm=None,
                symmetry_witness is None, symmetry_witness),
         _check("invariant-under-permutation", perm_invariant,
                {"perm": list(perm)}),
-        _check("weight-map-is-bijection", bijective,
-               {"distinct_images": len(set(images)),
-                "tableaux": len(tableaux)}),
-        _check("weight-map-permutes-weight", weight_witness is None,
-               weight_witness),
-    ]
-    if all(positions[p] == k for k, p in enumerate(positions)):
-        involution_witness = _involution_witness(tableaux, images)
-        checks.append(_check("weight-map-is-involution",
-                             involution_witness is None, involution_witness))
+    ] + _map_checks(
+        "weight-map", tableaux, images,
+        ("weight-map-permutes-weight", misweighted), "tableaux",
+        all(positions[p] == k for k, p in enumerate(positions)))
     results = {
         "schur": poly.to_json(),
         "tableaux": len(tableaux),
