@@ -40,7 +40,6 @@ from .objects import (
 from .paths import (
     _family_count,
     _family_meet,
-    count_families,
     count_ni_families,
     first_step_east_count,
     is_nonintersecting,
