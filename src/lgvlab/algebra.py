@@ -26,6 +26,7 @@ because every other module imports this one.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from typing import Iterable, Mapping
@@ -46,6 +47,15 @@ def binomial(n: int, k: int) -> int:
 def _is_int(value) -> bool:
     """True for a genuine integer: JSON floats and booleans do not count."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _decimal(n: int) -> str:
+    """``str(n)``, also past the interpreter's limit on the digits it
+    converts (4,300 by default), where ``Decimal`` writes ``n`` exactly."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
 
 
 def _ints(values, field: str) -> tuple:
@@ -152,16 +162,16 @@ class UniPoly(_Value):
             if c == 0:
                 continue
             if k == 0:
-                parts.append(str(c))
+                parts.append(_decimal(c))
             elif k == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
+                parts.append(f"{_decimal(c)}*x" if c != 1 else "x")
             else:
-                parts.append(f"{c}*x^{k}" if c != 1 else f"x^{k}")
+                parts.append(f"{_decimal(c)}*x^{k}" if c != 1 else f"x^{k}")
         return "UniPoly(" + " + ".join(parts) + ")"
 
     def to_json(self) -> dict:
         """Serialize as {"var": "x", "coeffs": [...]} with decimal-string coefficients."""
-        return {"var": "x", "coeffs": [str(c) for c in self.coeffs]}
+        return {"var": "x", "coeffs": [_decimal(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: dict) -> "UniPoly":

@@ -25,6 +25,8 @@ The default limit is 10**7 objects.  It can be overridden per call (the
 
 import os
 
+from .algebra import _decimal
+
 DEFAULT_GUARD_LIMIT = 10**7
 
 ENV_VAR = "LGVLAB_GUARD_LIMIT"
@@ -34,9 +36,8 @@ class GuardExceeded(RuntimeError):
     """An enumeration was refused because its projected size exceeds the guard."""
 
     def __init__(self, what: str, projected: int, limit: int):
-        super().__init__(
-            f"{what}: projected size {projected} exceeds guard limit {limit}"
-        )
+        super().__init__(f"{what}: projected size {_decimal(projected)} "
+                         f"exceeds guard limit {_decimal(limit)}")
         self.what = what
         self.projected = projected
         self.limit = limit

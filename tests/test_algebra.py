@@ -75,6 +75,15 @@ def test_unipoly_json_roundtrip():
         UniPoly.from_json({"var": "x"})
 
 
+def test_unipoly_writes_coefficients_past_the_str_digit_limit():
+    # 10**4300 has 4,301 digits, one past CPython's default limit on
+    # int-to-str conversion; 10**4300 - 1 has 4,300, the most it allows
+    big = 10**4300
+    p = UniPoly([big - 1, -big, 1])
+    assert p.to_json()["coeffs"] == ["9" * 4300, "-1" + "0" * 4300, "1"]
+    assert repr(p) == f"UniPoly({'9' * 4300} + -1{'0' * 4300}*x + x^2)"
+
+
 @pytest.mark.parametrize("data", [
     {"coeffs": [1.9, True]},
     {"coeffs": [1, 2.0]},

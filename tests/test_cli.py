@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import json.encoder
+import math
 import os
 import pathlib
 import subprocess
@@ -486,6 +487,43 @@ def test_determinant_routes_refuse_past_the_guard(capsys, monkeypatch, argv):
     assert err.startswith("guard: PP([")
     assert "determinant: projected size" in err
     assert "exceeds guard limit 10000000" in err
+
+
+def _digits(n: int) -> str:
+    """``str(n)`` as CPython writes it with its limit on digits lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("method, code", [
+    ("brute-zeros", 1), ("verify-theorem1", 1), ("det", 0)])
+def test_counts_past_the_str_digit_limit_are_written_out(capsys, monkeypatch,
+                                                          method, code):
+    # C(20000, 10000), the count of PP([10000]; 10000), has 6,019 digits,
+    # past CPython's default limit of 4,300 on int-to-str conversion; the
+    # guard refuses the tally and names the count, the determinant answers
+    monkeypatch.delenv("LGVLAB_GUARD_LIMIT", raising=False)
+    common = ["--shape", "10000", "--max", "10000"]
+    argv = (["verify-theorem1", *common] if method == "verify-theorem1"
+            else ["genfun", *common, "--method", method])
+    started = time.process_time()
+    got, out, err = run(capsys, *argv)
+    assert time.process_time() - started < 1
+    assert got == code
+    total, low = math.comb(20000, 10000), math.comb(19999, 10000)
+    if code == 1:
+        assert out == ""
+        assert err == (f"guard: PP([10000]; 10000): projected size "
+                       f"{_digits(total)} exceeds guard limit 10000000\n")
+    else:
+        coeffs = [_digits(low), _digits(total - low)]
+        assert json.loads(out) == {"var": "x", "coeffs": coeffs}
+        assert err == (f"genfun shape=(10000) max=10000 method=det: "
+                       f"{coeffs[0]} + {coeffs[1]}*x\n")
 
 
 def test_genfun_det_reads_the_guard_limit(capsys, monkeypatch):

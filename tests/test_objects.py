@@ -4,6 +4,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter, deque
+from decimal import Decimal
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -198,6 +199,21 @@ def test_genfun_guard():
         genfun_by_enumeration(Partition([2, 1]), 2, "zeros", guard_limit=5)
     assert info.value.projected == 14
     assert info.value.limit == 5
+
+
+def test_guard_names_a_count_past_the_str_digit_limit():
+    # C(20000, 10000), the count of PP([10000]; 10000), has 6,019 digits,
+    # past CPython's default limit of 4,300 on int-to-str conversion
+    with pytest.raises(GuardExceeded) as info:
+        refined_genfuns_by_enumeration(Partition([10000]), 10000,
+                                       guard_limit=10)
+    assert info.value.projected == comb(20000, 10000)
+    message = str(info.value)
+    prefix = "PP([10000]; 10000): projected size "
+    suffix = " exceeds guard limit 10"
+    assert message.startswith(prefix) and message.endswith(suffix)
+    digits = message[len(prefix):-len(suffix)]
+    assert len(digits) == 6019 and Decimal(digits) == comb(20000, 10000)
 
 
 def test_deep_shapes_enumerate_without_recursion():
