@@ -96,8 +96,9 @@ def _say_checks(report: dict) -> None:
             _say(f"FAIL {check['name']} :: {json.dumps(check['witness'])}")
 
 
-def _report(report: dict) -> int:
-    """Emit a verification report and translate it to an exit code."""
+def _cmd_verify(args) -> int:
+    """Emit an instance suite's report and translate it to an exit code."""
+    report = args.suite(args.shape, args.max, args.guard_limit)
     _emit(report)
     _say_checks(report)
     ok = report_passed(report)
@@ -119,10 +120,6 @@ def _cmd_genfun(args) -> int:
     _say(f"genfun shape=({label}) max={args.max} "
          f"method={args.method}: {_poly_text(poly)}")
     return 0
-
-
-def _cmd_verify(args) -> int:
-    return _report(args.suite(args.shape, args.max, args.guard_limit))
 
 
 def _cmd_bijection(args) -> int:

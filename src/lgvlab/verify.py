@@ -295,7 +295,8 @@ def verify_schur(shape, varcount: int, perm=None,
     for k in range(varcount - 1):
         swap = list(range(varcount))
         swap[k], swap[k + 1] = swap[k + 1], swap[k]
-        if poly.permute_variables(swap) != poly:
+        permuted = poly.permute_variables(swap)
+        if permuted != poly:
             symmetry_witness = {"transposition": [k + 1, k + 2]}
             break
     perm_invariant = poly.permute_variables(positions) == poly
