@@ -26,7 +26,6 @@ because every other module imports this one.
 
 from __future__ import annotations
 
-import decimal
 import math
 import re
 from typing import Iterable, Mapping
@@ -55,7 +54,8 @@ def _decimal(n: int) -> str:
     try:
         return str(n)
     except ValueError:
-        return str(decimal.Decimal(n))
+        from decimal import Decimal  # about 1 ms to import, rarely needed
+        return str(Decimal(n))
 
 
 def _ints(values, field: str) -> tuple:
