@@ -9,6 +9,12 @@ All suites return the same report shape::
 
 The witness of a passing check is None; a failing check carries enough
 data to reproduce the discrepancy.
+
+The two map suites, ``verify_bijection`` and ``verify_schur``, map each
+object once and read one set of checks off the images (``_map_checks``):
+the map is a bijection onto the objects, it carries its statistic, and,
+where it should be an involution, each image's image, looked up among
+the images, is the object it came from.
 """
 
 import time
