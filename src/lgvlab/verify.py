@@ -87,11 +87,11 @@ def _map_checks(name: str, objects: list, images: list, statistic: tuple,
     images, so no map runs again."""
     distinct = set(images)
     stat_name, stat_witness = statistic
-    crossing = next(filter(None, map(stat_witness, objects, images)), None)
+    unkept = next(filter(None, map(stat_witness, objects, images)), None)
     checks = [
         _check(f"{name}-is-bijection", distinct == set(objects),
                {"distinct_images": len(distinct), noun: len(objects)}),
-        _check(stat_name, crossing is None, crossing),
+        _check(stat_name, unkept is None, unkept),
     ]
     if involution:
         image_of = dict(zip(objects, images))
