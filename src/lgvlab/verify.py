@@ -8,13 +8,9 @@ All suites return the same report shape::
      "runtime_ms": int}
 
 The witness of a passing check is None; a failing check carries enough
-data to reproduce the discrepancy.
-
-The two map suites, ``verify_bijection`` and ``verify_schur``, map each
-object once and read one set of checks off the images (``_map_checks``):
-the map is a bijection onto the objects, it carries its statistic, and,
-where it should be an involution, each image's image, looked up among
-the images, is the object it came from.
+data to reproduce the discrepancy.  The two map suites,
+``verify_bijection`` and ``verify_schur``, share their checks through
+``_map_checks``.
 """
 
 import time
@@ -77,19 +73,19 @@ def report_passed(report: dict) -> bool:
     return all(c["passed"] for c in report["checks"])
 
 
-def _map_checks(name: str, objects: list, images: list, statistic: tuple,
-                noun: str, involution: bool) -> list:
-    """The checks of a map, read off ``images``, its image of each of the
-    distinct ``objects``: ``<name>-is-bijection``; ``statistic``, a check
-    name and a function of an object and its image that gives a witness,
-    or None when the pair keeps the statistic; and, when ``involution``,
-    ``<name>-is-involution``, which looks each image's image up among the
-    images, so no map runs again."""
+def _map_checks(name: str, objects: list, images: list, stat_name: str,
+                stat_witness, noun: str, involution: bool) -> list:
+    """The checks of a map, read off ``images``, its image of each of
+    ``objects``: ``<name>-is-bijection``, which also fails when an object
+    is listed twice; ``stat_name``, whose ``stat_witness(object, image)``
+    gives a witness, or None when the pair keeps the statistic; and, when
+    ``involution``, ``<name>-is-involution``, which looks each image's
+    image up among the images, so no map runs again."""
     distinct = set(images)
-    stat_name, stat_witness = statistic
     unkept = next(filter(None, map(stat_witness, objects, images)), None)
     checks = [
-        _check(f"{name}-is-bijection", distinct == set(objects),
+        _check(f"{name}-is-bijection",
+               len(distinct) == len(objects) and distinct == set(objects),
                {"distinct_images": len(distinct), noun: len(objects)}),
         _check(stat_name, unkept is None, unkept),
     ]
@@ -260,9 +256,8 @@ def verify_bijection(shape, bound: int, guard_limit: int | None = None) -> dict:
             return {"input": pp.to_json(), "output": image.to_json(),
                     "zero_rows": pp.zero_rows(), "max_rows": image.max_rows()}
 
-    checks = _map_checks("map", pps, images,
-                         ("zero-rows-become-max-rows", crossing), "objects",
-                         True)
+    checks = _map_checks("map", pps, images, "zero-rows-become-max-rows",
+                         crossing, "objects", True)
     results = {"objects": len(pps)}
     instance = {"shape": list(shape.parts), "max": bound}
     return _finish(instance, results, checks, started)
@@ -328,8 +323,8 @@ def verify_schur(shape, varcount: int, perm=None,
         _check("invariant-under-permutation", perm_invariant,
                {"perm": list(perm)}),
     ] + _map_checks(
-        "weight-map", tableaux, images,
-        ("weight-map-permutes-weight", misweighted), "tableaux",
+        "weight-map", tableaux, images, "weight-map-permutes-weight",
+        misweighted, "tableaux",
         all(positions[p] == k for k, p in enumerate(positions)))
     results = {
         "schur": poly.to_json(),

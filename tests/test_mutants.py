@@ -312,6 +312,35 @@ def test_two_tableaux_sharing_an_image_fail_weight_map_is_bijection(
                                 "tableaux": len(tableaux)}
 
 
+def test_a_plane_partition_listed_twice_fails_map_is_bijection(monkeypatch):
+    # an enumeration that repeats its first plane partition: the map is
+    # still a bijection of the distinct plane partitions, but one image is
+    # shared, so the images are one fewer than the listed objects
+    shape, bound = lgvlab.objects.Partition((2, 1)), 2
+    real = lgvlab.verify.enumerate_plane_partitions
+    pps = list(real(shape, bound))
+    monkeypatch.setattr(lgvlab.verify, "enumerate_plane_partitions",
+                        lambda *args: iter([pps[0], *pps]))
+    report = verify_bijection(shape, bound, LIMIT)
+    assert failed(report) == {"map-is-bijection"}
+    assert report["checks"][0]["witness"] == {
+        "distinct_images": len(pps), "objects": len(pps) + 1}
+
+
+def test_a_tableau_listed_twice_fails_weight_map_is_bijection(monkeypatch):
+    shape, varcount = lgvlab.objects.Partition((2, 1)), 3
+    real = lgvlab.verify.enumerate_tableaux
+    tableaux = list(real(shape, varcount))
+    monkeypatch.setattr(lgvlab.verify, "enumerate_tableaux",
+                        lambda *args: iter([tableaux[0], *tableaux]))
+    report = verify_schur(shape, varcount, None, LIMIT)
+    assert "weight-map-is-bijection" in failed(report)
+    check = next(c for c in report["checks"]
+                 if c["name"] == "weight-map-is-bijection")
+    assert check["witness"] == {"distinct_images": len(tableaux),
+                                "tableaux": len(tableaux) + 1}
+
+
 def test_a_cycle_check_that_never_fires_ends_at_the_hop_budget(monkeypatch):
     # x and q chase each other forever once u0 enters; without its cycle
     # check the walk is stopped by the hop budget, not left to spin
