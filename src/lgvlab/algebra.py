@@ -74,7 +74,12 @@ def _json_coefficient(value, where: str) -> int:
     """A coefficient read from JSON: an integer or a decimal string."""
     if _is_int(value) or (isinstance(value, str)
                           and re.fullmatch(r"-?[0-9]+", value)):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # a string past the interpreter's digit limit
+            digits = len(value.lstrip("-"))
+            raise ValueError(f"{where}: coefficient of {digits} digits is "
+                             "past the interpreter's limit") from None
     raise ValueError(f"{where}: coefficient {value!r} is not an integer "
                      "or a decimal string")
 

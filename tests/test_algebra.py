@@ -84,6 +84,18 @@ def test_unipoly_writes_coefficients_past_the_str_digit_limit():
     assert repr(p) == f"UniPoly({'9' * 4300} + -1{'0' * 4300}*x + x^2)"
 
 
+def test_unipoly_refuses_to_read_coefficients_past_the_str_digit_limit():
+    # writing is exact past the limit, reading stays bounded by it: the
+    # longest string the interpreter reads is read, the next is refused
+    # in the module's words, naming the coefficient and its digit count
+    data = {"var": "x", "coeffs": ["9" * 4300, "-1" + "0" * 4300]}
+    assert UniPoly.from_json({"coeffs": data["coeffs"][:1]}).coeffs == (
+        10**4300 - 1,)
+    with pytest.raises(ValueError, match=r"^coeffs\[1\]: coefficient of "
+                       r"4301 digits is past the interpreter's limit"):
+        UniPoly.from_json(data)
+
+
 @pytest.mark.parametrize("data", [
     {"coeffs": [1.9, True]},
     {"coeffs": [1, 2.0]},
