@@ -3,7 +3,7 @@
 The package ties together three independent routes to the same refined
 generating function — exhaustive enumeration, a binomial determinant, and
 a sign-reversing involution on path families — plus the explicit
-bijections obtained by conjugating word-level symmetries through the
+bijections obtained by carrying word-level symmetries through the
 cancellation.  Everything is exact integer arithmetic; exhaustive
 enumerations are size-guarded.
 """
@@ -21,9 +21,7 @@ from .bijections import (
     SwapCertificate,
     lgv_sijection,
     permute_steps,
-    reversal_sijection,
     reverse_paths,
-    step_permutation_sijection,
     tail_swap,
     weight_permutation_map,
     weight_permutation_sijection,
@@ -70,10 +68,7 @@ from .sijections import (
     SijectionError,
     check_compatibility,
     check_sijection,
-    compose,
-    compose_all,
     evaluate_with_trace,
-    sijection_from_bijection,
     trace_to_json,
 )
 from .verify import (
@@ -90,8 +85,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MultiPoly", "PolyMatrix", "UniPoly", "binomial", "det_division_free",
     "det_int", "lgv_matrix",
-    "SwapCertificate", "lgv_sijection", "permute_steps",
-    "reversal_sijection", "reverse_paths", "step_permutation_sijection",
+    "SwapCertificate", "lgv_sijection", "permute_steps", "reverse_paths",
     "tail_swap", "weight_permutation_map", "weight_permutation_sijection",
     "zero_to_max_map", "zero_to_max_sijection",
     "DEFAULT_GUARD_LIMIT", "GuardExceeded", "resolve_guard_limit",
@@ -105,8 +99,7 @@ __all__ = [
     "last_step_east_count", "plane_partition_endpoints", "pp_decode",
     "pp_encode", "ssyt_decode", "ssyt_encode", "tableau_endpoints",
     "SignedSet", "Sijection", "SijectionError", "check_compatibility",
-    "check_sijection", "compose", "compose_all", "evaluate_with_trace",
-    "sijection_from_bijection", "trace_to_json",
+    "check_sijection", "evaluate_with_trace", "trace_to_json",
     "report_passed", "sweep", "verify_bijection", "verify_lgv",
     "verify_schur", "verify_theorem1",
 ]

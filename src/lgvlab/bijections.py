@@ -1,20 +1,19 @@
-"""Path-family sijections and the bijections composed from them.
+"""Path-family sijections and the bijections built from them.
 
 The central piece is the tail-swap involution on intersecting families:
 cut the two lowest-indexed paths through the first common point and
 exchange their tails.  It reverses the sign of a family, fixes nothing,
 and is its own inverse, so it cancels the intersecting families out of
-the signed count.  Wrapped as a sijection it identifies the
-non-intersecting families with the full signed set; conjugating a
-word-level symmetry by that sijection then yields explicit bijections on
-plane partitions (exchanging the zero-row and max-row statistics) and on
+the signed count.  One loop of it and a word-level involution, the
+Garsia-Milne involution principle, gives explicit bijections on plane
+partitions (exchanging the zero-row and max-row statistics) and on
 tableaux (permuting the weight).
 """
 
 from functools import lru_cache
 
 from .algebra import _Value, _ints, _slot_setters
-from .guards import resolve_guard_limit
+from .guards import GuardExceeded, resolve_guard_limit
 from .objects import PlanePartition, Tableau
 from .paths import (
     Endpoints,
@@ -32,14 +31,12 @@ from .paths import (
     tableau_endpoints,
 )
 from .sijections import (
+    _SIGN_CHAR,
     SOURCE,
     TARGET,
     SignedSet,
     Sijection,
     SijectionError,
-    compose_all,
-    evaluate_with_trace,
-    sijection_from_bijection,
     trace_to_json,
 )
 
@@ -211,9 +208,7 @@ def lgv_sijection(endpoints: Endpoints,
     hashed or scanned again.  Only an image the walk does not hold is
     built, so a faulty swap is still seen.  Each direction computes its
     own swap, so a checker can catch a swap that is not an involution.
-    Before the walk (a map's ping-pong) every image is built and nothing
-    is kept: an orbit never swaps the same family twice, so a memo would
-    only cost a hash per hop and hold every pair the orbit swaps.  A
+    Before the walk every image is built and nothing is kept.  A
     family the swap is undefined on is refused with ``SijectionError``,
     so a checker reports it.  The non-intersecting side, walked after the
     signed families, reads its families off their stream (see
@@ -238,13 +233,13 @@ def lgv_sijection(endpoints: Endpoints,
             image = SignedPathFamily._trusted(family.endpoints, sigma, paths)
         return image
 
-    def forward(tagged):
+    def forward(tagged, trace):
         side, sign, family = tagged
         if side == SOURCE:
             return (TARGET, 1, family)
         return (TARGET, 1, swap(family))
 
-    def backward(tagged):
+    def backward(tagged, trace):
         side, sign, family = tagged
         if side == SOURCE:
             raise SijectionError(
@@ -253,7 +248,7 @@ def lgv_sijection(endpoints: Endpoints,
             return (SOURCE, 1, family)
         return (TARGET, -1, swap(family))
 
-    return Sijection("lgv", source, target, forward, backward, guard_limit)
+    return Sijection("lgv", source, target, forward, backward)
 
 
 def reverse_paths(family: SignedPathFamily) -> SignedPathFamily:
@@ -268,14 +263,6 @@ def reverse_paths(family: SignedPathFamily) -> SignedPathFamily:
         family.sigma,
         tuple(map(Path._reverse, family.paths)),
     )
-
-
-def reversal_sijection(endpoints: Endpoints,
-                       guard_limit: int | None = None) -> Sijection:
-    families = signed_family_set(endpoints, guard_limit)
-    return sijection_from_bijection(
-        "reverse-words", families, families, reverse_paths, reverse_paths,
-        guard_limit)
 
 
 def permute_steps(family: SignedPathFamily, positions) -> SignedPathFamily:
@@ -321,82 +308,117 @@ def _permute_steps(family: SignedPathFamily,
         family.endpoints, family.sigma, tuple(new_paths))
 
 
-def _invert_positions(positions: tuple[int, ...]) -> tuple[int, ...]:
-    """The inverse of ``positions``, whose entries lie in 0..n-1; a repeated
-    position is refused with ValueError."""
-    n = len(positions)
-    if len(set(positions)) != n:
-        raise ValueError(
-            f"positions {positions!r} is not a permutation of 0..{n - 1}")
-    inverse = [0] * n
-    for t, image in enumerate(positions):
-        inverse[image] = t
-    return tuple(inverse)
+def _ping_pong(family: SignedPathFamily, there, back, limit: int,
+               trace: list | None) -> SignedPathFamily:
+    """The Garsia-Milne walk of the non-intersecting ``family`` through the
+    involution ``there`` on the signed families, whose inverse is ``back``:
+    g = there(family), then, while g crosses, g = there(swap(back(swap(g)))),
+    where swap is the tail swap.  Returns the last g, which is
+    non-intersecting.
+
+    It is the walk of the three-stage chain lgv, ``there``, inverse of lgv,
+    hop for hop: embedding the family, each map and each swap is one hop,
+    and so is the final test that g does not cross, so an orbit of r rounds
+    takes 3 + 4r hops.  Past ``limit`` hops it raises ``GuardExceeded``.
+    Each landing but the last is appended to ``trace`` as ``(sign, g)``.
+    The landings after hops 1, 4, 5, 8, 9, ... lie in the chain's first
+    copy of the signed families and the others in its second, and a landing
+    is the copy, the sign and the family.  Each landing decides the rest of
+    the walk, so revisiting one means a cycle the walk can never escape;
+    Brent's check finds it with one saved landing, replaced whenever the
+    hop count reaches a power of two, and refuses it with ``SijectionError``,
+    as it refuses a family the swap is undefined on.
+    """
+    sign, hops, saved = 1, 0, None
+    while True:
+        hops += 1
+        if hops > limit:
+            raise GuardExceeded("ping-pong hops", hops, limit)
+        move = hops & 3
+        if move == 2:
+            family = there(family)
+        elif move == 0:
+            family = back(family)
+        elif move == 3 and is_nonintersecting(family):
+            return family
+        elif hops > 1:
+            try:
+                sigma, paths, _ = _swap_parts(family, None)
+            except ValueError as exc:  # ``back`` left the crossing families
+                raise SijectionError(str(exc)) from None
+            family = SignedPathFamily._trusted(family.endpoints, sigma, paths)
+            sign = -sign
+        if trace is not None:
+            trace.append((sign, family))
+        landing = (hops & 2, sign, family)
+        if landing == saved:
+            raise SijectionError(
+                f"ping-pong revisited middle element {family!r} with sign "
+                f"{_SIGN_CHAR[sign]}")
+        if hops & (hops - 1) == 0:
+            saved = landing
 
 
-def step_permutation_sijection(endpoints: Endpoints, positions,
-                               guard_limit: int | None = None) -> Sijection:
-    positions = _step_positions(positions)
-    inverse = _invert_positions(positions)
-    families = signed_family_set(endpoints, guard_limit)
-    return sijection_from_bijection(
-        "permute-steps", families, families,
-        lambda f: _permute_steps(f, positions),
-        lambda f: _permute_steps(f, inverse), guard_limit)
+def _conjugated(name: str, endpoints: Endpoints, there, back,
+                guard_limit: int | None) -> Sijection:
+    """The sijection on the non-intersecting families on ``endpoints``
+    that ``_ping_pong`` through ``there`` realises: forward runs the walk,
+    backward runs it with ``there`` and ``back`` exchanged.  The hop limit
+    is resolved here, once."""
+    limit = resolve_guard_limit(guard_limit)
+    families = nonintersecting_set(endpoints, guard_limit)
+
+    def walk(side, there, back):
+        def apply(tagged, trace):
+            if tagged[1] == -1:
+                raise SijectionError(
+                    "the non-intersecting side has no negative part")
+            return (side, 1, _ping_pong(tagged[2], there, back, limit, trace))
+        return apply
+
+    return Sijection(name, families, families, walk(TARGET, there, back),
+                     walk(SOURCE, back, there))
 
 
-def _conjugate(endpoints: Endpoints, middle: Sijection,
-               guard_limit: int | None) -> Sijection:
-    """``middle`` on the signed families, conjugated by the LGV sijection
-    into a sijection on the non-intersecting families."""
-    lgv = lgv_sijection(endpoints, guard_limit)
-    return compose_all(lgv, middle, lgv.inverse())
+# A map call walks one element of an instance, and the endpoints are all
+# it needs of the instance, so the maps keep the endpoints of the last
+# _MAP_CACHE_SIZE instances they met.
+_MAP_CACHE_SIZE = 64
+_kept_pp_endpoints = lru_cache(maxsize=_MAP_CACHE_SIZE)(
+    plane_partition_endpoints)
+_kept_tableau_endpoints = lru_cache(maxsize=_MAP_CACHE_SIZE)(tableau_endpoints)
 
 
-def _apply(sij: Sijection, endpoints: Endpoints, obj, with_trace: bool):
-    """Encode ``obj`` onto ``endpoints``, those of its instance, send the
-    family forward through ``sij`` and decode the image as a filling of
-    the same kind; with ``with_trace`` also return the JSON itinerary."""
+def _apply(endpoints: Endpoints, there, back, obj, guard_limit: int | None,
+           with_trace: bool):
+    """Encode ``obj`` onto ``endpoints``, those of its instance, walk the
+    family through ``_ping_pong`` and decode the image as a filling of the
+    same kind; with ``with_trace`` also return the JSON itinerary, labelled
+    as ``evaluate_with_trace`` labels it."""
     family = _encode(obj, endpoints)
-    if with_trace:
-        image, steps = evaluate_with_trace(sij, family)
-    else:
-        _, _, image = sij.forward((SOURCE, 1, family))
+    hops = [] if with_trace else None
+    image = _ping_pong(family, there, back, resolve_guard_limit(guard_limit),
+                       hops)
     result = _decode(image, type(obj), obj.shape, obj._bound, endpoints)
     if not with_trace:
         return result
+    steps = [(SOURCE, 1, family), *[("middle", *hop) for hop in hops],
+             (TARGET, 1, image)]
     return result, {"input": obj.to_json(), "steps": trace_to_json(steps),
                     "output": result.to_json()}
 
 
-def _zero_to_max(shape, bound: int,
-                 guard_limit: int | None) -> tuple[Endpoints, Sijection]:
-    """The endpoints of PP(shape; bound) and ``zero_to_max_sijection`` on
-    them."""
-    endpoints = plane_partition_endpoints(shape, bound)
-    return endpoints, _conjugate(
-        endpoints, reversal_sijection(endpoints, guard_limit), guard_limit)
-
-
 def zero_to_max_sijection(shape, bound: int,
                           guard_limit: int | None = None) -> Sijection:
-    """The conjugated word reversal on non-intersecting families.
+    """The word reversal on the signed families, conjugated by the tail
+    swap onto the non-intersecting families (see ``_ping_pong``).
 
-    Composite: embed the non-intersecting families into the signed set,
-    reverse all words, then cancel back down.  Restricted to the positive
-    parts this is an honest bijection that exchanges the last-step-east
-    and first-step-east statistics.  Each call builds a new sijection.
+    Restricted to the positive parts this is an honest bijection that
+    exchanges the last-step-east and first-step-east statistics.  Each
+    call builds a new sijection.
     """
-    return _zero_to_max(shape, bound, guard_limit)[1]
-
-
-# A map call sends one element through a conjugated sijection, which
-# depends only on the instance and the hop limit, so the maps keep the
-# last _MAP_CACHE_SIZE they built, each with its endpoints, which encode
-# and decode read.  A map never walks a signed set, so a kept sijection
-# holds no stream and no swap memo.
-_MAP_CACHE_SIZE = 64
-_kept_zero_to_max = lru_cache(maxsize=_MAP_CACHE_SIZE)(_zero_to_max)
+    return _conjugated("zero-to-max", plane_partition_endpoints(shape, bound),
+                       reverse_paths, reverse_paths, guard_limit)
 
 
 def zero_to_max_map(pp: PlanePartition, with_trace: bool = False,
@@ -405,12 +427,10 @@ def zero_to_max_map(pp: PlanePartition, with_trace: bool = False,
     k rows containing the bound, through the path model.
 
     With ``with_trace`` returns ``(image, trace)`` where the trace records
-    the full itinerary of the underlying family through the composed
-    sijection.
+    the full itinerary of the underlying family through the ping-pong.
     """
-    endpoints, sij = _kept_zero_to_max(pp.shape, pp.bound,
-                                       resolve_guard_limit(guard_limit))
-    return _apply(sij, endpoints, pp, with_trace)
+    return _apply(_kept_pp_endpoints(pp.shape, pp.bound), reverse_paths,
+                  reverse_paths, pp, guard_limit, with_trace)
 
 
 def variable_positions(perm) -> tuple[int, ...]:
@@ -427,30 +447,29 @@ def variable_positions(perm) -> tuple[int, ...]:
     return tuple(v - 1 for v in perm)
 
 
-def _weight_permutation(shape, varcount: int, positions: tuple[int, ...],
-                        guard_limit: int | None) -> tuple[Endpoints, Sijection]:
-    """The endpoints of SSYT(shape; varcount) and the step permutation by
-    ``positions``, one per variable, conjugated by the LGV sijection on
-    them.  A perm of the wrong length is refused with ValueError after the
+def _weight_steps(endpoints_of, shape, varcount: int, perm) -> tuple:
+    """The endpoints of SSYT(shape; varcount), built by ``endpoints_of``,
+    and the step permutation by ``perm`` and its inverse.  The perm is
+    refused with ValueError first, and one of the wrong length after the
     shape and the varcount."""
-    endpoints = tableau_endpoints(shape, varcount)
+    positions = variable_positions(perm)
+    endpoints = endpoints_of(shape, varcount)
     if len(positions) != varcount:
         raise ValueError(
             f"perm has {len(positions)} entries, expected {varcount}")
-    middle = step_permutation_sijection(endpoints, positions, guard_limit)
-    return endpoints, _conjugate(endpoints, middle, guard_limit)
+    inverse = tuple(sorted(range(varcount), key=positions.__getitem__))
+    return (endpoints, lambda family: _permute_steps(family, positions),
+            lambda family: _permute_steps(family, inverse))
 
 
 def weight_permutation_sijection(shape, varcount: int, perm,
                                  guard_limit: int | None = None) -> Sijection:
-    """Conjugate the step permutation by the LGV sijection (tableau model).
+    """The step permutation by ``perm`` on the signed families, conjugated
+    by the tail swap onto the non-intersecting families (tableau model).
     Each call builds a new sijection."""
-    return _weight_permutation(shape, varcount, variable_positions(perm),
-                               guard_limit)[1]
-
-
-_kept_weight_permutation = lru_cache(maxsize=_MAP_CACHE_SIZE)(
-    _weight_permutation)
+    return _conjugated(
+        "weight-permutation",
+        *_weight_steps(tableau_endpoints, shape, varcount, perm), guard_limit)
 
 
 def weight_permutation_map(tableau: Tableau, perm, with_trace: bool = False,
@@ -461,7 +480,6 @@ def weight_permutation_map(tableau: Tableau, perm, with_trace: bool = False,
     of occurrences of perm[i-1] in the image equals the number of
     occurrences of i in the input.
     """
-    endpoints, sij = _kept_weight_permutation(
-        tableau.shape, tableau.varcount, variable_positions(perm),
-        resolve_guard_limit(guard_limit))
-    return _apply(sij, endpoints, tableau, with_trace)
+    return _apply(*_weight_steps(_kept_tableau_endpoints, tableau.shape,
+                                 tableau.varcount, perm),
+                  tableau, guard_limit, with_trace)

@@ -6,15 +6,12 @@ closed-form count (a determinant or permanent of binomial coefficients) and
 refuse to proceed if the estimate exceeds the limit.  This turns a runaway
 computation into an immediate, diagnosable error.
 
-The same limit bounds every sijection evaluation: a ping-pong walk counts
-the stage maps it applies and raises ``GuardExceeded("ping-pong hops",
-...)`` once it would apply more than the limit.  No closed form predicts
-an orbit's length, so this guard fires during the walk, not before it.
-The worst case has a closed form: a walk that revisits no landing lands
-on each element of each middle signed set at most once.  The two middle
-sets of ``zero_to_max_map`` and ``weight_permutation_map`` are the signed
-families on the endpoints, so with N their number (``count_families``)
-an orbit takes at most 2N + 1 hops.  That bound is far too loose to
+The same limit bounds the ping-pong of the two maps: the walk counts one
+hop per map it applies and raises ``GuardExceeded("ping-pong hops", ...)``
+once it would apply more.  No closed form predicts an orbit's length, so
+this guard fires during the walk.  A walk that revisits no landing lands
+on each of the N signed families (``count_families``) in each of its two
+copies at most once, so it takes at most 2N + 1 hops, far too loose to
 refuse by: (4,4,4), m=4 has N = 1,012,536, yet the longest of its first
 200 orbits takes 215 hops.
 

@@ -6,26 +6,19 @@ part S-.  A sijection phi: S => T is an ordinary bijection
     S+ |_| T-  ->  S- |_| T+,
 
 which witnesses the equality of signed sizes |S+| - |S-| = |T+| - |T-|.
-Sijections compose by the Garsia-Milne ping-pong construction: to map an
-element of S+ through psi . phi, bounce it back and forth through the
-middle signed set until it escapes out of the far side.  There is one
-class: a sijection is a chain of stages, one built from two maps has one
-stage, ``compose`` concatenates chains, and ``forward`` and ``backward``
-run the same ping-pong walk along the chain, with each stage's forward or
-backward map.  An inverse reverses the chain and inverts each stage.
-A walk that revisits a landing is refused with ``SijectionError`` and one
-longer than the guard limit with ``GuardExceeded``.
+A ``Sijection`` holds that bijection as two maps, ``forward`` and its
+inverse ``backward``, and checks every element it is given and every
+image it returns against their sides.  The maps of ``lgvlab.bijections``
+run the Garsia-Milne ping-pong inside one such map; ``check_sijection``
+and ``check_compatibility`` test a sijection exhaustively.
 
 Elements moving through a sijection are tagged with the side they sit on
 ("source" or "target") and their sign (+1 or -1).  Applications optionally
-append every landing to a trace list, so a composite of many stages yields
-a flat itinerary of intermediate elements.
+append every landing to a trace list, so a ping-pong yields its whole
+itinerary of intermediate elements.
 """
 
-from functools import reduce
 from typing import Callable, Iterable, Iterator, Optional
-
-from .guards import GuardExceeded, resolve_guard_limit
 
 Tagged = tuple[str, int, object]
 
@@ -103,161 +96,43 @@ class Sijection:
 
     ``forward`` realises the bijection S+ |_| T- -> S- |_| T+ and
     ``backward`` its inverse.  Both act on tagged triples
-    ``(side, sign, payload)`` and return the same shape.
-    It is a chain of stages ``(name, forward_map, backward_map)``, stage i
-    a sijection X_i => X_i+1 from X_0 = S to X_k = T; an inverted stage
-    carries the stage it inverts as a fourth entry.
-
-    One application runs at most ``guard_limit`` stage maps (the effective
-    guard limit, see ``lgvlab.guards``) and raises ``GuardExceeded`` past
-    that; a composite keeps the smaller limit of its parts.
+    ``(side, sign, payload)`` and return the same shape.  Each map is
+    called as ``map(tagged, trace)``; given a trace list, it appends the
+    ``(sign, payload)`` landings it passes through, and the sijection then
+    appends the image's.
     """
 
-    _base = None  # on an inverse, the sijection it inverts
-
     def __init__(self, name: str, source: SignedSet, target: SignedSet,
-                 forward: Callable[[Tagged], Tagged],
-                 backward: Callable[[Tagged], Tagged],
-                 guard_limit: int | None = None):
+                 forward: Callable[[Tagged, Optional[list]], Tagged],
+                 backward: Callable[[Tagged, Optional[list]], Tagged]):
         self.name = name
         self.source = source
         self.target = target
-        self._stages = ((name, forward, backward),)
-        self._hop_limit = resolve_guard_limit(guard_limit)
+        self._forward = forward
+        self._backward = backward
 
     def forward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
         _check_domain(tagged, _DOMAIN, self.name)
-        return self._walk(tagged, 1, _CODOMAIN, " (forward image)", trace)
+        return _landed(self._forward(tagged, trace), _CODOMAIN,
+                       self.name + " (forward image)", trace)
 
     def backward(self, tagged: Tagged, trace: Optional[list] = None) -> Tagged:
         _check_domain(tagged, _CODOMAIN, self.name)
-        return self._walk(tagged, 2, _DOMAIN, " (backward image)", trace)
-
-    def _walk(self, tagged: Tagged, which: int, image, label: str,
-              trace: Optional[list]) -> Tagged:
-        # The Garsia-Milne ping-pong with each stage's forward (which=1) or
-        # backward (which=2) map: an image on a stage's target side moves on
-        # to the next stage, one on its source side back to the previous one,
-        # until it steps off the chain.  Each landing decides the rest of the
-        # walk, so revisiting one means a cycle the walk can never escape.
-        # Brent's check finds it with one saved landing, replaced whenever
-        # the hop count reaches a power of two, and the hop budget bounds
-        # every walk, cycle or not.
-        stages = self._stages
-        last = len(stages)
-        limit = self._hop_limit
-        k = 0 if tagged[0] == SOURCE else last - 1
-        saved = None
-        hops = 0
-        while True:
-            hops += 1
-            if hops > limit:
-                raise GuardExceeded("ping-pong hops", hops, limit)
-            stage = stages[k]
-            tagged = stage[which](tagged)
-            side, sign, payload = tagged
-            if (side, sign) not in image:
-                _check_domain(tagged, image, stage[0] + label)
-            if trace is not None:
-                trace.append((sign, payload))
-            boundary = k + 1 if side == TARGET else k  # it lands in X_boundary
-            if boundary == 0 or boundary == last:
-                return tagged
-            landing = (boundary, sign, payload)
-            if landing == saved:
-                raise SijectionError(
-                    f"{self.name}: ping-pong revisited middle element "
-                    f"{payload!r} with sign {_SIGN_CHAR[sign]}")
-            if hops & (hops - 1) == 0:
-                saved = landing
-            if side == TARGET:
-                k += 1
-                tagged = (SOURCE, sign, payload)
-            else:
-                k -= 1
-                tagged = (TARGET, sign, payload)
-
-    def inverse(self) -> "Sijection":
-        """The sijection T => S: the stages in reverse order, each with its
-        two maps exchanged and read with the tags flipped.  Its inverse is
-        ``self`` again."""
-        if self._base is not None:
-            return self._base
-        inverse = _chain(f"inverse({self.name})", self.target, self.source,
-                         tuple(map(_invert_stage, reversed(self._stages))),
-                         self._hop_limit)
-        inverse._base = self
-        return inverse
+        return _landed(self._backward(tagged, trace), _DOMAIN,
+                       self.name + " (backward image)", trace)
 
     def __repr__(self) -> str:
         return f"Sijection({self.name!r}: {self.source.name} => {self.target.name})"
 
 
-def _chain(name: str, source: SignedSet, target: SignedSet,
-           stages: tuple, hop_limit: int) -> Sijection:
-    """The sijection S => T that runs ``stages`` in order, refusing an
-    application past ``hop_limit`` stage maps."""
-    sij = object.__new__(Sijection)
-    sij.name, sij.source, sij.target, sij._stages = name, source, target, stages
-    sij._hop_limit = hop_limit
-    return sij
-
-
-def _flip(tagged: Tagged) -> Tagged:
-    side, sign, payload = tagged
-    return (TARGET if side == SOURCE else SOURCE, sign, payload)
-
-
-def _invert_stage(stage: tuple) -> tuple:
-    """The stage read the other way.  An inverted stage keeps the stage it
-    came from as a fourth entry, which the walk never reads, so inverting
-    it again gives that stage back instead of flipping the tags twice."""
-    if len(stage) == 4:
-        return stage[3]
-    name, forward, backward = stage
-    return (f"inverse({name})",
-            lambda tagged: _flip(backward(_flip(tagged))),
-            lambda tagged: _flip(forward(_flip(tagged))),
-            stage)
-
-
-def sijection_from_bijection(name: str, source: SignedSet, target: SignedSet,
-                             fn: Callable, fn_inv: Callable,
-                             guard_limit: int | None = None) -> Sijection:
-    """Lift a sign-preserving bijection S -> T to a sijection S => T.
-
-    ``fn`` must carry S+ onto T+ and S- onto T-; ``fn_inv`` is its inverse.
-    ``guard_limit`` bounds the hops as in ``Sijection``.
-    """
-
-    def forward(tagged: Tagged) -> Tagged:
-        side, sign, payload = tagged
-        if side == SOURCE:
-            return (TARGET, 1, fn(payload))
-        return (SOURCE, -1, fn_inv(payload))
-
-    def backward(tagged: Tagged) -> Tagged:
-        side, sign, payload = tagged
-        if side == TARGET:
-            return (SOURCE, 1, fn_inv(payload))
-        return (TARGET, -1, fn(payload))
-
-    return Sijection(name, source, target, forward, backward, guard_limit)
-
-
-def compose(phi: Sijection, psi: Sijection) -> Sijection:
-    """Compose phi: S => T with psi: T => U into a sijection S => U, the
-    chain of phi's stages followed by psi's, under the smaller of their
-    hop limits."""
-    return _chain(f"({psi.name} . {phi.name})", phi.source, psi.target,
-                  phi._stages + psi._stages,
-                  min(phi._hop_limit, psi._hop_limit))
-
-
-def compose_all(*sijections: Sijection) -> Sijection:
-    if not sijections:
-        raise ValueError("compose_all needs at least one sijection")
-    return reduce(compose, sijections)
+def _landed(image: Tagged, want: tuple, name: str,
+            trace: Optional[list]) -> Tagged:
+    """``image``, checked to lie on the sides ``want`` and appended to
+    ``trace`` when there is one."""
+    _check_domain(image, want, name)
+    if trace is not None:
+        trace.append(image[1:])
+    return image
 
 
 def evaluate_with_trace(sij: Sijection, payload) -> tuple[object, list[Tagged]]:

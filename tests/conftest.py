@@ -46,7 +46,6 @@ def trusted_builders():
 
 @pytest.fixture
 def fresh_maps():
-    """No conjugated sijection kept by the maps: each is built again, with
-    the stage maps the module holds now."""
-    lgvlab.bijections._kept_zero_to_max.cache_clear()
-    lgvlab.bijections._kept_weight_permutation.cache_clear()
+    """No endpoints kept by the maps: each instance's are built again."""
+    lgvlab.bijections._kept_pp_endpoints.cache_clear()
+    lgvlab.bijections._kept_tableau_endpoints.cache_clear()

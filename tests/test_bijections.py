@@ -11,9 +11,7 @@ from lgvlab.bijections import (
     SwapCertificate,
     lgv_sijection,
     permute_steps,
-    reversal_sijection,
     reverse_paths,
-    step_permutation_sijection,
     tail_swap,
     variable_positions,
     weight_permutation_map,
@@ -31,6 +29,7 @@ from lgvlab.objects import (
     enumerate_tableaux,
 )
 from lgvlab.paths import (
+    Endpoints,
     Path,
     SignedPathFamily,
     enumerate_families,
@@ -230,7 +229,7 @@ def test_checkers_enumerate_the_signed_families_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_lgv_sijection_and_its_inverse_share_one_swap_memo(monkeypatch):
+def test_lgv_sijection_swaps_again_through_its_swap_memo(monkeypatch):
     calls = []
     real = lgvlab.bijections._swap_tails
 
@@ -241,17 +240,16 @@ def test_lgv_sijection_and_its_inverse_share_one_swap_memo(monkeypatch):
     monkeypatch.setattr(lgvlab.bijections, "_swap_tails", counting)
     ep = plane_partition_endpoints(Partition([2, 1]), 2)
     sij = lgv_sijection(ep)
-    inv = sij.inverse()
-    assert type(sij) is Sijection and type(inv) is Sijection
+    assert type(sij) is Sijection
     # the pair memo is kept once the families have been walked; before the
-    # walk (a map's ping-pong) each swap is computed and not kept.  Each
-    # direction swaps on its own, and the second swap reads the first's
-    # pair; both return the walked family equal to the image
+    # walk each swap is computed and not kept.  A second swap of the same
+    # family reads the first's pair; both return the walked family equal
+    # to the image
     walked = [family for family, _ in sij.target.elements()]
     negative = next(f for f in walked if f.sign == -1)
     _, _, image = sij.forward((TARGET, -1, negative))
-    back = inv.backward((SOURCE, -1, negative))
-    assert back == (SOURCE, 1, image) and back[2] is image
+    again = sij.forward((TARGET, -1, negative))
+    assert again == (TARGET, 1, image) and again[2] is image
     assert any(family is image for family in walked)
     assert len(calls) == 1
     assert image == tail_swap(negative)[0]
@@ -415,14 +413,6 @@ def test_reverse_paths_involution_and_statistic_swap():
         assert first_step_east_count(rev) == last_step_east_count(family)
 
 
-def test_reversal_sijection_checks():
-    ep = plane_partition_endpoints(Partition([1, 1]), 1)
-    sij = reversal_sijection(ep)
-    assert check_sijection(sij) == []
-    assert check_compatibility(sij, last_step_east_count,
-                               first_step_east_count) == []
-
-
 def test_permute_steps_roundtrip():
     ep = tableau_endpoints(Partition([2, 1]), 3)
     positions = (2, 0, 1)
@@ -456,22 +446,11 @@ def test_permute_steps_refuses_positions_out_of_range(positions):
     for family in enumerate_families(ep):
         with pytest.raises(ValueError, match=r"^positions\[\d\]: .* outside 0\.\.2$"):
             permute_steps(family, positions)
-    with pytest.raises(ValueError, match=r"^positions\[\d\]: .* outside 0\.\.2$"):
-        step_permutation_sijection(ep, positions)
 
 
-def test_step_permutation_sijection_refuses_a_repeated_position():
-    # every position is in range, yet 0 repeats and 2 is missing: refused
-    # when the sijection is built, not by a family in the middle of a walk
-    ep = tableau_endpoints(Partition([2, 1]), 3)
-    with pytest.raises(ValueError, match=r"^positions \(0, 0, 1\) is not a "
-                                         r"permutation of 0\.\.2$"):
-        step_permutation_sijection(ep, (0, 0, 1))
-
-
-def test_step_permutation_sijection_checks():
-    ep = tableau_endpoints(Partition([2]), 2)
-    sij = step_permutation_sijection(ep, (1, 0))
+def test_weight_permutation_sijection_checks():
+    # a shape given as a list is read as the maps read a Partition
+    sij = weight_permutation_sijection([2, 1], 3, (2, 3, 1))
     assert check_sijection(sij) == []
 
 
@@ -530,10 +509,10 @@ def test_zero_to_max_hop_counts_are_pinned():
 
 
 def test_a_long_ping_pong_keeps_no_family_it_swaps():
-    # an orbit never swaps the same family twice, so before a walk the
-    # swaps are not kept: the 7,307-hop elements of 1^11, m=1 peak near a
-    # short orbit (about 0.07 MB against 0.02 MB), where a memo of every
-    # swapped family peaked at 2.2 MB
+    # an orbit never swaps the same family twice, so the walk keeps no
+    # swap: the 7,307-hop elements of 1^11, m=1 peak near a short orbit
+    # (about 0.07 MB against 0.02 MB), where a memo of every swapped
+    # family peaked at 2.2 MB
     lgvlab.paths._path.cache_clear()
     shape = Partition([1] * 11)
     peaks = []
@@ -647,15 +626,10 @@ def test_weight_map_trace_shape():
     assert all(s["set"] == "middle" for s in trace["steps"][1:-1])
 
 
-# --- the sijections the maps keep -----------------------------------------
-
-def _cells(fn) -> dict:
-    """The variables a closure reads from its enclosing function."""
-    return dict(zip(fn.__code__.co_freevars,
-                    (cell.cell_contents for cell in fn.__closure__)))
-
+# --- what the maps keep, and a chain walk to check them against -------------
 
 def test_the_maps_keep_at_most_their_constant_number_of_sijections(fresh_maps):
+    # the maps keep one instance's endpoints, not a sijection, per entry
     size = lgvlab.bijections._MAP_CACHE_SIZE
     instances = 0
     for shape in enumerate_partitions(6):
@@ -663,16 +637,18 @@ def test_the_maps_keep_at_most_their_constant_number_of_sijections(fresh_maps):
             zero_to_max_map(next(enumerate_plane_partitions(shape, bound)))
             instances += 1
         if len(shape) <= 3:
-            tableau = next(enumerate_tableaux(shape, 3))
-            for perm in permutations((1, 2, 3)):
-                weight_permutation_map(tableau, perm)
+            for varcount in (3, 4, 5):
+                tableau = next(enumerate_tableaux(shape, varcount))
+                for perm in permutations(range(1, varcount + 1)):
+                    weight_permutation_map(tableau, perm)
                 instances += 1
     assert instances > 2 * size
-    for kept in (lgvlab.bijections._kept_zero_to_max,
-                 lgvlab.bijections._kept_weight_permutation):
+    for kept in (lgvlab.bijections._kept_pp_endpoints,
+                 lgvlab.bijections._kept_tableau_endpoints):
         info = kept.cache_info()
         assert info.maxsize == size
         assert info.currsize == size
+        assert info.misses > size
 
 
 def test_a_kept_sijection_still_refuses_past_a_smaller_hop_limit(
@@ -698,7 +674,13 @@ def test_a_kept_sijection_still_refuses_past_a_smaller_hop_limit(
 
 def test_a_kept_sijection_holds_no_stream_and_no_swap_memo(monkeypatch,
                                                           fresh_maps):
-    monkeypatch.delenv("LGVLAB_GUARD_LIMIT", raising=False)
+    # a map walks no signed set, so no enumeration runs, and the one
+    # thing kept per instance is its endpoints, a value
+    def refused(*args):
+        raise AssertionError("a map enumerated families")
+
+    for name in ("enumerate_families", "enumerate_ni_families"):
+        monkeypatch.setattr(lgvlab.bijections, name, refused)
     shape, bound = Partition([4, 4, 4]), 4
     tableau_shape, varcount, perm = Partition([3, 2, 1]), 4, (2, 4, 1, 3)
     calls = 0
@@ -710,30 +692,72 @@ def test_a_kept_sijection_holds_no_stream_and_no_swap_memo(monkeypatch,
         weight_permutation_map(tableau, perm)
         calls += 1
     assert calls == 1000
-    limit = resolve_guard_limit()
-    kept = [lgvlab.bijections._kept_zero_to_max(shape, bound, limit),
-            lgvlab.bijections._kept_weight_permutation(
-                tableau_shape, varcount, variable_positions(perm), limit)]
-    for kept_map in (lgvlab.bijections._kept_zero_to_max,
-                     lgvlab.bijections._kept_weight_permutation):
-        assert kept_map.cache_info().misses == 1
-    for _, sij in kept:
-        assert sij.source._stream is None and sij.target._stream is None
-        swap = _cells(sij._stages[0][1])["swap"]
-        lgv = _cells(swap)
-        assert lgv["target"]._stream is None
-        assert lgv["walked"] is None
-        assert lgv["pairs"] == {}
+    for kept, instance, build in (
+            (lgvlab.bijections._kept_pp_endpoints, (shape, bound),
+             plane_partition_endpoints),
+            (lgvlab.bijections._kept_tableau_endpoints,
+             (tableau_shape, varcount), tableau_endpoints)):
+        assert kept.cache_info().misses == 1
+        endpoints = kept(*instance)
+        assert type(endpoints) is Endpoints
+        assert endpoints == build(*instance)
+
+
+def _chain_walk(stages, payload):
+    """The Garsia-Milne walk of a positive element of X_0 along a chain of
+    sijections X_0 => X_1 => ... => X_k, stage i given by its forward map
+    on tagged triples: an image on a stage's target side moves on to the
+    next stage, one on its source side back to the previous one, until it
+    steps off the chain.  Returns the image and the ``(sign, payload)``
+    landings, the image's last."""
+    k, tagged, landings = 0, (SOURCE, 1, payload), []
+    while True:
+        side, sign, payload = stages[k](tagged)
+        landings.append((sign, payload))
+        boundary = k + 1 if side == TARGET else k
+        if boundary in (0, len(stages)):
+            return payload, landings
+        k = boundary if side == TARGET else boundary - 1
+        tagged = (SOURCE if side == TARGET else TARGET, sign, payload)
+
+
+def _conjugation_stages(endpoints, there, back):
+    """The three stages lgv, ``there`` on the signed families and the
+    inverse of lgv, the last two read off their own definitions."""
+    lgv = lgv_sijection(endpoints)
+
+    def middle(tagged):
+        side, sign, family = tagged
+        if side == SOURCE:
+            return (TARGET, 1, there(family))
+        return (SOURCE, -1, back(family))
+
+    def flip(tagged):
+        side, sign, family = tagged
+        return (TARGET if side == SOURCE else SOURCE, sign, family)
+
+    return (lgv.forward, middle, lambda tagged: flip(lgv.backward(flip(tagged))))
 
 
 def test_kept_zero_to_max_maps_match_freshly_built_sijections(fresh_maps):
+    # every map, and on the smaller instances every landing, against the
+    # chain walk
     maps = 0
     for shape in enumerate_partitions(8):
         for bound in range(4):
-            fresh = zero_to_max_sijection(shape, bound)
+            endpoints = plane_partition_endpoints(shape, bound)
+            stages = _conjugation_stages(endpoints, reverse_paths,
+                                         reverse_paths)
+            sij = zero_to_max_sijection(shape, bound)
             for pp in enumerate_plane_partitions(shape, bound):
-                _, _, image = fresh.forward((SOURCE, 1, pp_encode(pp)))
+                family = pp_encode(pp)
+                image, landings = _chain_walk(stages, family)
                 assert zero_to_max_map(pp) == pp_decode(image, shape, bound)
+                if shape.size() <= 6:
+                    trace = []
+                    assert sij.forward((SOURCE, 1, family), trace) == (
+                        TARGET, 1, image)
+                    assert trace == landings
                 maps += 1
     assert maps == 33049
 
@@ -742,12 +766,17 @@ def test_kept_weight_maps_match_freshly_built_sijections(fresh_maps):
     maps = 0
     for shape in enumerate_partitions(6):
         for varcount in range(1, 5):
+            endpoints = tableau_endpoints(shape, varcount)
             tableaux = list(enumerate_tableaux(shape, varcount))
             for perm in permutations(range(1, varcount + 1)):
-                fresh = weight_permutation_sijection(shape, varcount, perm)
+                positions = [v - 1 for v in perm]
+                inverse = [positions.index(k) for k in range(varcount)]
+                stages = _conjugation_stages(
+                    endpoints,
+                    lambda family: permute_steps(family, positions),
+                    lambda family: permute_steps(family, inverse))
                 for tableau in tableaux:
-                    _, _, image = fresh.forward(
-                        (SOURCE, 1, ssyt_encode(tableau)))
+                    image, _ = _chain_walk(stages, ssyt_encode(tableau))
                     assert weight_permutation_map(tableau, perm) == (
                         ssyt_decode(image, shape, varcount))
                     maps += 1

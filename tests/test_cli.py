@@ -334,6 +334,19 @@ def test_sweep_refuses_a_grid_past_the_limit_before_running(capsys):
             f"limit 100000") in err
 
 
+@pytest.mark.parametrize("limit, refusal", [
+    ("56", "sweep instances: projected size 57 exceeds guard limit 56"),
+    ("57", "sweep objects: projected size 525 exceeds guard limit 57"),
+])
+def test_sweep_counts_the_instances_of_every_size_up_to_the_largest(
+        capsys, limit, refusal):
+    # sizes 0 to 5 have 1, 1, 2, 3, 5 and 7 shapes, each with bounds 0 to
+    # 2: 57 instances, refused one below and passed at exactly 57
+    code, out, err = run(capsys, "sweep", "--max-size", "5", "--max-bound",
+                         "2", "--guard-limit", limit)
+    assert (code, out, err) == (1, "", f"guard: {refusal}\n")
+
+
 @pytest.mark.parametrize("parts, bound", [((2,) * 24, 2), ((1,) * 30, 1)])
 def test_verify_lgv_refuses_a_tall_shape_within_a_second(
         capsys, parts, bound):

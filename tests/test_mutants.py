@@ -23,15 +23,14 @@ import lgvlab.paths
 import lgvlab.verify
 from lgvlab.cli import main
 from lgvlab.guards import GuardExceeded
-from lgvlab.sijections import (SOURCE, TARGET, Sijection, SignedSet,
-                               compose)
+from lgvlab.sijections import SijectionError
 from lgvlab.verify import (verify_bijection, verify_lgv, verify_schur,
                            verify_theorem1)
 
 LIMIT = 10_000
 
-# A sijection the maps keep holds the stage maps it was built with, so each
-# case starts with none kept: a fault planted in a stage map reaches its map.
+# Each case starts with no endpoints kept by the maps, so a fault planted
+# in an endpoint builder reaches the maps.
 pytestmark = pytest.mark.usefixtures("fresh_maps")
 
 
@@ -342,26 +341,40 @@ def test_a_tableau_listed_twice_fails_weight_map_is_bijection(monkeypatch):
 
 
 def test_a_cycle_check_that_never_fires_ends_at_the_hop_budget(monkeypatch):
-    # x and q chase each other forever once u0 enters; without its cycle
-    # check the walk is stopped by the hop budget, not left to spin
-    monkeypatch.setattr(Sijection, "_walk", rewritten(
-        Sijection._walk, "if landing == saved:", "if False:"))
-
-    def from_dict(name, source, target, mapping):
-        inverse = {v: k for k, v in mapping.items()}
-        return Sijection(name, source, target, mapping.__getitem__,
-                         inverse.__getitem__, 100)
-
-    empty = SignedSet("empty", lambda: ())
-    middle = SignedSet("t", lambda: [("x", 1), ("q", -1)])
-    far = SignedSet("u", lambda: [("u0", -1)])
-    phi = from_dict("phi", empty, middle,
-                    {(TARGET, -1, "q"): (TARGET, 1, "x")})
-    psi = from_dict("psi", middle, far, {
-        (SOURCE, 1, "x"): (SOURCE, -1, "q"),
-        (TARGET, -1, "u0"): (SOURCE, -1, "q"),
-    })
+    # a "reversal" that sends every family to one crossing family traps
+    # the walk in a cycle of four landings: the cycle check refuses it,
+    # and without the check the walk is stopped by the hop budget, not
+    # left to spin
+    shape, bound = lgvlab.objects.Partition((2, 1)), 2
+    crossing = next(
+        family for family in lgvlab.paths.enumerate_families(
+            lgvlab.paths.plane_partition_endpoints(shape, bound))
+        if not lgvlab.paths.is_nonintersecting(family))
+    monkeypatch.setattr(lgvlab.bijections, "reverse_paths",
+                        lambda family: crossing)
+    pp = next(lgvlab.objects.enumerate_plane_partitions(shape, bound))
+    with pytest.raises(SijectionError, match="revisited middle element"):
+        lgvlab.bijections.zero_to_max_map(pp, guard_limit=100)
+    monkeypatch.setattr(lgvlab.bijections, "_ping_pong", rewritten(
+        lgvlab.bijections._ping_pong, "if landing == saved:", "if False:"))
     with pytest.raises(GuardExceeded) as info:
-        compose(phi, psi).forward((TARGET, -1, "u0"))
+        lgvlab.bijections.zero_to_max_map(pp, guard_limit=100)
     assert (info.value.what, info.value.projected, info.value.limit) == (
         "ping-pong hops", 101, 100)
+
+
+def test_a_tableau_missing_from_the_last_two_variables_breaks_symmetry(
+        monkeypatch):
+    # without the tableau [[1, 2]] of shape (2), the polynomial in three
+    # variables is symmetric under (1 2) but not under (2 3), the last
+    # adjacent transposition
+    real = lgvlab.verify.enumerate_tableaux
+    monkeypatch.setattr(
+        lgvlab.verify, "enumerate_tableaux",
+        lambda shape, varcount: (t for t in real(shape, varcount)
+                                 if t.rows != ((1, 2),)))
+    report = verify_schur((2,), 3, None, LIMIT)
+    assert "symmetric-under-adjacent-transpositions" in failed(report)
+    check = next(c for c in report["checks"]
+                 if c["name"] == "symmetric-under-adjacent-transpositions")
+    assert check["witness"] == {"transposition": [2, 3]}
