@@ -146,9 +146,8 @@ def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertifica
 
     Returns a newly built swapped family together with the certificate;
     raises ValueError on a non-intersecting family.  ``lgv_sijection``
-    runs the same swap core but keeps no certificate, and once its signed
-    families have been walked it returns the walked family equal to the
-    image instead of building one.
+    runs the same swap core but keeps no certificate, and returns the
+    walked family equal to the image instead of building one.
     """
     # Path i now ends where path j did, at b_{sigma(j)}, and the other way
     # round, so a correct core's image is valid by construction.  Its meet
@@ -199,36 +198,34 @@ def lgv_sijection(endpoints: Endpoints,
     signed count of all families equals the plain count of the
     non-intersecting ones.
 
-    Once the signed families have been walked, the swap core keeps a pair
-    memo (see ``_swap_parts``): the many families that cross at one pair
-    of paths share one swapped pair.  An image is then looked up, by its
-    permutation and paths, in an index of the walked stream built on the
-    first swap after the walk, and the walked family is returned: a
-    correct swap's image is always one of them, so nothing is built,
-    hashed or scanned again.  Only an image the walk does not hold is
-    built, so a faulty swap is still seen.  Each direction computes its
-    own swap, so a checker can catch a swap that is not an involution.
-    Before the walk every image is built and nothing is kept.  A
-    family the swap is undefined on is refused with ``SijectionError``,
-    so a checker reports it.  The non-intersecting side, walked after the
-    signed families, reads its families off their stream (see
+    The first swap walks the signed families, unless a checker has walked
+    them already, and indexes them by permutation and paths.  The swap
+    core keeps a pair memo (see ``_swap_parts``): the many families that
+    cross at one pair of paths share one swapped pair.  An image is
+    looked up in the index and the walked family is returned: a correct
+    swap's image is always one of them, so nothing is built, hashed or
+    scanned again.  Only an image the walk does not hold is built, so a
+    faulty swap is still seen.  Each direction computes its own swap, so
+    a checker can catch a swap that is not an involution.  A family the
+    swap is undefined on is refused with ``SijectionError``, so a checker
+    reports it.  The non-intersecting side, walked after the signed
+    families, reads its families off their stream (see
     ``nonintersecting_set``).
     """
     target = signed_family_set(endpoints, guard_limit)
     source = nonintersecting_set(endpoints, guard_limit, target)
-    pairs = {}  # the pair memo of ``_swap_parts``, used after the walk
-    walked = None  # the index of the target's stream, once it has one
+    pairs = {}  # the pair memo of ``_swap_parts``
+    walked = None  # the index of the target's stream, built on first use
 
     def swap(family):
         nonlocal walked
-        if walked is None and target._stream is not None:
-            walked = {(f.sigma, f.paths): f for f, _ in target._stream}
+        if walked is None:
+            walked = {(f.sigma, f.paths): f for f, _ in target.elements()}
         try:
-            sigma, paths, _ = _swap_parts(
-                family, None if walked is None else pairs)
+            sigma, paths, _ = _swap_parts(family, pairs)
         except ValueError as exc:
             raise SijectionError(str(exc)) from None
-        image = None if walked is None else walked.get((sigma, paths))
+        image = walked.get((sigma, paths))
         if image is None:
             image = SignedPathFamily._trusted(family.endpoints, sigma, paths)
         return image

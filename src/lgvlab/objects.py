@@ -21,7 +21,8 @@ from __future__ import annotations
 import functools
 import operator
 from collections import Counter
-from itertools import combinations_with_replacement, groupby
+from itertools import (chain, combinations_with_replacement, dropwhile, groupby,
+                       islice, repeat)
 from typing import Iterator
 
 from .algebra import (MultiPoly, UniPoly, _Value, _bareiss, _slot_setters,
@@ -294,15 +295,26 @@ def _filling_fields(data, kind: str, bound_field: str):
 
 def _stream_beneath(values: range, column_ok, cut: tuple):
     """The rows as long as ``cut`` allowed beneath it, as a lazy filter of
-    the multisets of ``values`` in their order."""
-    return filter(lambda row: all(map(column_ok, cut, row)),
-                  combinations_with_replacement(values, len(cut)))
+    the multisets of ``values`` in their order.
+
+    The multisets come in lexicographic order, in the order of
+    ``values``, and a row allowed entry by entry is also allowed when
+    ``column_ok`` compares the two tuples lexicographically; so the rows
+    before the first one allowed that way are dropped without the entry
+    test."""
+    rows = dropwhile(lambda row: not column_ok(cut, row),
+                     combinations_with_replacement(values, len(cut)))
+    return filter(lambda row: all(map(column_ok, cut, row)), rows)
 
 
 def _rows_beneath(values: range, column_ok):
     """``beneath(cut)``: the rows as long as ``cut`` allowed beneath it, as
     references into the candidate rows of that length, the multisets of
-    ``values`` in their order, which are listed once."""
+    ``values`` in their order, which are listed once.
+
+    The cut is itself a candidate row, and, as in ``_stream_beneath``,
+    every candidate before it is refused lexicographically, so the entry
+    test starts at the cut's own place, found by a C-level scan."""
     candidates: dict[int, list[tuple[int, ...]]] = {}
 
     def beneath(cut: tuple) -> list[tuple[int, ...]]:
@@ -310,9 +322,22 @@ def _rows_beneath(values: range, column_ok):
         if pool is None:
             pool = candidates[len(cut)] = list(
                 combinations_with_replacement(values, len(cut)))
-        return [row for row in pool if all(map(column_ok, cut, row))]
+        return [row for row in islice(pool, pool.index(cut), None)
+                if all(map(column_ok, cut, row))]
 
     return beneath
+
+
+def _first_runs(parts: tuple, values: range, column_ok, beneath):
+    """The first rows of a shape of two or more rows, in the runs of
+    their lexicographic stream that share a cut, each with the rows
+    allowed beneath it: a run of cut first rows shares one ``beneath``
+    list, and an uncut first row, alone in its run, reads a
+    ``_stream_beneath`` stream once."""
+    first = combinations_with_replacement(values, parts[0])
+    for cut, run in groupby(first, operator.itemgetter(slice(0, parts[1]))):
+        yield run, (beneath(cut) if parts[1] < parts[0]
+                    else _stream_beneath(values, column_ok, cut))
 
 
 def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
@@ -338,18 +363,13 @@ def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
     if not parts:
         yield ()
         return
-    first = combinations_with_replacement(values, parts[0])
     last = len(parts) - 1
-    if not last:
-        yield from zip(first)  # each row as a one-row filling
+    if not last:  # each row as a one-row filling
+        yield from zip(combinations_with_replacement(values, parts[0]))
         return
     beneath = _rows_beneath(values, column_ok)
     kept = functools.cache(beneath)
-    for cut, run in groupby(first, operator.itemgetter(slice(0, parts[1]))):
-        # a run of cut first rows shares one list; an uncut first row is
-        # alone in its run and reads a stream once
-        second = (beneath(cut) if parts[1] < parts[0]
-                  else _stream_beneath(values, column_ok, cut))
+    for run, second in _first_runs(parts, values, column_ok, beneath):
         for top in run:
             # rows[i] is placed on row i and stack[i] yields row i + 1
             rows, stack = [top], [iter(second)]
@@ -446,6 +466,90 @@ def _guarded_count(count, label: str, shape: Partition, bound: int,
     return total
 
 
+def _running_counts(length: int, size: int, low: int = 0):
+    """Every weakly increasing tuple of ``size`` ints in [low, length].
+
+    Entry t of such a tuple counts a row's entries among the first t + 1
+    values of an alphabet of size + 1, so the tuples stand for the rows
+    of ``length`` entries, one each.  Each level reads a range, so no
+    pool of length + 1 ints is built, and the levels nest ``size`` deep.
+    """
+    if size == 1:
+        return zip(range(low, length + 1))
+    return chain.from_iterable(
+        zip(repeat(s), range(s, length + 1)) if size == 2
+        else map((s,).__add__, _running_counts(length, size - 1, s))
+        for s in range(low, length + 1))
+
+
+def _row_tally(shape: Partition, values: range, column_ok, tag: tuple,
+               step, counted) -> dict:
+    """The histogram ``{index: count}`` of the fillings of the shape whose
+    rows are multisets of ``values``, each entry beneath the row above by
+    ``column_ok``: a filling is counted at the sum of its rows' steps.
+    Both brute routes run on it.
+
+    The tally goes row by row.  The rows allowed beneath a row depend only
+    on its cut to the length of the row below, so the fillings whose
+    placed rows end in one cut are counted together: a layer maps each cut
+    to the histogram of the rows placed above it.  The rows tried beneath
+    a cut are grouped in one C-level count by their group,
+    ``itemgetter(slice(0, length), *tag)(row)``: their own cut, then the
+    items ``tag`` names, which fix the row's step, ``step(group)``.  Each
+    group adds the histogram, shifted by its step and times its count, at
+    its cut in the next layer.  The first rows come in lexicographic
+    order, in runs that share a cut (``_first_runs``), each counted as it
+    passes; the last row's cut is the shared empty tuple.  The work is one
+    pass over each row tried, for every row beneath every reachable cut.
+
+    A one-row shape of N cells over a values has C(N + a - 1, a - 1)
+    fillings of N entries each.  When 1 <= a - 1 < N they are read off
+    their ``_running_counts`` instead, a - 1 numbers each, and
+    ``counted(counts)`` gives a filling's step from them.
+    """
+    parts = shape.parts
+    if not parts:
+        return {0: 1}  # the empty shape's one filling
+    if len(parts) == 1 and 1 < len(values) <= parts[0]:
+        return Counter(map(counted,
+                           _running_counts(parts[0], len(values) - 1)))
+
+    def move(layer: dict, hist: dict, rows, length: int) -> None:
+        """Add ``hist``, shifted by each row's step and times its count,
+        into ``layer`` at the row's cut to ``length``."""
+        groups = Counter(map(operator.itemgetter(slice(0, length), *tag),
+                             rows))
+        for group, n in groups.items():
+            cut, by = group[0], step(group)
+            target = layer.get(cut)
+            if target is None:
+                layer[cut] = {i + by: c * n for i, c in hist.items()}
+            else:
+                get = target.get
+                for i, c in hist.items():
+                    i += by
+                    target[i] = get(i, 0) + c * n
+
+    layer = {}
+    if len(parts) == 1:
+        move(layer, {0: 1}, combinations_with_replacement(values, parts[0]),
+             0)
+        return layer.get((), {})
+    lengths = parts[1:] + (0,)  # the length each row is cut to
+    beneath = _rows_beneath(values, column_ok)
+    uncut = operator.itemgetter(slice(0, 0), *tag)  # a group, cut unread
+    for run, second in _first_runs(parts, values, column_ok, beneath):
+        hist = {}
+        for by in map(step, map(uncut, run)):
+            hist[by] = hist.get(by, 0) + 1
+        move(layer, hist, second, lengths[1])
+    for cut_to in lengths[2:]:  # each cut is as long as the row beneath
+        above, layer = layer, {}
+        for cut, hist in above.items():
+            move(layer, hist, beneath(cut), cut_to)
+    return layer.get((), {})
+
+
 def refined_genfuns_by_enumeration(
     shape: Partition, bound: int, guard_limit: int | None = None
 ) -> tuple[UniPoly, UniPoly]:
@@ -454,71 +558,25 @@ def refined_genfuns_by_enumeration(
     Returns ``(zeros, maxes)``: the coefficient of x**k in ``zeros`` counts
     the plane partitions with k rows containing 0, in ``maxes`` those with
     k rows containing the bound.  Both are marginals of one joint
-    histogram indexed by ``zeros + k * maxes`` (k = rows + 1), to which a
-    row adds its step ``(row[-1] == 0) + k * (row[0] == bound)``.
-
-    The tally goes row by row.  The rows allowed beneath a row depend only
-    on that row cut to the length of the row below, so the plane
-    partitions whose placed rows end in one cut are counted together: a
-    layer maps each cut to the joint histogram of the rows placed above
-    it.  Every candidate row is still tried beneath every reachable cut,
-    and its step is added to that cut's histogram, times the number of
-    rows with its own cut and step; no determinant or closed form enters
-    beyond the guard.
-
-    * The first rows come in lexicographic order, so each cut is one run
-      of them, counted as it passes, and the rows beneath it are the
-      walker's ``_stream_beneath``.  Beneath later rows, the walker's
-      ``_rows_beneath`` lists them.
-    * Rows are grouped by their cut and step in one C-level count.  The
-      last row's cut is the shared empty tuple, so a one-row shape's rows,
-      and those beneath the first row of a two-row shape, are counted
-      without holding one, and the combinations reuse their tuple.
+    histogram, ``_row_tally``'s, indexed by ``zeros + k * maxes`` (k =
+    rows + 1), to which a row adds its step ``(row[-1] == 0) + k *
+    (row[0] == bound)``: its group is its cut, last and first entries.
+    A one-row shape of N cells with 0 < m < N is read off
+    the running counts R_m, ..., R_1 of its rows, R_v counting the entries
+    at least v: a row holds the bound when R_m > 0 and holds 0 when
+    R_1 < N.  No determinant or closed form enters beyond the guard.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     _guarded_count(count_plane_partitions, "PP", shape, bound, guard_limit)
-    parts = shape.parts
-    k = len(parts) + 1
-    values = PlanePartition._values(bound)
-    ge = operator.ge
+    cells = shape.size()
+    k = len(shape) + 1
 
-    def move(layer: dict, hist: dict, rows, length: int) -> None:
-        """Add ``hist``, shifted by each row's step and times its count,
-        into ``layer`` at the row's cut to ``length``."""
-        counts = Counter(map(operator.itemgetter(slice(0, length), -1, 0), rows))
-        for (cut, low, high), n in counts.items():
-            step = (low == 0) + k * (high == bound)
-            target = layer.get(cut)
-            if target is None:
-                layer[cut] = {i + step: c * n for i, c in hist.items()}
-            else:
-                get = target.get
-                for i, c in hist.items():
-                    i += step
-                    target[i] = get(i, 0) + c * n
-
-    lengths = parts[1:] + (0,)  # the length each row is cut to
-    layer = {(): {0: 1}}  # the empty shape's one filling
-    if parts:
-        first = combinations_with_replacement(values, parts[0])
-        layer = {}
-        if len(parts) == 1:
-            move(layer, {0: 1}, first, 0)
-        else:
-            below = parts[1]
-            for cut, run in groupby(first, operator.itemgetter(slice(0, below))):
-                steps = {}
-                for row in run:
-                    step = (row[-1] == 0) + k * (row[0] == bound)
-                    steps[step] = steps.get(step, 0) + 1
-                move(layer, steps, _stream_beneath(values, ge, cut), lengths[1])
-        beneath = _rows_beneath(values, ge)
-        for cut_to in lengths[2:]:  # each cut is as long as the row beneath
-            above, layer = layer, {}
-            for cut, hist in above.items():
-                move(layer, hist, beneath(cut), cut_to)
+    joint = _row_tally(
+        shape, PlanePartition._values(bound), operator.ge, (-1, 0),
+        lambda group: (group[1] == 0) + k * (group[2] == bound),
+        lambda counts: (counts[-1] < cells) + k * (counts[0] > 0))
     zeros, maxes = [0] * k, [0] * k
-    for index, n in layer[()].items():
+    for index, n in joint.items():
         x, z = divmod(index, k)
         zeros[z] += n
         maxes[x] += n
@@ -582,16 +640,11 @@ class Tableau(_Filling):
 
     def weight(self) -> tuple[int, ...]:
         """Content vector: component t counts entries equal to t+1."""
-        return _weight(self.rows, self.varcount)
-
-
-def _weight(rows, varcount: int) -> tuple[int, ...]:
-    """Content vector of a tableau's rows: component t counts entries t+1."""
-    counts = [0] * varcount
-    for row in rows:
-        for e in row:
-            counts[e - 1] += 1
-    return tuple(counts)
+        counts = [0] * self.varcount
+        for row in self.rows:
+            for e in row:
+                counts[e - 1] += 1
+        return tuple(counts)
 
 
 def enumerate_tableaux(shape: Partition, varcount: int) -> Iterator[Tableau]:
@@ -607,10 +660,20 @@ def count_tableaux(shape: Partition, varcount: int) -> int:
     """Closed-form tableau count: ``_binomial_det`` of the columns.
 
     Entry (i, j), 1-based, is C(varcount, mu_j - j + i) where mu is the
-    transposed shape.  The shape is read through ``Partition``; a varcount
-    that is not a positive int is then refused with ValueError.
+    transposed shape, the dual Jacobi-Trudi determinant at x_1 = ... =
+    x_n = 1.  A shape with fewer rows than columns takes the Jacobi-Trudi
+    determinant of its rows instead, on the smaller matrix: entry (i, j)
+    is h_d(1^n) = C(varcount + d - 1, d), d = shape_i - i + j.  The shape
+    is read through ``Partition``; a varcount that is not a positive int
+    is then refused with ValueError.
     """
-    return _binomial_det(Tableau._checked_line_steps(shape, varcount))
+    shape = shape if isinstance(shape, Partition) else Partition(shape)
+    columns = Tableau._checked_line_steps(shape, varcount)
+    if len(columns) <= len(shape):
+        return _binomial_det(columns)
+    rows = range(len(shape))
+    return _bareiss([[binomial(varcount + part - i + j - 1, part - i + j)
+                      for j in rows] for i, part in enumerate(shape.parts)])
 
 
 def schur_by_enumeration(
@@ -619,7 +682,12 @@ def schur_by_enumeration(
     """Schur polynomial in ``varcount`` variables by tableau tally.
 
     Sums the monomial x^(weight of T) over all semistandard tableaux of the
-    shape with entries at most varcount.  Each tableau's weight has
+    shape with entries at most varcount, through ``_row_tally``, so no
+    tableau is walked.  A weight is held as its index, the number whose
+    digits in base 256 (base cells + 1 past 255 cells) are its exponents:
+    a row's step is the index of its own weight, and each index is
+    decoded once at the end.  A one-row shape's rows are read off their
+    running counts, whose differences are the weight.  Each weight has
     varcount exponents, so the guard also sees tableaux times varcount.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
@@ -627,5 +695,35 @@ def schur_by_enumeration(
                            guard_limit)
     check_guard(f"SSYT({list(shape.parts)}; {varcount}) exponents",
                 total * varcount, guard_limit)
-    return MultiPoly._trusted(varcount, dict(Counter(
-        _weight(rows, varcount) for rows in Tableau._walk(shape, varcount))))
+    cells = shape.size()
+    # an exponent is at most the cells, so up to 255 cells each exponent
+    # is one byte of the index, and the index is read back by its bytes
+    byte = cells < 256
+    base = 256 if byte else cells + 1
+    powers = [base ** t for t in range(varcount)]
+    place = [None, *powers].__getitem__  # an entry e adds base ** (e - 1)
+
+    # a one-row weight is the differences of the running counts, so its
+    # index is cells * base ** (n - 1) plus counts[t] * (base ** t - base **
+    # (t + 1)) over t
+    top = cells * powers[-1]
+    drops = list(map(operator.sub, powers, powers[1:]))
+
+    def counted(counts: tuple) -> int:
+        return top + sum(map(operator.mul, counts, drops))
+
+    def weight(index: int) -> tuple[int, ...]:
+        if byte:
+            return tuple(index.to_bytes(varcount, "little"))
+        exponents = []
+        for _ in powers:
+            index, e = divmod(index, base)
+            exponents.append(e)
+        return tuple(exponents)
+
+    # a row's group is its cut and the whole row
+    tally = _row_tally(shape, Tableau._values(varcount), operator.lt,
+                       (slice(None),), lambda group: sum(map(place, group[1])),
+                       counted)
+    return MultiPoly._trusted(varcount, {weight(index): n
+                                         for index, n in tally.items()})

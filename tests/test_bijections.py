@@ -241,8 +241,7 @@ def test_lgv_sijection_swaps_again_through_its_swap_memo(monkeypatch):
     ep = plane_partition_endpoints(Partition([2, 1]), 2)
     sij = lgv_sijection(ep)
     assert type(sij) is Sijection
-    # the pair memo is kept once the families have been walked; before the
-    # walk each swap is computed and not kept.  A second swap of the same
+    # the pair memo keeps each swapped pair: a second swap of the same
     # family reads the first's pair; both return the walked family equal
     # to the image
     walked = [family for family, _ in sij.target.elements()]
@@ -253,6 +252,27 @@ def test_lgv_sijection_swaps_again_through_its_swap_memo(monkeypatch):
     assert any(family is image for family in walked)
     assert len(calls) == 1
     assert image == tail_swap(negative)[0]
+
+
+def test_a_swap_before_any_walk_walks_the_signed_families_once(monkeypatch):
+    # the first swap walks the target itself and returns the walked family;
+    # the checker then replays that walk instead of enumerating again
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_families(*args, **kwargs)
+
+    monkeypatch.setattr(lgvlab.bijections, "enumerate_families", counting)
+    ep = plane_partition_endpoints(Partition([2, 1]), 2)
+    negative = next(f for f in enumerate_families(ep) if f.sign == -1)
+    sij = lgv_sijection(ep)
+    assert sij.target._stream is None
+    _, _, image = sij.forward((TARGET, -1, negative))
+    assert len(calls) == 1 and sij.target._stream is not None
+    assert any(family is image for family, _ in sij.target.elements())
+    assert image == tail_swap(negative)[0]
+    assert check_sijection(sij) == [] and len(calls) == 1
 
 
 def test_lgv_sijection_check_catches_a_swap_that_does_not_undo_itself(

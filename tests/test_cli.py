@@ -304,6 +304,18 @@ def test_genfun_det_has_no_row_cap(capsys):
     assert json.loads(out)["coeffs"] == ["1"] * 14
 
 
+def test_brute_route_on_a_200000_cell_row_in_proportion_to_its_counts(
+        capsys):
+    # the row's 200,001 fillings are tallied off one running count each,
+    # not off 200,000 entries each; the time is this process's CPU time
+    started = time.process_time()
+    code, out, _ = run(capsys, "genfun", "--shape", "200000", "--max", "1",
+                       "--method", "brute-zeros")
+    assert time.process_time() - started < 1
+    assert code == 0
+    assert json.loads(out)["coeffs"] == ["1", "200000"]
+
+
 def test_brute_route_on_a_1500_cell_row(capsys):
     code, out, _ = run(capsys, "genfun", "--shape", "1500", "--max", "1",
                        "--method", "brute-zeros")

@@ -13,6 +13,7 @@ import __future__
 import inspect
 import json
 import textwrap
+import time
 
 import pytest
 
@@ -83,9 +84,11 @@ def test_a_tally_that_drops_a_row_move_fails_determinant_at_one(
         monkeypatch):
     # a move that overwrites its target instead of adding to it drops the
     # rows moved there before it: on (2, 1), m=2, the first rows (2, 2)
-    # and (2, 1) share the cut (2,) and the step of a row holding m, not 0
-    monkeypatch.setattr(lgvlab.verify, "refined_genfuns_by_enumeration",
-                        rewritten(lgvlab.objects.refined_genfuns_by_enumeration,
+    # and (2, 1) share the cut (2,) and the step of a row holding m, not 0.
+    # The move is the shared tally's, which the brute route looks up in
+    # ``objects``
+    monkeypatch.setattr(lgvlab.objects, "_row_tally",
+                        rewritten(lgvlab.objects._row_tally,
                                   "target[i] = get(i, 0) + c * n",
                                   "target[i] = c * n"))
     report = verify_theorem1((2, 1), 2, LIMIT)
@@ -378,3 +381,79 @@ def test_a_tableau_missing_from_the_last_two_variables_breaks_symmetry(
     check = next(c for c in report["checks"]
                  if c["name"] == "symmetric-under-adjacent-transpositions")
     assert check["witness"] == {"transposition": [2, 3]}
+
+
+# --- faults the checks above must not hide --------------------------------
+# Each case below pins a job that a planted fault in ``verify.py`` itself
+# would break: the fallback swap of a crossing family in no held orbit,
+# the sweep's failure count, and the report's runtime.
+
+
+def test_a_crossing_family_left_out_of_the_round_trips_is_swapped_back(
+        monkeypatch):
+    # the round trips lose one held pair while the swap stays correct, so
+    # both families of that orbit are swapped again with ``tail_swap``,
+    # twice each; the swap undoes itself there, and the involution check
+    # still passes.  A fallback that compared the second swap with the
+    # family the wrong way round, or read the certificate instead of the
+    # image, would fail it
+    real_trips = lgvlab.verify._round_trips
+    dropped = []
+
+    def losing_one(sijection):
+        problems, pairs = real_trips(sijection)
+        lost = next(pair for pair in pairs
+                    if pair[0][0] == lgvlab.verify.TARGET)
+        dropped.extend(tagged[2] for tagged in lost)
+        return problems, [pair for pair in pairs if pair is not lost]
+
+    real_swap = lgvlab.verify.tail_swap
+    swapped = []
+
+    def counting(family):
+        swapped.append(family)
+        return real_swap(family)
+
+    monkeypatch.setattr(lgvlab.verify, "_round_trips", losing_one)
+    monkeypatch.setattr(lgvlab.verify, "tail_swap", counting)
+    report = verify_lgv((2, 2, 2), 2, LIMIT)
+    assert failed(report) == set()
+    crossing = [family for family in swapped
+                if not lgvlab.paths.is_nonintersecting(family)]
+    assert len(dropped) == 2 and len(crossing) == 4
+    assert {id(family) for family in crossing[::2]} == set(map(id, dropped))
+
+
+def test_a_sweep_counts_each_failing_instance_once(monkeypatch):
+    # a determinant off by one on one shape fails its instance at every
+    # bound, and only those
+    real = lgvlab.verify.refined_determinant
+
+    def off_on_two_one(shape, bound, guard_limit=None):
+        det = real(shape, bound, guard_limit)
+        if shape.parts != (2, 1):
+            return det
+        return lgvlab.algebra.UniPoly([det(0) + 1, *det.coeffs[1:]])
+
+    monkeypatch.setattr(lgvlab.verify, "refined_determinant", off_on_two_one)
+    report = lgvlab.verify.sweep(3, 2, LIMIT)
+    failing = [check["name"] for check in report["checks"]
+               if not check["passed"]]
+    assert failing == [f"shape=(2,1) max={bound}" for bound in range(3)]
+    assert report["results"] == {"instances": 21, "failures": 3}
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_theorem1((2, 1), 2, LIMIT),
+    lambda: verify_lgv((2, 1), 2, LIMIT),
+    lambda: verify_bijection((2, 1), 2, LIMIT),
+    lambda: verify_schur((2, 1), 3, None, LIMIT),
+    lambda: lgvlab.verify.sweep(2, 1, LIMIT),
+], ids=["theorem1", "lgv", "bijection", "schur", "sweep"])
+def test_a_report_runtime_is_the_call_s_own_wall_time(run):
+    # runtime_ms is the time since the suite started, not a clock reading:
+    # it lies within the wall time of the call that made the report
+    started = time.perf_counter()
+    report = run()
+    elapsed_ms = (time.perf_counter() - started) * 1000
+    assert 0 <= report["runtime_ms"] <= elapsed_ms + 1

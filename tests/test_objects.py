@@ -447,6 +447,36 @@ def per_object_tally(shape, bound):
             tally(map(PlanePartition.max_rows, pps)))
 
 
+def test_one_row_tally_by_value_counts_matches_the_per_object_tally():
+    # a one-row shape of N cells with m < N is tallied off the running
+    # counts R_m, ..., R_1 of its rows, not off the rows; with m >= N, or
+    # m = 0, off the rows.  Both against the plane partitions one by one
+    for length in range(1, 41):
+        for bound in range(5):
+            shape = Partition([length])
+            assert refined_genfuns_by_enumeration(shape, bound) == \
+                per_object_tally(shape, bound), (length, bound)
+
+
+@pytest.mark.parametrize("length", [1001, 1250, 1499])
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_long_one_row_tally_by_value_counts_matches_the_closed_form(
+        length, bound):
+    expected = one_row_genfun(length, bound)
+    assert refined_genfuns_by_enumeration(Partition([length]), bound) == (
+        expected, expected)
+
+
+def test_one_row_tally_runs_in_proportion_to_the_value_counts():
+    # 200,001 one-row plane partitions of 200,000 cells each: the rows
+    # hold 4 * 10^10 entries, while their running counts hold one number
+    # each.  The time is this process's CPU time
+    started = time.process_time()
+    zeros, maxes = refined_genfuns_by_enumeration(Partition([200_000]), 1)
+    assert time.process_time() - started < 1
+    assert zeros == maxes == UniPoly([1, 200_000])
+
+
 @pytest.mark.parametrize("parts, bound", [
     ((22, 22), 2), ((7, 7), 5), ((5, 5), 3)])
 def test_equal_two_row_tally_matches_the_per_object_tally(parts, bound):
@@ -743,6 +773,44 @@ def test_trusted_schur_polynomial_equals_the_validated_one():
             assert all(type(exp) is tuple and len(exp) == varcount
                        and all(type(e) is int for e in exp)
                        for exp in poly.terms)
+
+
+def enumerated_schur(shape, varcount):
+    """The Schur polynomial counted one tableau at a time."""
+    return MultiPoly(varcount, Counter(
+        t.weight() for t in enumerate_tableaux(shape, varcount)))
+
+
+def test_schur_tally_matches_the_tableaux_one_by_one():
+    # every shape of at most 8 cells with 1-5 variables: the row tally's
+    # weight indices, decoded, are the tableaux' weights
+    for shape in enumerate_partitions(8):
+        for varcount in range(1, 6):
+            assert schur_by_enumeration(shape, varcount) == enumerated_schur(
+                shape, varcount), (shape, varcount)
+
+
+@pytest.mark.parametrize("varcount", [1, 2, 3, 4, 5])
+def test_one_row_schur_by_value_counts_matches_the_tableaux(varcount):
+    # a one-row tableau is its weight: the running counts give it
+    lengths = range(1, 41) if varcount <= 3 else (1, 3, 4, 5, 9, 25, 40)
+    for length in lengths:
+        shape = Partition([length])
+        poly = schur_by_enumeration(shape, varcount)
+        assert poly == enumerated_schur(shape, varcount), length
+        assert len(poly.terms) == comb(length + varcount - 1, length)
+        assert set(poly.terms.values()) == {1}
+
+
+def test_one_row_schur_runs_in_proportion_to_its_terms():
+    # 20,001 weights of a 20,000-cell row: the rows would hold 4 * 10^8
+    # entries.  The closed-form count of the guard takes the one-row
+    # determinant, not the 20,000-column one
+    started = time.process_time()
+    poly = schur_by_enumeration(Partition([20_000]), 2)
+    assert time.process_time() - started < 1
+    assert len(poly.terms) == 20_001
+    assert poly.terms[(20_000, 0)] == poly.terms[(7, 19_993)] == 1
 
 
 def test_schur_empty_shape():
