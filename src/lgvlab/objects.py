@@ -21,8 +21,8 @@ from __future__ import annotations
 import functools
 import operator
 from collections import Counter
-from itertools import (chain, combinations_with_replacement, dropwhile, groupby,
-                       islice, repeat)
+from itertools import (chain, combinations_with_replacement, dropwhile,
+                       groupby, islice, repeat)
 from typing import Iterator
 
 from .algebra import (MultiPoly, UniPoly, _Value, _bareiss, _slot_setters,

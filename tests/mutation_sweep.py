@@ -98,9 +98,9 @@ def mutants(source: bytes, only=()):
     first part) when it is given."""
     at = _offsets(source)
     for node, function in _functions(ast.parse(source)):
-        if only and function.split(".")[0] not in only and function not in only:
+        if only and not {function, function.split(".")[0]} & set(only):
             continue
-        spans = []  # (start, end, new text) of one token gap or constant
+        spans = []  # (left, right, operator, its flip), operator between
         if isinstance(node, ast.Compare):
             left = node.left
             for op, right in zip(node.ops, node.comparators):
@@ -111,9 +111,11 @@ def mutants(source: bytes, only=()):
             other = "or" if word == "and" else "and"
             spans += [(a, b, word, other)
                       for a, b in zip(node.values, node.values[1:])]
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        elif (isinstance(node, ast.BinOp)
+              and isinstance(node.op, (ast.Add, ast.Sub))):
             word = "+" if isinstance(node.op, ast.Add) else "-"
-            spans.append((node.left, node.right, word, "-" if word == "+" else "+"))
+            spans.append((node.left, node.right, word,
+                          "-" if word == "+" else "+"))
         elif (isinstance(node, ast.Constant) and type(node.value) is int
               and 0 <= node.value < 10):
             start = at(node.lineno, node.col_offset)
@@ -152,7 +154,8 @@ def _run(copy: pathlib.Path, tests, timeout: float) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("module", help="a module path, e.g. src/lgvlab/verify.py")
+    parser.add_argument("module",
+                        help="a module path, e.g. src/lgvlab/verify.py")
     parser.add_argument("--function", action="append", default=[],
                         help="only mutate this function (repeatable)")
     parser.add_argument("--tests", nargs="+", default=FAST,
@@ -168,8 +171,9 @@ def main(argv=None) -> int:
         for part in ("src", "tests", "demos", "pyproject.toml"):
             source = ROOT / part
             if source.is_dir():
-                shutil.copytree(source, copy / part, ignore=shutil.ignore_patterns(
-                    "__pycache__", ".hypothesis"))
+                shutil.copytree(source, copy / part,
+                                ignore=shutil.ignore_patterns(
+                                    "__pycache__", ".hypothesis"))
             else:
                 shutil.copy(source, copy / part)
         target = copy / module
