@@ -400,12 +400,14 @@ def enumerate_plane_partitions(
     return PlanePartition._enumerate(shape, bound)
 
 
-def _binomial_rows(lines: list[tuple[int, int]], rows: int) -> list[list[int]]:
-    """Rows i = 0..rows-1 of [C(L_j, k_j - j + i)] over the lines (k_j, L_j)
-    of a filling kind's path rule: entry (i, j) counts the paths from a_i
-    to b_j."""
-    return [[binomial(steps, k - j + i) for j, (k, steps) in enumerate(lines)]
-            for i in range(rows)]
+def _binomial_rows(lines: list[tuple[int, int]], rows: int,
+                   lift: int = 0) -> list[list[int]]:
+    """Rows i = 0..rows-1 of [C(L_j + lift * i, k_j - j + i)] over the
+    lines (k_j, L_j) of a filling kind's path rule: entry (i, j) counts the
+    paths from a_i to b_j.  ``count_tableaux``'s Jacobi-Trudi rows, whose
+    steps grow with i, take ``lift`` = 1."""
+    return [[binomial(steps + lift * i, k - j + i)
+             for j, (k, steps) in enumerate(lines)] for i in range(rows)]
 
 
 def _binomial_det(lines: list[tuple[int, int]]) -> int:
@@ -501,6 +503,10 @@ def _row_tally(shape: Partition, values: range, column_ok, tag: tuple,
     order, in runs that share a cut (``_first_runs``), each counted as it
     passes; the last row's cut is the shared empty tuple.  The work is one
     pass over each row tried, for every row beneath every reachable cut.
+    The count keeps one key per group: a plane-partition group is a cut
+    and two entries, so a stream of last rows is counted without keeping
+    one, while a tableau group is the whole row, so each distinct row
+    tried beneath a cut is kept.
 
     A one-row shape of N cells over a values has C(N + a - 1, a - 1)
     fillings of N entries each.  When 1 <= a - 1 < N they are read off
@@ -662,18 +668,20 @@ def count_tableaux(shape: Partition, varcount: int) -> int:
     Entry (i, j), 1-based, is C(varcount, mu_j - j + i) where mu is the
     transposed shape, the dual Jacobi-Trudi determinant at x_1 = ... =
     x_n = 1.  A shape with fewer rows than columns takes the Jacobi-Trudi
-    determinant of its rows instead, on the smaller matrix: entry (i, j)
-    is h_d(1^n) = C(varcount + d - 1, d), d = shape_i - i + j.  The shape
-    is read through ``Partition``; a varcount that is not a positive int
-    is then refused with ValueError.
+    determinant of its rows instead, on the smaller matrix, transposed:
+    entry (i, j) is h_d(1^n) = C(varcount - 1 + d, d), d = shape_j - j +
+    i, the ``_binomial_rows`` of the lines (shape_j, varcount - 1 +
+    shape_j - j) lifted by one step per row.  The shape is read through
+    ``Partition``; a varcount that is not a positive int is then refused
+    with ValueError.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     columns = Tableau._checked_line_steps(shape, varcount)
     if len(columns) <= len(shape):
         return _binomial_det(columns)
-    rows = range(len(shape))
-    return _bareiss([[binomial(varcount + part - i + j - 1, part - i + j)
-                      for j in rows] for i, part in enumerate(shape.parts)])
+    rows = [(part, varcount - 1 + part - j)
+            for j, part in enumerate(shape.parts)]
+    return _bareiss(_binomial_rows(rows, len(rows), lift=1))
 
 
 def schur_by_enumeration(
@@ -695,6 +703,8 @@ def schur_by_enumeration(
                            guard_limit)
     check_guard(f"SSYT({list(shape.parts)}; {varcount}) exponents",
                 total * varcount, guard_limit)
+    if not total:  # more rows than varcount: no tableau, nothing to tally
+        return MultiPoly._trusted(varcount, {})
     cells = shape.size()
     # an exponent is at most the cells, so up to 255 cells each exponent
     # is one byte of the index, and the index is read back by its bytes

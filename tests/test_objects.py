@@ -813,6 +813,18 @@ def test_one_row_schur_runs_in_proportion_to_its_terms():
     assert poly.terms[(20_000, 0)] == poly.terms[(7, 19_993)] == 1
 
 
+def test_schur_with_more_rows_than_variables_tries_no_row():
+    # a strictly increasing column holds at most 4 entries, so (30^5) has
+    # no tableau in 4 variables; a tally of its first four rows would try
+    # thousands of 30-entry rows beneath thousands of cuts to reach the
+    # zero polynomial.  The time is this process's CPU time
+    started = time.process_time()
+    poly = schur_by_enumeration(Partition([30] * 5), 4)
+    assert time.process_time() - started < 0.05
+    assert poly.terms == {}
+    assert poly == schur_by_enumeration(Partition([1] * 5), 4)
+
+
 def test_schur_empty_shape():
     s = schur_by_enumeration(Partition([]), 3)
     assert s.terms == {(0, 0, 0): 1}
