@@ -68,7 +68,6 @@ from .sijections import (
     SijectionError,
     check_compatibility,
     check_sijection,
-    evaluate_with_trace,
     trace_to_json,
 )
 from .verify import (
@@ -99,7 +98,7 @@ __all__ = [
     "last_step_east_count", "plane_partition_endpoints", "pp_decode",
     "pp_encode", "ssyt_decode", "ssyt_encode", "tableau_endpoints",
     "SignedSet", "Sijection", "SijectionError", "check_compatibility",
-    "check_sijection", "evaluate_with_trace", "trace_to_json",
+    "check_sijection", "trace_to_json",
     "report_passed", "sweep", "verify_bijection", "verify_lgv",
     "verify_schur", "verify_theorem1",
 ]

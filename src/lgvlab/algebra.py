@@ -285,6 +285,8 @@ class MultiPoly(_Value):
             exp = term["exp"]
             if not isinstance(exp, list) or not all(map(_is_int, exp)):
                 raise ValueError(f"terms[{i}]: exp must be a list of integers")
+            if tuple(exp) in terms:
+                raise ValueError(f"terms[{i}]: exp {exp} is repeated")
             terms[tuple(exp)] = _json_coefficient(term["coef"], f"terms[{i}]")
         return cls(data["vars"], terms)
 

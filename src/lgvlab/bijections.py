@@ -158,36 +158,6 @@ def tail_swap(family: SignedPathFamily) -> tuple[SignedPathFamily, SwapCertifica
             SwapCertificate._trusted(point, (i, j)))
 
 
-def nonintersecting_set(endpoints: Endpoints,
-                        guard_limit: int | None = None,
-                        families: SignedSet | None = None) -> SignedSet:
-    """The non-intersecting families as a signed set with empty minus part.
-
-    ``families``, when given, is the signed set of all families on the same
-    endpoints.  A walk that starts after it has been walked reads the
-    non-intersecting identity families off its stream, where they already
-    are, built and scanned, in the order the enumeration would give them.
-    """
-    identity = tuple(range(endpoints.n))
-
-    def elements():
-        if families is not None and families._stream is not None:
-            return ((f, 1) for f, _ in families.elements()
-                    if f.sigma == identity and is_nonintersecting(f))
-        return ((f, 1) for f in enumerate_ni_families(endpoints, guard_limit))
-
-    return SignedSet("nonintersecting families", elements)
-
-
-def signed_family_set(endpoints: Endpoints,
-                      guard_limit: int | None = None) -> SignedSet:
-    """All families, each signed by its permutation, in one pass."""
-    return SignedSet(
-        "signed families",
-        lambda: ((f, f.sign) for f in enumerate_families(endpoints, guard_limit)),
-    )
-
-
 def lgv_sijection(endpoints: Endpoints,
                   guard_limit: int | None = None) -> Sijection:
     """Sijection from the non-intersecting families to all signed families.
@@ -198,22 +168,26 @@ def lgv_sijection(endpoints: Endpoints,
     signed count of all families equals the plain count of the
     non-intersecting ones.
 
-    The first swap walks the signed families, unless a checker has walked
-    them already, and indexes them by permutation and paths.  The swap
-    core keeps a pair memo (see ``_swap_parts``): the many families that
-    cross at one pair of paths share one swapped pair.  An image is
-    looked up in the index and the walked family is returned: a correct
-    swap's image is always one of them, so nothing is built, hashed or
-    scanned again.  Only an image the walk does not hold is built, so a
-    faulty swap is still seen.  Each direction computes its own swap, so
-    a checker can catch a swap that is not an involution.  A family the
-    swap is undefined on is refused with ``SijectionError``, so a checker
-    reports it.  The non-intersecting side, walked after the signed
-    families, reads its families off their stream (see
-    ``nonintersecting_set``).
+    The non-intersecting side is a filter of the signed families' own
+    walk, so the families are enumerated once, whichever side is walked
+    first, and under the signed families' guard.  The first swap walks the
+    signed families, unless a checker has walked them already, and
+    indexes them by permutation and paths.  The swap core keeps a pair
+    memo (see ``_swap_parts``): the many families that cross at one pair
+    of paths share one swapped pair.  An image is looked up in the index
+    and the walked family is returned: a correct swap's image is always
+    one of them, so nothing is built, hashed or scanned again.  Only an
+    image the walk does not hold is built, so a faulty swap is still
+    seen.  Each direction computes its own swap, so a checker can catch a
+    swap that is not an involution.  A family the swap is undefined on is
+    refused with ``SijectionError``, so a checker reports it.
     """
-    target = signed_family_set(endpoints, guard_limit)
-    source = nonintersecting_set(endpoints, guard_limit, target)
+    identity = tuple(range(endpoints.n))
+    target = SignedSet("signed families", lambda: (
+        (f, f.sign) for f in enumerate_families(endpoints, guard_limit)))
+    source = SignedSet("nonintersecting families", lambda: (
+        (f, 1) for f, _ in target.elements()
+        if f.sigma == identity and is_nonintersecting(f)))
     pairs = {}  # the pair memo of ``_swap_parts``
     walked = None  # the index of the target's stream, built on first use
 
@@ -363,7 +337,8 @@ def _conjugated(name: str, endpoints: Endpoints, there, back,
     backward runs it with ``there`` and ``back`` exchanged.  The hop limit
     is resolved here, once."""
     limit = resolve_guard_limit(guard_limit)
-    families = nonintersecting_set(endpoints, guard_limit)
+    families = SignedSet("nonintersecting families", lambda: (
+        (f, 1) for f in enumerate_ni_families(endpoints, guard_limit)))
 
     def walk(side, there, back):
         def apply(tagged, trace):
@@ -390,8 +365,9 @@ def _apply(endpoints: Endpoints, there, back, obj, guard_limit: int | None,
            with_trace: bool):
     """Encode ``obj`` onto ``endpoints``, those of its instance, walk the
     family through ``_ping_pong`` and decode the image as a filling of the
-    same kind; with ``with_trace`` also return the JSON itinerary, labelled
-    as ``evaluate_with_trace`` labels it."""
+    same kind; with ``with_trace`` also return the JSON itinerary: the
+    input family labelled "source", each landing "middle" and the image
+    "target"."""
     family = _encode(obj, endpoints)
     hops = [] if with_trace else None
     image = _ping_pong(family, there, back, resolve_guard_limit(guard_limit),

@@ -135,29 +135,6 @@ def _landed(image: Tagged, want: tuple, name: str,
     return image
 
 
-def evaluate_with_trace(sij: Sijection, payload) -> tuple[object, list[Tagged]]:
-    """Apply ``sij`` forward to a positive source element, recording every
-    landing.
-
-    Returns ``(image, steps)`` where steps is a list of
-    ``(label, sign, payload)`` triples starting from the input element.
-    The first step is labelled "source", the last "target", and everything
-    in between "middle".
-    """
-    hops: list = []
-    side, sign, image = sij.forward((SOURCE, 1, payload), hops)
-    if side != TARGET or sign != 1:
-        raise SijectionError(
-            f"{sij.name}: positive source element landed in ({side}, "
-            f"{_SIGN_CHAR[sign]}); the restriction to S+ is not a bijection "
-            "onto T+")
-    steps: list[Tagged] = [(SOURCE, 1, payload)]
-    for k, (hsign, hpayload) in enumerate(hops):
-        label = TARGET if k == len(hops) - 1 else "middle"
-        steps.append((label, hsign, hpayload))
-    return image, steps
-
-
 def trace_to_json(steps: list[Tagged]) -> list[dict]:
     """Render trace steps as JSON rows {"element", "set", "sign"}; an
     element is its payload's ``to_json()``, or the payload itself."""
@@ -169,18 +146,14 @@ def trace_to_json(steps: list[Tagged]) -> list[dict]:
 
 def _sides(sij: Sijection) -> tuple[list[Tagged], list[Tagged]]:
     """The domain S+ |_| T- and the codomain S- |_| T+ of ``sij`` as tagged
-    lists, each ordered source first; each signed set is walked once.
-
-    The target is walked first: a source that reads its elements off the
-    target's stream once it has been walked (as the non-intersecting side
-    of ``lgv_sijection`` does) then builds none of them again."""
-    target_plus, target_minus, source_plus, source_minus = [], [], [], []
+    lists, each ordered source first; each signed set is walked once."""
+    domain, codomain = [], []
     for side, signed_set, plus, minus in (
-            (TARGET, sij.target, target_plus, target_minus),
-            (SOURCE, sij.source, source_plus, source_minus)):
+            (SOURCE, sij.source, domain, codomain),
+            (TARGET, sij.target, codomain, domain)):
         for payload, sign in signed_set.elements():
             (plus if sign == 1 else minus).append((side, sign, payload))
-    return source_plus + target_minus, source_minus + target_plus
+    return domain, codomain
 
 
 def check_sijection(sij: Sijection) -> list[str]:
@@ -207,12 +180,8 @@ def _round_trips(sij: Sijection) -> tuple[list[str], list[tuple]]:
     if len(preimage) != len(codomain):
         problems.append("codomain contains repeated elements")
 
-    for x in domain:
-        try:
-            y = sij.forward(x)
-        except SijectionError as exc:
-            problems.append(f"forward failed on {x!r}: {exc}")
-            continue
+    # a failure is appended to the problems as it happens, in domain order
+    for x, y in _images(sij.forward, domain, "forward", problems):
         earlier = preimage.get(y, _OUTSIDE)
         if earlier is _OUTSIDE:
             problems.append(f"forward({x!r}) = {y!r} lies outside S- |_| T+")

@@ -13,13 +13,13 @@ Each mutant makes one change: it flips a comparison (``==`` and ``!=``,
 ``not in``), swaps ``and`` and ``or``, adds 1 to an int constant below
 10, or swaps ``+`` and ``-``.  The change is spliced into the source text,
 so the rest of the module keeps its bytes.  Every mutant runs the
-``--tests`` subset in a copy of ``src``, ``tests`` and ``demos`` under a
-temporary directory; a survivor of the subset then runs the whole of
-``tests``.  A run that takes five times as long as the unmutated one is
-stopped and counts as a kill.  A survivor listed in ``EQUIVALENT`` is
-reported as accepted, with its reason.  pytest does not collect this
-file: its name does not start with ``test_``.  Only the standard library
-is used.
+``--tests`` subset in a copy of ``src``, ``tests``, ``demos`` and the
+README, which a test reads, under a temporary directory; a survivor of
+the subset then runs the whole of ``tests``.  A run that takes five times
+as long as the unmutated one is stopped and counts as a kill.  A
+survivor listed in ``EQUIVALENT`` is reported as accepted, with its
+reason.  pytest does not collect this file: its name does not start
+with ``test_``.  Only the standard library is used.
 """
 
 import argparse
@@ -65,6 +65,15 @@ EQUIVALENT = {
     ("objects.py", "schur_by_enumeration",
      "base = 256 if byte else cells + 1", "1", "2"):
         "any base above the cell count keeps the exponents apart",
+    ("bijections.py", "_ping_pong", "elif hops > 1:", "1", "2"):
+        "the test is reached only at odd hop counts, where > 1 and > 2 agree",
+    ("bijections.py", "_ping_pong", "landing = (hops & 2, sign, family)",
+     "2", "3"):
+        "the sign is + just at hops 1 and 2 mod 4, so it and hops & 2 "
+        "give hops & 3",
+    ("bijections.py", "_ping_pong", "if hops & (hops - 1) == 0:", "1", "2"):
+        "it saves no landing at hop 1, which is only compared with hop 2's, "
+        "in the other copy",
 }
 
 
@@ -168,7 +177,8 @@ def main(argv=None) -> int:
     outcomes = {"killed": 0, "SURVIVED": 0, "accepted": 0}
     with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as scratch:
         copy = pathlib.Path(scratch)
-        for part in ("src", "tests", "demos", "pyproject.toml"):
+        for part in ("src", "tests", "demos", "pyproject.toml",
+                     "README.md"):
             source = ROOT / part
             if source.is_dir():
                 shutil.copytree(source, copy / part,

@@ -150,6 +150,18 @@ def test_multipoly_from_json_refuses_non_integers(data):
         MultiPoly.from_json(data)
 
 
+def test_multipoly_from_json_refuses_a_repeated_exponent():
+    # a repeated exp would otherwise keep only its last coefficient
+    data = {"vars": 1, "terms": [{"exp": [0], "coef": "1"},
+                                 {"exp": [1], "coef": "2"},
+                                 {"exp": [1], "coef": "3"}]}
+    with pytest.raises(ValueError,
+                       match=r"^terms\[2\]: exp \[1\] is repeated$"):
+        MultiPoly.from_json(data)
+    assert MultiPoly.from_json({"vars": 1, "terms": data["terms"][:2]}) == (
+        MultiPoly(1, {(0,): 1, (1,): 2}))
+
+
 @pytest.mark.parametrize("nvars, terms", [
     (1, {(1,): 0.5}),
     (1.5, None),

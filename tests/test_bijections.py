@@ -33,6 +33,7 @@ from lgvlab.paths import (
     Path,
     SignedPathFamily,
     enumerate_families,
+    enumerate_ni_families,
     first_step_east_count,
     is_nonintersecting,
     last_step_east_count,
@@ -166,6 +167,12 @@ def test_tail_swap_and_disjointness_match_the_dict_oracle():
     instances += [tableau_endpoints(Partition(parts), varcount)
                   for parts in [(5,), (6,), (5, 1), (6, 1), (5, 2), (5, 1, 1)]
                   for varcount in range(1, 4)]
+    # starts off the diagonal x = y, where the library's own endpoints all
+    # lie, so a swap core that read one coordinate of a start for the
+    # other would cut the paths at the wrong step
+    moved = plane_partition_endpoints(Partition([3, 3, 2]), 2)
+    instances.append(Endpoints([(x + 2, y - 1) for x, y in moved.a],
+                               [(x + 2, y - 1) for x, y in moved.b]))
     crossing = triple = 0
     for ep in instances:
         for family in enumerate_families(ep):
@@ -299,9 +306,9 @@ def test_lgv_sijection_check_catches_a_swap_that_does_not_undo_itself(
     tableau_endpoints(Partition([3, 2]), 3),
 ], ids=["plane-partition", "tableau"])
 def test_lgv_source_walked_after_the_target_reads_its_stream(ep, monkeypatch):
-    # walked first, the non-intersecting side enumerates its own families;
-    # walked after the signed families, it gives the same families in the
-    # same order, the signed set's own objects, and enumerates nothing
+    # walked first, the non-intersecting side walks the signed families
+    # itself; walked after them, it gives the same families in the same
+    # order, the signed set's own objects, and enumerates nothing
     fresh = list(lgv_sijection(ep).source.elements())
     sij = lgv_sijection(ep)
     walked = {id(family) for family, _ in sij.target.elements()}
@@ -309,11 +316,55 @@ def test_lgv_source_walked_after_the_target_reads_its_stream(ep, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the families were enumerated again")
 
+    monkeypatch.setattr(lgvlab.bijections, "enumerate_families", refused)
     monkeypatch.setattr(lgvlab.bijections, "enumerate_ni_families", refused)
     read = list(sij.source.elements())
     assert read == fresh and len(read) > 10
     assert all(id(family) in walked for family, _ in read)
     assert check_sijection(sij) == []
+
+
+@pytest.mark.parametrize("ep", [
+    plane_partition_endpoints(Partition([3, 3, 2]), 2),
+    tableau_endpoints(Partition([3, 2]), 3),
+], ids=["plane-partition", "tableau"])
+def test_lgv_source_walked_first_enumerates_the_families_once(ep,
+                                                             monkeypatch):
+    # the non-intersecting side is a filter of the signed families' walk:
+    # walked first, it runs that walk, in the order enumerate_ni_families
+    # gives, and nothing afterwards enumerates again
+    expected = list(enumerate_ni_families(ep))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_families(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the non-intersecting families were enumerated")
+
+    monkeypatch.setattr(lgvlab.bijections, "enumerate_families", counting)
+    monkeypatch.setattr(lgvlab.bijections, "enumerate_ni_families", refused)
+    sij = lgv_sijection(ep)
+    read = list(sij.source.elements())
+    assert len(calls) == 1
+    assert [family for family, _ in read] == expected and len(read) > 10
+    assert {sign for _, sign in read} == {1}
+    walked = {id(family) for family, _ in sij.target.elements()}
+    assert all(id(family) in walked for family, _ in read)
+    assert check_sijection(sij) == []
+    assert len(calls) == 1
+
+
+def test_lgv_source_walked_first_is_guarded_as_the_signed_families():
+    # PP((2, 1); 2) has 22 families and 18 identity families, 14 of them
+    # non-intersecting: the source's walk is the signed families' walk, so
+    # the permanent is what its guard projects
+    ep = plane_partition_endpoints(Partition([2, 1]), 2)
+    assert len(list(lgv_sijection(ep, 22).source.elements())) == 14
+    with pytest.raises(GuardExceeded, match=(
+            r"^path families: projected size 22 exceeds guard limit 21$")):
+        list(lgv_sijection(ep, 21).source.elements())
 
 
 @pytest.mark.parametrize("ep", [
@@ -393,10 +444,10 @@ def test_a_maps_ping_pong_fills_no_pair_memo(fresh_maps, monkeypatch):
     assert memos == [None] * len(memos)
 
 
-def test_checkers_walk_the_lgv_target_first(monkeypatch):
-    # checked on its own, the LGV sijection has its signed families walked
-    # first, so its non-intersecting side reads them off their stream and
-    # no identity family is built twice (600 of 1,175 were, on this shape)
+def test_checkers_enumerate_no_nonintersecting_family(monkeypatch):
+    # checked on its own, the LGV sijection's non-intersecting side is read
+    # off the signed families' walk, so no identity family is built twice
+    # (600 of 1,175 would be, on this shape)
     def refused(*args, **kwargs):
         raise AssertionError("the non-intersecting families were enumerated")
 

@@ -22,7 +22,6 @@ from lgvlab.sijections import (
     SijectionError,
     check_compatibility,
     check_sijection,
-    evaluate_with_trace,
     trace_to_json,
 )
 
@@ -163,24 +162,24 @@ def test_an_inverse_checks_the_image_of_the_map_it_reads():
 def test_composition_with_genuine_cancellation():
     # the one element of PP((1, 1); 1) with a zero row crosses once it is
     # reversed, so it bounces through both copies of the signed families
-    # before it escapes, and each bounce is a labelled step
+    # before it escapes, and forward appends each landing to the trace
     sij = zero_to_max_sijection((1, 1), 1)
     assert check_sijection(sij) == []
     pp = PlanePartition(Partition([1, 1]), 1, [[1], [0]])
     family = pp_encode(pp)
-    image, steps = evaluate_with_trace(sij, family)
-    assert image == family
-    words = [(label, sign, tuple(p.word for p in f.paths))
-             for label, sign, f in steps]
+    trace = []
+    assert sij.forward((SOURCE, 1, family), trace) == (TARGET, 1, family)
+    words = [(sign, tuple(p.word for p in f.paths))
+             for sign, f in [(1, family), *trace]]
     assert words == [
-        (SOURCE, 1, ("ES", "SE")),
-        ("middle", 1, ("ES", "SE")),
-        ("middle", 1, ("SE", "ES")),
-        ("middle", -1, ("SS", "EE")),
-        ("middle", -1, ("SS", "EE")),
-        ("middle", 1, ("SE", "ES")),
-        ("middle", 1, ("ES", "SE")),
-        (TARGET, 1, ("ES", "SE")),
+        (1, ("ES", "SE")),
+        (1, ("ES", "SE")),
+        (1, ("SE", "ES")),
+        (-1, ("SS", "EE")),
+        (-1, ("SS", "EE")),
+        (1, ("SE", "ES")),
+        (1, ("ES", "SE")),
+        (1, ("ES", "SE")),
     ]
 
 
