@@ -36,11 +36,14 @@ def binomial(n: int, k: int) -> int:
 
     The out-of-range-means-zero convention matters: it is what makes the
     band structure of binomial path-count matrices come out right without
-    any special-casing at the edges.
+    any special-casing at the edges.  ``math.comb``'s overflow is a ValueError.
     """
     if k < 0 or n < 0 or k > n:
         return 0
-    return math.comb(n, k)
+    try:
+        return math.comb(n, k)
+    except OverflowError as exc:  # raised before any work is done
+        raise ValueError(f"binomial C({_decimal(n)}, {_decimal(k)}): {exc}")
 
 
 def _is_int(value) -> bool:
@@ -253,13 +256,13 @@ class MultiPoly(_Value):
             return f"MultiPoly({self.nvars}, 0)"
         bits = []
         for exp in sorted(self.terms):
-            coef = self.terms[exp]
+            coef = _decimal(self.terms[exp])
             mono = "*".join(
                 f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
                 for i, e in enumerate(exp)
                 if e
             )
-            bits.append(f"{coef}*{mono}" if mono else str(coef))
+            bits.append(f"{coef}*{mono}" if mono else coef)
         return f"MultiPoly({self.nvars}, " + " + ".join(bits) + ")"
 
     def to_json(self) -> dict:
@@ -267,7 +270,7 @@ class MultiPoly(_Value):
         return {
             "vars": self.nvars,
             "terms": [
-                {"exp": list(exp), "coef": str(self.terms[exp])}
+                {"exp": list(exp), "coef": _decimal(self.terms[exp])}
                 for exp in sorted(self.terms)
             ],
         }

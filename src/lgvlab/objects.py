@@ -468,20 +468,20 @@ def _guarded_count(count, label: str, shape: Partition, bound: int,
     return total
 
 
-def _running_counts(length: int, size: int, low: int = 0):
-    """Every weakly increasing tuple of ``size`` ints in [low, length].
-
-    Entry t of such a tuple counts a row's entries among the first t + 1
-    values of an alphabet of size + 1, so the tuples stand for the rows
-    of ``length`` entries, one each.  Each level reads a range, so no
-    pool of length + 1 ints is built, and the levels nest ``size`` deep.
+def _running_counts(length: int, size: int):
+    """Every weakly increasing tuple of ``size`` ints in [0, length], in
+    lexicographic order.  Entry t counts a row's entries among the first
+    t + 1 values of an alphabet of size + 1, so the tuples stand for the
+    rows of ``length`` entries, one each.  Up to two numbers they are read
+    off ranges, so a long row builds no pool of length + 1 ints; there are
+    at least C(length + 3, 3) longer ones, beside which the pool is small.
     """
-    if size == 1:
-        return zip(range(low, length + 1))
-    return chain.from_iterable(
-        zip(repeat(s), range(s, length + 1)) if size == 2
-        else map((s,).__add__, _running_counts(length, size - 1, s))
-        for s in range(low, length + 1))
+    if size > 2:
+        return combinations_with_replacement(range(length + 1), size)
+    if size == 2:
+        return chain.from_iterable(zip(repeat(s), range(s, length + 1))
+                                   for s in range(length + 1))
+    return zip(range(length + 1)) if size else iter(((),))
 
 
 def _row_tally(shape: Partition, values: range, column_ok, tag: tuple,
@@ -509,14 +509,15 @@ def _row_tally(shape: Partition, values: range, column_ok, tag: tuple,
     tried beneath a cut is kept.
 
     A one-row shape of N cells over a values has C(N + a - 1, a - 1)
-    fillings of N entries each.  When 1 <= a - 1 < N they are read off
-    their ``_running_counts`` instead, a - 1 numbers each, and
-    ``counted(counts)`` gives a filling's step from them.
+    fillings of N entries each.  When a - 1 < N, as with one value, they
+    are read off their ``_running_counts`` instead, a - 1 numbers each,
+    and ``counted(counts)`` gives a filling's step from them; otherwise
+    the row is the shorter of the two.
     """
     parts = shape.parts
     if not parts:
         return {0: 1}  # the empty shape's one filling
-    if len(parts) == 1 and 1 < len(values) <= parts[0]:
+    if len(parts) == 1 and len(values) <= parts[0]:
         return Counter(map(counted,
                            _running_counts(parts[0], len(values) - 1)))
 
@@ -567,10 +568,10 @@ def refined_genfuns_by_enumeration(
     histogram, ``_row_tally``'s, indexed by ``zeros + k * maxes`` (k =
     rows + 1), to which a row adds its step ``(row[-1] == 0) + k *
     (row[0] == bound)``: its group is its cut, last and first entries.
-    A one-row shape of N cells with 0 < m < N is read off
-    the running counts R_m, ..., R_1 of its rows, R_v counting the entries
-    at least v: a row holds the bound when R_m > 0 and holds 0 when
-    R_1 < N.  No determinant or closed form enters beyond the guard.
+    A one-row shape of N cells with m < N is read off the running counts
+    R_m, ..., R_1 of its rows, R_v counting the entries at least v: a row
+    holds the bound when R_m > 0 (or m = 0) and 0 when R_1 < N (or m = 0).
+    No determinant or closed form enters beyond the guard.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     _guarded_count(count_plane_partitions, "PP", shape, bound, guard_limit)
@@ -580,7 +581,7 @@ def refined_genfuns_by_enumeration(
     joint = _row_tally(
         shape, PlanePartition._values(bound), operator.ge, (-1, 0),
         lambda group: (group[1] == 0) + k * (group[2] == bound),
-        lambda counts: (counts[-1] < cells) + k * (counts[0] > 0))
+        lambda counts: (counts[-1:] < (cells,)) + k * (counts[:1] != (0,)))
     zeros, maxes = [0] * k, [0] * k
     for index, n in joint.items():
         x, z = divmod(index, k)
@@ -671,16 +672,16 @@ def count_tableaux(shape: Partition, varcount: int) -> int:
     determinant of its rows instead, on the smaller matrix, transposed:
     entry (i, j) is h_d(1^n) = C(varcount - 1 + d, d), d = shape_j - j +
     i, the ``_binomial_rows`` of the lines (shape_j, varcount - 1 +
-    shape_j - j) lifted by one step per row.  The shape is read through
-    ``Partition``; a varcount that is not a positive int is then refused
-    with ValueError.
+    shape_j - j) lifted by one step per row, picked before a column is
+    built.  The shape is read through ``Partition``; a varcount that is
+    not a positive int is then refused with ValueError.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    columns = Tableau._checked_line_steps(shape, varcount)
-    if len(columns) <= len(shape):
-        return _binomial_det(columns)
-    rows = [(part, varcount - 1 + part - j)
-            for j, part in enumerate(shape.parts)]
+    parts = shape.parts
+    if not parts or parts[0] <= len(parts):
+        return _binomial_det(Tableau._checked_line_steps(shape, varcount))
+    Tableau._check_bound(varcount)
+    rows = [(part, varcount - 1 + part - j) for j, part in enumerate(parts)]
     return _bareiss(_binomial_rows(rows, len(rows), lift=1))
 
 

@@ -687,6 +687,16 @@ def _families(endpoints: Endpoints, sigmas) -> Iterator[SignedPathFamily]:
             yield trusted(endpoints, sigma, paths)
 
 
+def _guard_walk(endpoints: Endpoints, what: str, families: int,
+                guard_limit: int | None) -> None:
+    """Refuse a walk of ``families`` families on ``endpoints`` as ``what``,
+    then, as ``path family steps``, families of more steps than the guard:
+    the sum of (b_x - b_y) - (a_x - a_y) over the paths, for every sigma."""
+    check_guard(what, families, guard_limit)
+    check_guard("path family steps", sum(x - y for x, y in endpoints.b)
+                - sum(x - y for x, y in endpoints.a), guard_limit)
+
+
 def enumerate_families(
     endpoints: Endpoints, guard_limit: int | None = None
 ) -> Iterator[SignedPathFamily]:
@@ -697,18 +707,10 @@ def enumerate_families(
     Permutations with an unreachable connection contribute no families
     and are never visited.
     """
-    check_guard("path families", _family_count(endpoints), guard_limit)
+    _guard_walk(endpoints, "path families", _family_count(endpoints),
+                guard_limit)
     counts = _connection_counts(endpoints)
     yield from _families(endpoints, _reachable_permutations(counts))
-
-
-def enumerate_identity_families(
-    endpoints: Endpoints, guard_limit: int | None = None
-) -> Iterator[SignedPathFamily]:
-    """Yield the families whose permutation is the identity."""
-    projected = math.prod(map(count_connection_paths, endpoints.a, endpoints.b))
-    check_guard("identity path families", projected, guard_limit)
-    yield from _families(endpoints, [tuple(range(endpoints.n))])
 
 
 def enumerate_ni_families(
@@ -720,6 +722,7 @@ def enumerate_ni_families(
     built here vertex-disjointness forces the identity permutation, so
     nothing is missed (exhaustively checked in the test suite).
     """
-    for family in enumerate_identity_families(endpoints, guard_limit):
-        if is_nonintersecting(family):
-            yield family
+    _guard_walk(endpoints, "identity path families", math.prod(
+        map(count_connection_paths, endpoints.a, endpoints.b)), guard_limit)
+    yield from filter(is_nonintersecting,
+                      _families(endpoints, [tuple(range(endpoints.n))]))

@@ -39,7 +39,8 @@ class SijectionError(Exception):
 
 
 class SignedSet:
-    """A finite signed set, given by one generator of (payload, sign) pairs.
+    """A finite signed set, given by one generator of (payload, sign) pairs
+    and read through ``elements()`` alone.
 
     The first walk that runs to the end keeps the pairs, and every later
     walk replays them, so the generator runs once.  A walk that raises or
@@ -65,18 +66,6 @@ class SignedSet:
             stream.append(pair)
             yield pair
         self._stream = stream
-
-    def plus(self) -> Iterator:
-        return (x for x, sign in self.elements() if sign == 1)
-
-    def minus(self) -> Iterator:
-        return (x for x, sign in self.elements() if sign == -1)
-
-    def signed_size(self) -> int:
-        return sum(sign for _, sign in self.elements())
-
-    def size(self) -> int:
-        return sum(1 for _ in self.elements())
 
     def __repr__(self) -> str:
         return f"SignedSet({self.name!r})"

@@ -149,14 +149,16 @@ def verify_lgv(shape, bound: int, guard_limit: int | None = None) -> dict:
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     endpoints = plane_partition_endpoints(shape, bound)
     # The sijection's signed set keeps its stream, so this walk is the only
-    # one: the checkers below replay it.  The walk's guard computes the
-    # permanent and keeps it on the endpoints; the report reads it there.
+    # one: the checkers below replay it, and it sums the signs.  The walk's
+    # guard computes the permanent and keeps it on the endpoints; the
+    # report reads it there.
     sijection = lgv_sijection(endpoints, guard_limit)
-    families = [family for family, _ in sijection.target.elements()]
-    ni, crossing = [], []
-    for family in families:
+    families, ni, crossing = [], [], []
+    signed_sum = 0
+    for family, sign in sijection.target.elements():
+        families.append(family)
+        signed_sum += sign
         (ni if is_nonintersecting(family) else crossing).append(family)
-    signed_sum = sijection.target.signed_size()
     det_count = count_ni_families(endpoints)
     perm_count = _family_count(endpoints)
 

@@ -49,9 +49,9 @@ EQUIVALENT = {
     ("verify.py", "verify_schur.misweighted", "want = [0] * varcount",
      "0", "1"):
         "every slot of want is overwritten before it is read",
-    ("objects.py", "_running_counts", "for s in range(low, length + 1))",
-     "1", "2"):
-        "an outer count past length leaves every inner range empty",
+    ("objects.py", "_running_counts", "for s in range(length + 1))", "1",
+     "2"):
+        "an outer count past length leaves its inner range empty",
     ("objects.py", "_row_tally",
      "uncut = operator.itemgetter(slice(0, 0), *tag)  # a group, cut unread",
      "0", "1"):
@@ -60,7 +60,8 @@ EQUIVALENT = {
      "1", "2"):
         "any joint base above the row count keeps zeros and maxes apart",
     ("objects.py", "refined_genfuns_by_enumeration",
-     "lambda counts: (counts[-1] < cells) + k * (counts[0] > 0))", "+", "-"):
+     "lambda counts: (counts[-1:] < (cells,)) + k * (counts[:1] != (0,)))",
+     "+", "-"):
         "a one-row shape has k = 2, and maxes[-1] is maxes[1]",
     ("objects.py", "schur_by_enumeration",
      "base = 256 if byte else cells + 1", "1", "2"):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from itertools import permutations, zip_longest
 
@@ -45,6 +46,16 @@ def test_binomial_matches_pascal_recurrence():
             assert binomial(n, k) == pascal(n, k)
 
 
+def test_binomial_past_the_index_range_is_refused_by_value():
+    # math.comb takes no index past sys.maxsize and raises OverflowError;
+    # the refusal is a ValueError, which names the binomial
+    n = 2 * 10**20
+    with pytest.raises(ValueError, match=rf"^binomial C\({n}, {10**20}\): "
+                       rf"min\(n - k, k\) must not exceed {sys.maxsize}$"):
+        binomial(n, 10**20)
+    assert binomial(n, n - 1) == n and binomial(n, n + 1) == 0
+
+
 def test_binomial_out_of_range_is_zero():
     assert binomial(-1, 0) == 0
     assert binomial(3, -1) == 0
@@ -82,6 +93,17 @@ def test_unipoly_writes_coefficients_past_the_str_digit_limit():
     p = UniPoly([big - 1, -big, 1])
     assert p.to_json()["coeffs"] == ["9" * 4300, "-1" + "0" * 4300, "1"]
     assert repr(p) == f"UniPoly({'9' * 4300} + -1{'0' * 4300}*x + x^2)"
+
+
+def test_multipoly_writes_coefficients_past_the_str_digit_limit():
+    # as UniPoly does: 10**5000 has 5,001 digits, past CPython's default
+    # limit of 4,300 on int-to-str conversion
+    big = 10**5000
+    p = MultiPoly(2, {(1, 0): big, (0, 0): -big - 1})
+    assert p.to_json() == {"vars": 2, "terms": [
+        {"exp": [0, 0], "coef": "-1" + "0" * 4999 + "1"},
+        {"exp": [1, 0], "coef": "1" + "0" * 5000}]}
+    assert repr(p) == f"MultiPoly(2, -1{'0' * 4999}1 + 1{'0' * 5000}*x1)"
 
 
 def test_unipoly_refuses_to_read_coefficients_past_the_str_digit_limit():

@@ -548,6 +548,59 @@ def test_counts_past_the_str_digit_limit_are_written_out(capsys, monkeypatch,
                        f"{coeffs[0]} + {coeffs[1]}*x\n")
 
 
+_HUGE = str(10**20 - 1)  # past sys.maxsize, math.comb's index range
+
+# Each call raised a traceback or ran past 20 s before it was mended: a
+# line too long to build, a binomial past math.comb's range, or a long row
+# transposed into columns.  Each now ends in its exit code, with its
+# message; the time is this process's CPU time.
+_ONCE_UNENDING = [
+    (["verify-lgv", "--shape", _HUGE, "--max", "0"], 1,
+     "guard: path family steps: projected size "),
+    (["genfun", "--shape", _HUGE, "--max", _HUGE, "--method", "det"], 2,
+     "error: binomial C("),
+    (["genfun", "--shape", _HUGE, "--max", _HUGE, "--method",
+      "brute-zeros"], 2, "error: binomial C("),
+    (["verify-theorem1", "--shape", _HUGE, "--max", _HUGE], 2,
+     "error: binomial C("),
+    (["verify-lgv", "--shape", _HUGE, "--max", _HUGE], 2,
+     "error: binomial C("),
+    (["schur", "--shape", _HUGE, "--vars", _HUGE], 2, "error: binomial C("),
+    (["verify-theorem1", "--shape", _HUGE, "--max", "0"], 0, "PASS "),
+    (["verify-theorem1", "--shape", "100000000", "--max", "0"], 0, "PASS "),
+    (["schur", "--shape", "5000000", "--vars", "2"], 1,
+     "guard: SSYT([5000000]; 2): projected size 5000001 "),
+    (["schur", "--shape", _HUGE, "--vars", "1"], 0, "schur shape="),
+    (["schur", "--shape", _HUGE, "--vars", "2"], 1,
+     f"guard: SSYT([{_HUGE}]; 2): projected size {10**20} "),
+    (["schur", "--shape", _HUGE, "--vars", "2", "--perm", "2,1"], 1,
+     f"guard: SSYT([{_HUGE}]; 2): projected size {10**20} "),
+]
+
+
+# each under --guard-limit 1000, and the slow ones also under their own
+_ONCE_UNENDING_CALLS = [
+    (argv + ["--guard-limit", "1000"], code, message)
+    for argv, code, message in _ONCE_UNENDING] + [
+    (["schur", "--shape", "5000000", "--vars", "2", "--guard-limit", "10"],
+     1, "guard: SSYT([5000000]; 2): projected size 5000001 "),
+    *((argv, code, message) for argv, code, message in _ONCE_UNENDING
+      if argv[0] == "schur" and argv[2] == _HUGE and argv[4] != _HUGE)]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(*call, id=" ".join(call[0]))
+    for call in _ONCE_UNENDING_CALLS])
+def test_huge_inputs_end_in_an_exit_code(capsys, monkeypatch, argv, code,
+                                         message):
+    monkeypatch.delenv("LGVLAB_GUARD_LIMIT", raising=False)
+    started = time.process_time()
+    got, _, err = run(capsys, *argv)
+    assert time.process_time() - started < 0.5
+    assert got == code
+    assert message in err and "Traceback" not in err
+
+
 def test_genfun_det_reads_the_guard_limit(capsys, monkeypatch):
     # (2, 1), m=2 projects 3 * 2^2 * 2 = 24
     common = ["genfun", "--shape", "2,1", "--max", "2", "--method", "det"]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgvlab.algebra
+import lgvlab.objects
 from lgvlab.algebra import (
     MultiPoly,
     PolyMatrix,
@@ -477,6 +478,34 @@ def test_one_row_tally_runs_in_proportion_to_the_value_counts():
     assert zeros == maxes == UniPoly([1, 200_000])
 
 
+def test_one_value_row_tally_builds_no_row():
+    # with m = 0 a row of any length has one filling, read off its one
+    # empty tuple of running counts: it holds 0 and the bound
+    started = time.process_time()
+    for length in (1, 100_000_000, 10**20):
+        assert refined_genfuns_by_enumeration(Partition([length]), 0) == (
+            UniPoly([0, 1]),) * 2
+    assert time.process_time() - started < 0.05
+
+
+def test_one_row_tally_over_a_large_alphabet_reads_its_rows():
+    # one cell over 100,001 values: each row is one entry, while its
+    # running counts would be 100,000 numbers long
+    started = time.process_time()
+    zeros, maxes = refined_genfuns_by_enumeration(Partition([1]), 100_000)
+    assert time.process_time() - started < 0.5
+    assert zeros == maxes == UniPoly([100_000, 1])
+
+
+@pytest.mark.parametrize("length", range(7))
+@pytest.mark.parametrize("size", range(6))
+def test_running_counts_are_the_weakly_increasing_tuples(length, size):
+    # against every tuple of ``size`` ints in [0, length], in order
+    oracle = [t for t in product(range(length + 1), repeat=size)
+              if list(t) == sorted(t)]
+    assert list(lgvlab.objects._running_counts(length, size)) == oracle
+
+
 @pytest.mark.parametrize("parts, bound", [
     ((22, 22), 2), ((7, 7), 5), ((5, 5), 3)])
 def test_equal_two_row_tally_matches_the_per_object_tally(parts, bound):
@@ -823,6 +852,21 @@ def test_schur_with_more_rows_than_variables_tries_no_row():
     assert time.process_time() - started < 0.05
     assert poly.terms == {}
     assert poly == schur_by_enumeration(Partition([1] * 5), 4)
+
+
+def test_tableau_count_of_a_long_row_builds_no_column():
+    # (5,000,000) has more columns than rows, so it is counted on its one
+    # row; its transpose would be five million one-cell columns.  The time
+    # is this process's CPU time
+    started = time.process_time()
+    assert count_tableaux(Partition([5_000_000]), 2) == 5_000_001
+    with pytest.raises(GuardExceeded, match=r"^SSYT\(\[5000000\]; 2\): "
+                       r"projected size 5000001 exceeds guard limit 10$"):
+        schur_by_enumeration(Partition([5_000_000]), 2, guard_limit=10)
+    huge = 10**20
+    assert count_tableaux(Partition([huge]), 2) == huge + 1
+    assert schur_by_enumeration(Partition([huge]), 1).terms == {(huge,): 1}
+    assert time.process_time() - started < 0.05
 
 
 def test_schur_empty_shape():

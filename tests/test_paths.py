@@ -33,7 +33,6 @@ from lgvlab.paths import (
     east_step_labels,
     enumerate_connection_paths,
     enumerate_families,
-    enumerate_identity_families,
     enumerate_ni_families,
     first_step_east_count,
     is_nonintersecting,
@@ -407,9 +406,7 @@ def test_ni_stream_matches_filtered_full_stream():
     direct = set(enumerate_ni_families(ep))
     filtered = {f for f in enumerate_families(ep) if is_nonintersecting(f)}
     assert direct == filtered
-    identity = list(enumerate_identity_families(ep))
-    assert all(f.is_identity() for f in identity)
-    assert direct <= set(identity)
+    assert all(f.is_identity() for f in direct)
 
 
 def _families_by_brute_force(ep):
@@ -464,6 +461,40 @@ def test_enumerate_families_guard():
     ep = plane_partition_endpoints(Partition([2, 1]), 2)
     with pytest.raises(GuardExceeded):
         list(enumerate_families(ep, guard_limit=10))
+
+
+def test_both_walks_guard_their_count_then_the_steps_of_a_family():
+    # (2, 1), m=2 has 18 identity families, 14 of them disjoint, and 22
+    # signed ones, each of 4 + 3 = 7 steps; (5, 2), m=0 has one family of
+    # 7 steps
+    counted = plane_partition_endpoints(Partition([2, 1]), 2)
+    stepped = plane_partition_endpoints(Partition([5, 2]), 0)
+    for walk, what, count, walked in (
+            (enumerate_ni_families, "identity path families", 18, 14),
+            (enumerate_families, "path families", 22, 22)):
+        for ep, limit, refused, projected in (
+                (counted, count - 1, what, count),
+                (stepped, 6, "path family steps", 7)):
+            with pytest.raises(GuardExceeded, match=(
+                    rf"^{refused}: projected size {projected} exceeds guard "
+                    rf"limit {limit}$")):
+                next(walk(ep, guard_limit=limit))
+        assert len(list(walk(stepped, guard_limit=7))) == 1
+        assert len(list(walk(counted, guard_limit=count))) == walked
+
+
+def test_a_family_too_long_to_build_is_refused_by_its_steps():
+    # PP([10^20]; 0) has one family, whose one path would take 10^20 steps;
+    # a start off the diagonal x = y counts its own steps too: one path
+    # of three south steps from (0, 1)
+    long = plane_partition_endpoints(Partition([10**20]), 0)
+    off = Endpoints([(0, 1)], [(0, -2)])
+    for walk in (enumerate_families, enumerate_ni_families):
+        for ep, limit, steps in ((long, None, 10**20), (off, 2, 3)):
+            with pytest.raises(GuardExceeded, match=(
+                    rf"^path family steps: projected size {steps} exceeds")):
+                next(walk(ep, guard_limit=limit))
+        assert [f.paths[0].word for f in walk(off, guard_limit=3)] == ["SSS"]
 
 
 # --- plane partition encoding ---------------------------------------------
