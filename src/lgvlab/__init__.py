@@ -20,7 +20,6 @@ from .algebra import (
 from .bijections import (
     SwapCertificate,
     lgv_sijection,
-    permute_steps,
     reverse_paths,
     tail_swap,
     weight_permutation_map,
@@ -49,7 +48,6 @@ from .paths import (
     SignedPathFamily,
     count_families,
     count_ni_families,
-    east_step_labels,
     enumerate_families,
     enumerate_ni_families,
     first_step_east_count,
@@ -84,8 +82,8 @@ __version__ = "0.1.0"
 __all__ = [
     "MultiPoly", "PolyMatrix", "UniPoly", "binomial", "det_division_free",
     "det_int", "lgv_matrix",
-    "SwapCertificate", "lgv_sijection", "permute_steps", "reverse_paths",
-    "tail_swap", "weight_permutation_map", "weight_permutation_sijection",
+    "SwapCertificate", "lgv_sijection", "reverse_paths", "tail_swap",
+    "weight_permutation_map", "weight_permutation_sijection",
     "zero_to_max_map", "zero_to_max_sijection",
     "DEFAULT_GUARD_LIMIT", "GuardExceeded", "resolve_guard_limit",
     "Partition", "PlanePartition", "Tableau", "count_plane_partitions",
@@ -93,10 +91,10 @@ __all__ = [
     "enumerate_tableaux", "genfun_by_enumeration", "refined_determinant",
     "refined_genfuns_by_enumeration", "schur_by_enumeration",
     "Endpoints", "Path", "SignedPathFamily", "count_families",
-    "count_ni_families", "east_step_labels", "enumerate_families",
-    "enumerate_ni_families", "first_step_east_count", "is_nonintersecting",
-    "last_step_east_count", "plane_partition_endpoints", "pp_decode",
-    "pp_encode", "ssyt_decode", "ssyt_encode", "tableau_endpoints",
+    "count_ni_families", "enumerate_families", "enumerate_ni_families",
+    "first_step_east_count", "is_nonintersecting", "last_step_east_count",
+    "plane_partition_endpoints", "pp_decode", "pp_encode", "ssyt_decode",
+    "ssyt_encode", "tableau_endpoints",
     "SignedSet", "Sijection", "SijectionError", "check_compatibility",
     "check_sijection", "trace_to_json",
     "report_passed", "sweep", "verify_bijection", "verify_lgv",

@@ -236,31 +236,11 @@ def reverse_paths(family: SignedPathFamily) -> SignedPathFamily:
     )
 
 
-def permute_steps(family: SignedPathFamily, positions) -> SignedPathFamily:
-    """Redistribute the letters of every word: new_word[positions[t]] = word[t].
-
-    ``positions`` is a zero-based permutation of the step indices.  All
-    words must have length n; the step multiset per path is preserved, so
-    the endpoints and the permutation are too.  A position outside 0..n-1
-    is refused with ValueError before any letter moves.
-    """
-    return _permute_steps(family, _step_positions(positions))
-
-
-def _step_positions(positions) -> tuple[int, ...]:
-    """``positions`` as a tuple, each checked to lie in 0..n-1."""
-    positions = tuple(positions)
-    n = len(positions)
-    for t, position in enumerate(positions):
-        if not 0 <= position < n:
-            raise ValueError(
-                f"positions[{t}]: {position} is outside 0..{n - 1}")
-    return positions
-
-
 def _permute_steps(family: SignedPathFamily,
                    positions: tuple[int, ...]) -> SignedPathFamily:
-    """``permute_steps`` on positions already checked to lie in 0..n-1."""
+    """Move letter t of every word to slot positions[t].  ``positions`` is
+    a permutation of 0..n-1, as the weight maps' are, so each path keeps
+    its letters, hence its end.  A word without n steps is refused."""
     n = len(positions)
     new_paths = []
     for path in family.paths:
@@ -271,10 +251,6 @@ def _permute_steps(family: SignedPathFamily,
         for t, ch in enumerate(path.word):
             letters[positions[t]] = ch
         new_paths.append(_path(path.start, "".join(letters)))
-    # Every word keeps its letters, hence its end, exactly when every
-    # position was filled; otherwise the constructor says which path broke.
-    if any(len(path.word) != n for path in new_paths):
-        return SignedPathFamily(family.endpoints, family.sigma, new_paths)
     return SignedPathFamily._trusted(
         family.endpoints, family.sigma, tuple(new_paths))
 

@@ -297,10 +297,6 @@ class SignedPathFamily(_Value):
     def sign(self) -> int:
         return _sigma_sign(self.sigma)
 
-    @property
-    def n(self) -> int:
-        return len(self.paths)
-
     def is_identity(self) -> bool:
         return all(s == i for i, s in enumerate(self.sigma))
 
@@ -531,35 +527,6 @@ def first_step_east_count(family: SignedPathFamily) -> int:
     the bound: a first east step means the first entry lost no height.
     """
     return sum(map(_first_step_east, family.paths))
-
-
-def east_step_labels(family: SignedPathFamily, varcount: int) -> tuple[int, ...]:
-    """Label histogram of east steps: component t counts east steps starting
-    at a point with x - y = t - 1.
-
-    Every path must have exactly ``varcount`` steps.  On an encoded tableau
-    this is the weight vector (entry t of a column is an east step at label
-    t, because the k-th step of a diagonal-started path sits at x - y = k - 1).
-    """
-    counts = [0] * varcount
-    for j, path in enumerate(family.paths):
-        if len(path.word) != varcount:
-            raise ValueError(
-                f"paths[{j}] has {len(path.word)} steps, expected {varcount}"
-            )
-        x, y = path.start
-        for ch in path.word:
-            if ch == "E":
-                label = x - y + 1
-                if not 1 <= label <= varcount:
-                    raise ValueError(
-                        f"paths[{j}]: east step label {label} outside 1..{varcount}"
-                    )
-                counts[label - 1] += 1
-                x += 1
-            else:
-                y -= 1
-    return tuple(counts)
 
 
 def count_connection_paths(a: Point, b: Point) -> int:

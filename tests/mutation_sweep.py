@@ -7,6 +7,8 @@ Usage (from the root of a checkout)::
     python tests/mutation_sweep.py src/lgvlab/objects.py \\
         --function _row_tally --function _running_counts \\
         --tests tests/test_objects.py tests/test_mutants.py
+    python tests/mutation_sweep.py src/lgvlab/paths.py \\
+        --function Path.from_json --tests tests/test_paths.py
 
 Each mutant makes one change: it flips a comparison (``==`` and ``!=``,
 ``<`` and ``>=``, ``>`` and ``<=``, ``is`` and ``is not``, ``in`` and
@@ -90,12 +92,14 @@ def _offsets(source: bytes):
 
 def _functions(tree):
     """Each node of ``tree`` with the qualified name of the innermost
-    function around it, or "" at module level.  The inside of an f-string
-    is skipped: before Python 3.12 its nodes carry no true positions."""
+    function or class around it (``Path.from_json``), or "" at module
+    level.  The inside of an f-string is skipped: before Python 3.12 its
+    nodes carry no true positions."""
     pending = [(tree, "")]
     while pending:
         node, name = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
             name = f"{name}.{node.name}" if name else node.name
         yield node, name
         if not isinstance(node, ast.JoinedStr):

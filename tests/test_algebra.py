@@ -146,6 +146,12 @@ def test_multipoly_permute_variables():
         p.permute_variables((0, 0))
 
 
+def test_multipoly_in_no_variables_is_a_constant():
+    constant = MultiPoly(0, {(): 3})
+    assert constant.terms == {(): 3}
+    assert MultiPoly.from_json(constant.to_json()) == constant
+
+
 def test_multipoly_json_sorted_lexicographically():
     p = MultiPoly(2, {(0, 2): 1, (2, 0): 3, (1, 1): -2})
     data = p.to_json()
@@ -457,6 +463,24 @@ def test_polymatrix_evaluate_matches_entrywise(n, value, data):
 ], ids=["det-float", "det-string", "det-bool", "unipoly-bool",
         "unipoly-float", "lgv-not-a-partition", "lgv-float-bound"])
 def test_determinant_inputs_refuse_non_integers(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MultiPoly(-1), r"^nvars must be nonnegative$"),
+    (lambda: MultiPoly(2, {(1, -1): 3}),
+     r"^exponent vector \(1, -1\) has a negative entry$"),
+    (lambda: PolyMatrix([[UniPoly([1]), UniPoly([2])], [UniPoly([3])]]),
+     r"^row 1 has length 1, expected 2$"),
+    (lambda: PolyMatrix([[UniPoly([1]), UniPoly([2])]]),
+     r"^row 0 has length 2, expected 1$"),
+    (lambda: det_int([[1, 2]]), r"^matrix must be square$"),
+    (lambda: det_int([[1, 2], [3]]), r"^matrix must be square$"),
+], ids=["multipoly-negative-nvars", "multipoly-negative-exponent",
+        "polymatrix-short-row", "polymatrix-long-row", "det-wide",
+        "det-ragged"])
+def test_inputs_of_the_wrong_shape_are_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()
 

@@ -9,8 +9,8 @@ import lgvlab.bijections
 import lgvlab.paths
 from lgvlab.bijections import (
     SwapCertificate,
+    _permute_steps,
     lgv_sijection,
-    permute_steps,
     reverse_paths,
     tail_swap,
     variable_positions,
@@ -489,34 +489,20 @@ def test_permute_steps_roundtrip():
     positions = (2, 0, 1)
     inverse = (1, 2, 0)
     for family in enumerate_families(ep):
-        moved = permute_steps(family, positions)
+        moved = _permute_steps(family, positions)
         assert moved.sigma == family.sigma
-        assert permute_steps(moved, inverse) == family
+        assert _permute_steps(moved, inverse) == family
 
 
 def test_permute_steps_rejects_wrong_length():
-    ep = plane_partition_endpoints(Partition([2]), 1)
+    # a family of PP((2, 1); 2) handed to the weight sijection of
+    # SSYT((2, 1); 3): its first word has 4 steps, the perm 3 positions
+    ep = plane_partition_endpoints(Partition([2, 1]), 2)
     family = next(iter(enumerate_families(ep)))
-    with pytest.raises(ValueError):
-        permute_steps(family, (0, 1))
-
-
-def test_permute_steps_refuses_repeated_positions():
-    # a repeated position drops a step, so a path no longer reaches its
-    # end; the family is refused by the validating constructor
-    ep = tableau_endpoints(Partition([2, 1]), 3)
-    for family in enumerate_families(ep):
-        with pytest.raises(ValueError, match=r"^paths\[\d\] ends at .*, expected"):
-            permute_steps(family, (0, 0, 1))
-
-
-@pytest.mark.parametrize("positions", [(-1, 0, 1), (0, 1, 5), (0, 3, 1)],
-                         ids=["negative", "past-the-end", "one-past"])
-def test_permute_steps_refuses_positions_out_of_range(positions):
-    ep = tableau_endpoints(Partition([2, 1]), 3)
-    for family in enumerate_families(ep):
-        with pytest.raises(ValueError, match=r"^positions\[\d\]: .* outside 0\.\.2$"):
-            permute_steps(family, positions)
+    sij = weight_permutation_sijection([2, 1], 3, (2, 3, 1))
+    with pytest.raises(ValueError,
+                       match=r"^path word 'EESS' does not have 3 steps$"):
+        sij.forward(("source", 1, family))
 
 
 def test_weight_permutation_sijection_checks():
@@ -844,8 +830,8 @@ def test_kept_weight_maps_match_freshly_built_sijections(fresh_maps):
                 inverse = [positions.index(k) for k in range(varcount)]
                 stages = _conjugation_stages(
                     endpoints,
-                    lambda family: permute_steps(family, positions),
-                    lambda family: permute_steps(family, inverse))
+                    lambda family: _permute_steps(family, positions),
+                    lambda family: _permute_steps(family, inverse))
                 for tableau in tableaux:
                     image, _ = _chain_walk(stages, ssyt_encode(tableau))
                     assert weight_permutation_map(tableau, perm) == (

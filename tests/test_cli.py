@@ -5,6 +5,7 @@ import json.encoder
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -424,6 +425,18 @@ def test_negative_guard_limit_env_is_usage_error(capsys, monkeypatch):
     assert "LGVLAB_GUARD_LIMIT must be nonnegative, got -1" in err
     code, out, _ = run(capsys, "verify-lgv", "--shape", "1", "--max", "1")
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("value", ["many", "1.5", ""])
+def test_non_integer_guard_limit_env_is_usage_error(capsys, monkeypatch,
+                                                    value):
+    monkeypatch.setenv("LGVLAB_GUARD_LIMIT", value)
+    message = f"LGVLAB_GUARD_LIMIT must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        lgvlab.resolve_guard_limit(None)
+    code, out, err = run(capsys, "genfun", "--shape", "", "--max", "0",
+                         "--method", "brute-zeros")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_zero_guard_limit_stays_valid(capsys, monkeypatch):

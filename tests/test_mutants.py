@@ -12,6 +12,7 @@ refused instead of hanging the suite.
 import __future__
 import inspect
 import json
+import re
 import textwrap
 import time
 
@@ -441,6 +442,31 @@ def test_a_sweep_counts_each_failing_instance_once(monkeypatch):
                if not check["passed"]]
     assert failing == [f"shape=(2,1) max={bound}" for bound in range(3)]
     assert report["results"] == {"instances": 21, "failures": 3}
+
+
+def test_a_failing_sweep_instance_is_named_on_stderr(monkeypatch, capsys):
+    # one instance's report fails; the sweep command names it with its
+    # witness on one FAIL line before its summary, and exits 1
+    real = lgvlab.verify.verify_theorem1
+
+    def failing_on_two_one(shape, bound, guard_limit=None):
+        report = real(shape, bound, guard_limit)
+        if shape.parts == (2, 1) and bound == 1:
+            report["checks"][0]["passed"] = False
+        return report
+
+    monkeypatch.setattr(lgvlab.verify, "verify_theorem1", failing_on_two_one)
+    code = main(["sweep", "--max-size", "3", "--max-bound", "1"])
+    captured = capsys.readouterr()
+    poly = '{"var": "x", "coeffs": ["1", "2", "2"]}'
+    fail, summary = captured.err.splitlines()
+    assert code == 1
+    assert fail == (f'FAIL shape=(2,1) max=1 :: {{"zeros": {poly}, '
+                    f'"maxes": {poly}, "determinant": {poly}}}')
+    assert re.fullmatch(r"FAILED \(14 instances, 1 failures, \d+ ms\)",
+                        summary)
+    assert json.loads(captured.out)["results"] == {"instances": 14,
+                                                   "failures": 1}
 
 
 @pytest.mark.parametrize("run", [

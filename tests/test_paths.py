@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgvlab.bijections import permute_steps, reverse_paths, zero_to_max_map
+from lgvlab.bijections import _permute_steps, reverse_paths, zero_to_max_map
 from lgvlab.guards import GuardExceeded
 from lgvlab.objects import (
     Partition,
@@ -30,7 +30,6 @@ from lgvlab.paths import (
     count_connection_paths,
     count_families,
     count_ni_families,
-    east_step_labels,
     enumerate_connection_paths,
     enumerate_families,
     enumerate_ni_families,
@@ -124,7 +123,7 @@ def test_end_step_flags_match_the_words_on_every_family():
     # each path sets its two flags when it is built, whichever way it is
     # built: the enumeration's ``_path``, ``Path(...)`` and
     # ``Path.from_json`` (once per distinct path), ``_reverse`` and
-    # ``permute_steps`` (on the families whose words share one length)
+    # ``_permute_steps`` (on the families whose words share one length)
     rebuilt = {}
     families = permuted = 0
     for shape in enumerate_partitions(6):
@@ -149,8 +148,8 @@ def test_end_step_flags_match_the_words_on_every_family():
                 lengths = {len(p) for p in family.paths}
                 if len(lengths) == 1:
                     n = lengths.pop()
-                    moved = permute_steps(family,
-                                          [(t + 1) % n for t in range(n)])
+                    moved = _permute_steps(
+                        family, tuple((t + 1) % n for t in range(n)))
                     assert (_end_steps(moved)
                             == _end_steps_read_off_the_words(moved))
                     permuted += 1
@@ -240,6 +239,38 @@ def test_family_from_json_rejects_malformed_paths():
     ep = plane_partition_endpoints(Partition([1, 1]), 1)
     with pytest.raises(ValueError):
         SignedPathFamily.from_json({"sigma": [1, 2], "paths": 5}, ep)
+
+
+_EP11 = plane_partition_endpoints(Partition([1, 1]), 1)
+_ES, _SE = Path((-1, -1), "ES"), Path((-2, -2), "SE")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Path.from_json(None), r"^path JSON needs 'start' and 'word'$"),
+    (lambda: Path.from_json({"word": "ES"}),
+     r"^path JSON needs 'start' and 'word'$"),
+    (lambda: Path.from_json({"start": [0, 0]}),
+     r"^path JSON needs 'start' and 'word'$"),
+    (lambda: SignedPathFamily.from_json(None, _EP11),
+     r"^family JSON needs 'sigma' and 'paths'$"),
+    (lambda: SignedPathFamily.from_json({"paths": []}, _EP11),
+     r"^family JSON needs 'sigma' and 'paths'$"),
+    (lambda: SignedPathFamily.from_json({"sigma": [1, 2]}, _EP11),
+     r"^family JSON needs 'sigma' and 'paths'$"),
+    (lambda: Endpoints([(0, 0), (1, 1)], [(1, -1)]),
+     r"^2 start points but 1 end points$"),
+    (lambda: Endpoints([(0, 0)], []), r"^1 start points but 0 end points$"),
+    (lambda: SignedPathFamily(_EP11, (0, 1), [_ES]),
+     r"^expected 2 paths, got 1$"),
+    (lambda: SignedPathFamily(_EP11, (0, 1), [_ES, _SE, _ES]),
+     r"^expected 2 paths, got 3$"),
+], ids=["path-json-not-a-dict", "path-json-no-start", "path-json-no-word",
+        "family-json-not-a-dict", "family-json-no-sigma",
+        "family-json-no-paths", "more-starts", "more-ends", "too-few-paths",
+        "too-many-paths"])
+def test_path_inputs_of_the_wrong_form_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # --- endpoint configurations --------------------------------------------------
@@ -606,7 +637,6 @@ def test_ssyt_encode_frozen_words():
     t = Tableau(Partition([2, 1]), 3, [[1, 1], [2]])
     family = ssyt_encode(t)
     assert [p.word for p in family.paths] == ["EES", "ESS"]
-    assert east_step_labels(family, 3) == (2, 1, 0)
     assert ssyt_decode(family, t.shape, 3) == t
 
 
@@ -620,7 +650,6 @@ def test_ssyt_roundtrip_exhaustive():
                 assert [p.word for p in family.paths] == [
                     _reference_word(set(t.column(j)), n)
                     for j in range(shape[0] if shape.parts else 0)]
-                assert east_step_labels(family, n) == t.weight()
                 assert ssyt_decode(family, shape, n) == t
 
 
