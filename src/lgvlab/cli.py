@@ -88,12 +88,14 @@ def _poly_text(poly) -> str:
     return text[text.index("(") + 1:-1]
 
 
-def _say_checks(report: dict) -> None:
+def _say_checks(report: dict, passes: bool = True) -> None:
+    """One stderr line per check: FAIL with its witness, and PASS unless
+    ``passes`` is false, as a sweep's many instances want."""
     for check in report["checks"]:
-        if check["passed"]:
-            _say(f"PASS {check['name']}")
-        else:
+        if not check["passed"]:
             _say(f"FAIL {check['name']} :: {json.dumps(check['witness'])}")
+        elif passes:
+            _say(f"PASS {check['name']}")
 
 
 def _cmd_verify(args) -> int:
@@ -171,9 +173,7 @@ def _cmd_schur(args) -> int:
 def _cmd_sweep(args) -> int:
     report = sweep(args.max_size, args.max_bound, args.guard_limit)
     _emit(report)
-    for check in report["checks"]:
-        if not check["passed"]:
-            _say(f"FAIL {check['name']} :: {json.dumps(check['witness'])}")
+    _say_checks(report, passes=False)
     ok = report_passed(report)
     _say(f"{'ok' if ok else 'FAILED'} "
          f"({report['results']['instances']} instances, "

@@ -18,7 +18,6 @@ All objects are immutable and hashable.
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections import Counter
 from itertools import (chain, combinations_with_replacement, dropwhile,
@@ -308,9 +307,9 @@ def _stream_beneath(values: range, column_ok, cut: tuple):
 
 
 def _rows_beneath(values: range, column_ok):
-    """``beneath(cut)``: the rows as long as ``cut`` allowed beneath it, as
-    references into the candidate rows of that length, the multisets of
-    ``values`` in their order, which are listed once.
+    """``beneath(cut)``, the tally's: the rows as long as ``cut`` allowed
+    beneath it, as references into the candidate rows of that length,
+    the multisets of ``values`` in their order, listed once.
 
     The cut is itself a candidate row, and, as in ``_stream_beneath``,
     every candidate before it is refused lexicographically, so the entry
@@ -328,18 +327,6 @@ def _rows_beneath(values: range, column_ok):
     return beneath
 
 
-def _first_runs(parts: tuple, values: range, column_ok, beneath):
-    """The first rows of a shape of two or more rows, in the runs of
-    their lexicographic stream that share a cut, each with the rows
-    allowed beneath it: a run of cut first rows shares one ``beneath``
-    list, and an uncut first row, alone in its run, reads a
-    ``_stream_beneath`` stream once."""
-    first = combinations_with_replacement(values, parts[0])
-    for cut, run in groupby(first, operator.itemgetter(slice(0, parts[1]))):
-        yield run, (beneath(cut) if parts[1] < parts[0]
-                    else _stream_beneath(values, column_ok, cut))
-
-
 def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
     """Yield every filling of the shape as a tuple of row tuples.
 
@@ -348,44 +335,32 @@ def _fillings(shape: Partition, values: range, column_ok) -> Iterator[tuple]:
     order is lexicographic on the row-major sequence, in the order of
     ``values``; the empty shape yields its one filling, ().
 
-    The rows allowed beneath a row depend only on its cut, that row cut to
-    the length of the row below, and ``_rows_beneath`` lists them.  The
-    first rows are a lexicographic stream, so the first rows with one cut
-    come in one run, and the rows beneath the run are listed once and
-    dropped when it ends.  An uncut first row is alone in its run, so the
-    rows beneath it are a ``_stream_beneath`` stream instead, and an
-    equal-length two-row shape walks in the memory of one stack of rows.
-    Beneath later rows a cut comes back under many prefixes, so its rows
-    are kept for the walk.  One iterator per row sits on an explicit
-    stack, so no recursion limit bounds the shape.
+    The walk tries every row: row i's stream, on an explicit stack, is the
+    multisets of ``values`` for the first row and otherwise the
+    ``_stream_beneath`` stream of row i - 1 cut to row i's length.  So a
+    walk holds one stack of streams, and no recursion limit bounds it.
     """
     parts = shape.parts
     if not parts:
         yield ()
         return
     last = len(parts) - 1
-    if not last:  # each row as a one-row filling
-        yield from zip(combinations_with_replacement(values, parts[0]))
-        return
-    beneath = _rows_beneath(values, column_ok)
-    kept = functools.cache(beneath)
-    for run, second in _first_runs(parts, values, column_ok, beneath):
-        for top in run:
-            # rows[i] is placed on row i and stack[i] yields row i + 1
-            rows, stack = [top], [iter(second)]
-            while stack:
-                if len(rows) < last:
-                    row = next(stack[-1], None)
-                    if row is not None:
-                        rows.append(row)
-                        stack.append(iter(kept(row[:parts[len(rows)]])))
-                        continue
-                else:
-                    prefix = tuple(rows)
-                    for row in stack[-1]:
-                        yield prefix + (row,)
-                stack.pop()
-                rows.pop()
+    # rows[i] is placed on row i and stack[i] yields row i
+    rows, stack = [], [combinations_with_replacement(values, parts[0])]
+    while stack:
+        if len(rows) < last:
+            row = next(stack[-1], None)
+            if row is not None:
+                rows.append(row)
+                stack.append(_stream_beneath(values, column_ok,
+                                             row[:parts[len(rows)]]))
+                continue
+        else:
+            prefix = tuple(rows)
+            for row in stack[-1]:
+                yield prefix + (row,)
+        stack.pop()
+        del rows[-1:]  # no row is placed when the first row's stream ends
 
 
 def enumerate_plane_partitions(
@@ -500,9 +475,11 @@ def _row_tally(shape: Partition, values: range, column_ok, tag: tuple,
     items ``tag`` names, which fix the row's step, ``step(group)``.  Each
     group adds the histogram, shifted by its step and times its count, at
     its cut in the next layer.  The first rows come in lexicographic
-    order, in runs that share a cut (``_first_runs``), each counted as it
-    passes; the last row's cut is the shared empty tuple.  The work is one
-    pass over each row tried, for every row beneath every reachable cut.
+    order, in runs that share a cut, each counted as it passes; an uncut
+    first row is alone in its run, so the rows beneath it are read as a
+    ``_stream_beneath`` stream, not listed.  The last row's cut is the
+    shared empty tuple.  The work is one pass over each row tried, for
+    every row beneath every reachable cut.
     The count keeps one key per group: a plane-partition group is a cut
     and two entries, so a stream of last rows is counted without keeping
     one, while a tableau group is the whole row, so each distinct row
@@ -545,11 +522,13 @@ def _row_tally(shape: Partition, values: range, column_ok, tag: tuple,
     lengths = parts[1:] + (0,)  # the length each row is cut to
     beneath = _rows_beneath(values, column_ok)
     uncut = operator.itemgetter(slice(0, 0), *tag)  # a group, cut unread
-    for run, second in _first_runs(parts, values, column_ok, beneath):
+    first = combinations_with_replacement(values, parts[0])
+    for cut, run in groupby(first, operator.itemgetter(slice(0, parts[1]))):
         hist = {}
         for by in map(step, map(uncut, run)):
             hist[by] = hist.get(by, 0) + 1
-        move(layer, hist, second, lengths[1])
+        move(layer, hist, beneath(cut) if parts[1] < parts[0]
+             else _stream_beneath(values, column_ok, cut), lengths[1])
     for cut_to in lengths[2:]:  # each cut is as long as the row beneath
         above, layer = layer, {}
         for cut, hist in above.items():

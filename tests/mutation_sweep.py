@@ -13,8 +13,11 @@ Usage (from the root of a checkout)::
 Each mutant makes one change: it flips a comparison (``==`` and ``!=``,
 ``<`` and ``>=``, ``>`` and ``<=``, ``is`` and ``is not``, ``in`` and
 ``not in``), swaps ``and`` and ``or``, adds 1 to an int constant below
-10, or swaps ``+`` and ``-``.  The change is spliced into the source text,
-so the rest of the module keeps its bytes.  Every mutant runs the
+10, swaps ``+`` and ``-``, or deletes a statement: a ``raise`` statement
+or a bare expression statement, such as ``_say(...)`` or ``rows.pop()``,
+becomes ``pass``.  A docstring is no statement to delete.  The change is
+spliced into the source text, so the rest of the module keeps its
+bytes; a mutant's text is reported on one line.  Every mutant runs the
 ``--tests`` subset in a copy of ``src``, ``tests``, ``demos`` and the
 README, which a test reads, under a temporary directory; a survivor of
 the subset then runs the whole of ``tests``.  A run that takes five times
@@ -58,6 +61,10 @@ EQUIVALENT = {
      "uncut = operator.itemgetter(slice(0, 0), *tag)  # a group, cut unread",
      "0", "1"):
         "no step reads a first row's cut, so any cut gives the same steps",
+    ("objects.py", "_row_tally",
+     "move(layer, hist, beneath(cut) if parts[1] < parts[0]", "0", "1"):
+        "a stream and a list of the rows beneath a cut hold the same rows; "
+        "the list only skips the refused ones by a C-level scan",
     ("objects.py", "refined_genfuns_by_enumeration", "k = len(shape) + 1",
      "1", "2"):
         "any joint base above the row count keeps zeros and maxes apart",
@@ -132,13 +139,11 @@ def mutants(source: bytes, only=()):
                           "-" if word == "+" else "+"))
         elif (isinstance(node, ast.Constant) and type(node.value) is int
               and 0 <= node.value < 10):
-            start = at(node.lineno, node.col_offset)
-            end = at(node.end_lineno, node.end_col_offset)
-            old = source[start:end]
-            new = str(node.value + 1).encode()
-            yield (function, node.lineno, old.decode(), new.decode(),
-                   source[:start] + new + source[end:])
-            continue
+            yield _replaced(source, at, function, node, str(node.value + 1))
+        elif isinstance(node, ast.Raise) or (
+                isinstance(node, ast.Expr)
+                and not isinstance(node.value, ast.Constant)):
+            yield _replaced(source, at, function, node, "pass")
         for left, right, word, new in spans:
             start = at(left.end_lineno, left.end_col_offset)
             end = at(right.lineno, right.col_offset)
@@ -148,6 +153,15 @@ def mutants(source: bytes, only=()):
             mutated = gap.replace(word, new, 1).encode()
             yield (function, left.end_lineno, word, new,
                    source[:start] + mutated + source[end:])
+
+
+def _replaced(source: bytes, at, function: str, node, new: str):
+    """The mutant that writes ``new`` in place of ``node``'s text, as
+    ``mutants`` yields it, the old text's whitespace runs made one space."""
+    start = at(node.lineno, node.col_offset)
+    end = at(node.end_lineno, node.end_col_offset)
+    return (function, node.lineno, " ".join(source[start:end].decode().split()),
+            new, source[:start] + new.encode() + source[end:])
 
 
 def _run(copy: pathlib.Path, tests, timeout: float) -> bool:

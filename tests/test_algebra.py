@@ -75,6 +75,7 @@ def test_unipoly_strips_trailing_zeros():
     assert UniPoly([1, 0, 0]).coeffs == (1,)
     assert UniPoly([0, 0, 0]).coeffs == ()
     assert UniPoly([]).coeffs == ()
+    assert repr(UniPoly()) == "UniPoly(0)"
 
 
 def test_unipoly_json_roundtrip():
@@ -144,6 +145,13 @@ def test_multipoly_permute_variables():
     assert q.coefficient((2, 1)) == 0
     with pytest.raises(ValueError):
         p.permute_variables((0, 0))
+
+
+def test_multipoly_drops_a_term_that_cancels():
+    # (1,) and range(1, 2) are one exponent vector, so its terms cancel
+    p = MultiPoly(1, {(1,): 2, range(1, 2): -2, (0,): 5})
+    assert p.terms == {(0,): 5}
+    assert repr(MultiPoly(2)) == "MultiPoly(2, 0)"
 
 
 def test_multipoly_in_no_variables_is_a_constant():

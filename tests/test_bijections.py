@@ -48,6 +48,7 @@ from lgvlab.sijections import (
     SOURCE,
     TARGET,
     Sijection,
+    SijectionError,
     check_compatibility,
     check_sijection,
 )
@@ -206,6 +207,17 @@ def test_lgv_sijection_is_bijective(parts, bound):
 def test_lgv_sijection_on_tableau_endpoints():
     ep = tableau_endpoints(Partition([2, 1]), 3)
     assert check_sijection(lgv_sijection(ep)) == []
+
+
+def test_lgv_sijection_backward_refuses_a_negative_source_element():
+    # S- lies in the codomain of every sijection, but the source of the
+    # LGV sijection, the non-intersecting families, has no negative part
+    ep = plane_partition_endpoints(Partition([2, 1]), 2)
+    family = next(enumerate_families(ep))
+    with pytest.raises(SijectionError,
+                       match=r"^the non-intersecting side has no negative "
+                             r"part$"):
+        lgv_sijection(ep).backward((SOURCE, -1, family))
 
 
 def test_lgv_sijection_compatibility_both_statistics():

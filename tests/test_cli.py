@@ -218,8 +218,10 @@ def test_bijection_invalid_object_is_input_error(capsys, monkeypatch):
     {"shape": [1], "max": 1, "rows": [[0.5]]},
     {"shape": [1.5], "max": 1, "rows": [[0]]},
     {"shape": 1, "max": 1, "rows": [[0]]},
+    [],
 ], ids=["rows-not-list", "row-not-list", "max-null", "max-string",
-        "max-bool", "entry-float", "part-float", "shape-not-list"])
+        "max-bool", "entry-float", "part-float", "shape-not-list",
+        "not-an-object"])
 def test_bijection_malformed_fields_are_input_errors(capsys, monkeypatch,
                                                      document):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))

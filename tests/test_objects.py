@@ -80,6 +80,19 @@ def test_enumerate_partitions_up_to_four():
     assert len(set(got)) == len(got)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: list(enumerate_partitions(-1)),
+     r"^max_size must be nonnegative$"),
+    (lambda: PlanePartition.from_json([]),
+     r"^plane partition JSON must be an object$"),
+    (lambda: Tableau.from_json("x"), r"^tableau JSON must be an object$"),
+], ids=["partitions-negative-size", "pp-json-not-an-object",
+        "tableau-json-not-an-object"])
+def test_object_inputs_of_the_wrong_form_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # --- plane partitions ------------------------------------------------------
 
 def test_plane_partition_validation():
@@ -285,10 +298,10 @@ def test_enumeration_orders_match_brute_oracle():
 def seed_fillings(shape, values, column_ok):
     """Every filling of the shape as a tuple of row tuples, one at a time.
 
-    The slow oracle of the grouped walker: one combinations iterator per
-    row on an explicit stack, each candidate row tested against the row
-    above under every prefix.  Order is lexicographic on the row-major
-    sequence, in the order of ``values``.
+    The oracle of the walker, spelled out apart from it: one combinations
+    iterator per row on an explicit stack, each candidate row tested
+    against the row above under every prefix.  Order is lexicographic on
+    the row-major sequence, in the order of ``values``.
     """
     parts = shape.parts
     if not parts:
@@ -347,12 +360,11 @@ def test_grouped_walker_matches_seed_walker():
     ((2, 2, 2, 1, 1, 1), 4), ((1,) * 6, 6), ((3, 3, 2, 2, 1, 1), 3),
     ((1,) * 200, 1), ((2,) * 12, 2), ((4,) * 5, 2)])
 def test_grouped_walker_matches_seed_walker_on_tall_shapes(parts, bound):
-    # five or more rows: the rows allowed beneath a row are reused from
-    # one level of the walk to the next.  On the six-row shapes every row
-    # of a group's prefix can contain both 0 and the bound, so the prefix
-    # count is checked against the per-object tally.  On the last three
-    # the row tally has many layers, each cut reached from many cuts
-    # above it.
+    # five or more rows: the walk keeps a deep stack of streams, and the
+    # row tally has one layer per row.  On the six-row shapes every row of
+    # a filling can contain both 0 and the bound, so the tally is checked
+    # against the per-object one.  On the last three the tally's layers
+    # are many, each cut reached from many cuts above it.
     assert_plane_partitions_match_seed(Partition(parts), bound)
 
 
@@ -384,25 +396,33 @@ def test_wide_two_row_walk_keeps_no_row_per_object():
     assert cut < 2 * one_run + 16_384
 
 
+def warm_up_walks() -> None:
+    """Walk a few small fillings of both kinds untraced, so that what the
+    first walk of a process allocates once stays out of a traced peak."""
+    deque(enumerate_plane_partitions(Partition([2, 2]), 1), maxlen=0)
+    deque(enumerate_tableaux(Partition([2, 1]), 3), maxlen=0)
+
+
 @pytest.mark.parametrize("parts", [(22, 22), (22, 21), (40, 40)])
 def test_wide_two_row_enumeration_keeps_no_row_per_object(parts):
-    # An uncut first row is alone in its run, so the rows beneath it are a
-    # stream and the walk holds one stack of rows.  Beneath a run of first
-    # rows with one shorter cut the walk lists the allowed second rows
-    # once, as references into the candidate rows of that length, and
-    # drops the list when the run ends.  Keeping one row per object held
-    # 96 MB on (40, 40), m=2, and keeping every candidate row for the walk
-    # 337 kB.  Rows are longer than 20 entries, so the tuple free lists
-    # stay out of the peak.
-    deque(enumerate_plane_partitions(Partition([2, 2]), 1),
-          maxlen=0)  # warm up untraced
-    candidates = 0
-    if parts[1] < parts[0]:
-        rows = list(combinations_with_replacement(range(3), parts[1]))
-        candidates = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+    # The walk holds one stream per row, whatever the first row's cut.
+    # Keeping one row per object held 96 MB on (40, 40), m=2, and listing
+    # the rows beneath each run of first rows with one shorter cut held
+    # 64 kB on (22, 21).  Rows are longer than 20 entries, so CPython's
+    # tuple free lists stay out of the peak.
+    warm_up_walks()
     peak = traced_peak(lambda: deque(
         enumerate_plane_partitions(Partition(parts), 2), maxlen=0))
-    assert peak < 2 * candidates + 16_384
+    assert peak < 16_384
+
+
+def test_wide_two_row_tableau_enumeration_keeps_no_row_per_object():
+    # as for plane partitions: listing the rows beneath each run of first
+    # rows with one cut held 60 kB here
+    warm_up_walks()
+    peak = traced_peak(lambda: deque(
+        enumerate_tableaux(Partition([22, 21]), 3), maxlen=0))
+    assert peak < 16_384
 
 
 def one_row_genfun(length: int, bound: int) -> UniPoly:

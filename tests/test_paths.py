@@ -52,6 +52,7 @@ def test_path_basics():
     assert p.end == (1, -2)
     assert p.points() == ((-1, -1), (0, -1), (0, -2), (1, -2))
     assert len(p) == 3
+    assert p.__eq__("ESE") is NotImplemented and p != "ESE"
     with pytest.raises(ValueError):
         Path((0, 0), "EN")
 
@@ -94,6 +95,7 @@ def test_path_and_family_hashes():
     ep = plane_partition_endpoints(Partition([2, 2]), 2)
     twin = plane_partition_endpoints(Partition([2, 2]), 2)
     assert twin == ep and twin is not ep
+    assert ep.__eq__(ep.a) is NotImplemented and ep != ep.a
     for family in enumerate_families(ep):
         rebuilt = SignedPathFamily(twin, family.sigma, family.paths)
         assert rebuilt == family and rebuilt is not family

@@ -78,6 +78,7 @@ def test_signed_set_sizes():
     s = signed("s", (1, 2, 3), ("a",))
     assert list(s.elements()) == [(1, 1), (2, 1), (3, 1), ("a", -1)]
     assert sum(sign for _, sign in s.elements()) == 2
+    assert repr(s) == "SignedSet('s')"
 
 
 def test_signed_set_parts_filter_one_stream():
@@ -129,6 +130,7 @@ def test_from_bijection_roundtrip_and_check():
     assert sij.forward((SOURCE, 1, "a")) == (TARGET, 1, 1)
     assert sij.backward((TARGET, 1, 2)) == (SOURCE, 1, "b")
     assert check_sijection(sij) == []
+    assert repr(sij) == "Sijection('code': letters => numbers)"
 
 
 def test_domain_validation():
@@ -306,6 +308,23 @@ def test_check_sijection_reports_violations():
     problems = check_sijection(broken)
     assert any("not injective" in p for p in problems)
     assert any("not surjective" in p and "'b'" in p for p in problems)
+
+
+def test_check_sijection_names_a_repeated_target_and_a_failing_backward():
+    s = plain("s", 1)
+
+    def forward(tagged, trace):
+        return (TARGET, 1, "a")
+
+    def refuse(tagged, trace):
+        raise SijectionError("no way back")
+
+    twice = Sijection("twice", s, plain("t", "a", "a"), forward,
+                      lambda tagged, trace: (SOURCE, 1, 1))
+    assert check_sijection(twice) == ["codomain contains repeated elements"]
+    stuck = Sijection("stuck", s, plain("t", "a"), forward, refuse)
+    assert check_sijection(stuck) == [
+        "backward failed on ('target', 1, 'a'): no way back"]
 
 
 def test_check_sijection_catches_wrong_backward():
